@@ -7,8 +7,8 @@ from .modelspace import (ModelIndex, ModelPosterior, TooManyModels,
 from .numerics import (NoBracket, NoConvergence, NotPositiveDefinite,
                        RandomStream, SpdMatrix, adaptive_quad, derive_stream,
                        factor_logdet, make_stream, root_find)
-from .posterior import (PosteriorFit, find_posterior_mode, fit_model,
-                        laplace_log_marginal)
+from .posterior import (ModelScores, PosteriorFit, find_posterior_mode,
+                        fit_model, laplace_log_marginal, score_models)
 from .priors import (AtOrigin, NonlocalPriorSpec, log_pimom, log_prior,
                      log_prior_grad, log_prior_neg_hessian, log_spimom,
                      pimom, spimom, spimom_mixture_quad)
@@ -16,7 +16,7 @@ from .priors import (AtOrigin, NonlocalPriorSpec, log_pimom, log_prior,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtOrigin", "Dataset", "GlmFit", "ModelIndex", "ModelPosterior",
+    "AtOrigin", "Dataset", "GlmFit", "ModelIndex", "ModelPosterior", "ModelScores",
     "NoBracket", "NoConvergence", "NonlocalPriorSpec", "NotPositiveDefinite",
     "PosteriorFit", "RandomStream", "SpdMatrix", "TooManyModels",
     "adaptive_quad", "derive_stream", "enumerate_models", "factor_logdet",
@@ -24,5 +24,5 @@ __all__ = [
     "laplace_log_marginal", "log_likelihood", "log_pimom", "log_prior",
     "log_prior_grad", "log_prior_neg_hessian", "log_spimom", "make_stream",
     "neg_hessian", "partition_ab", "pimom", "posterior_probs", "root_find",
-    "score", "spimom", "spimom_mixture_quad",
+    "score", "score_models", "spimom", "spimom_mixture_quad",
 ]

@@ -6,9 +6,7 @@ configuration, 4 model space over the enumeration cap without --search.
 JSON output serializes numbers with 17 significant digits and sorted keys,
 so rerunning an echoed configuration reproduces files byte-for-byte;
 non-finite values appear as the strings "inf", "-inf", "nan".  Output files
-are written to a temporary sibling and renamed into place.  The environment
-variable NLSELECT_THREADS (default 1) sets the worker count for scoring
-enumerated models.
+are written to a temporary sibling and renamed into place.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import io
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 import numpy as np
@@ -242,22 +239,6 @@ def _prior_echo(spec: NonlocalPriorSpec) -> dict:
             "paper_constant": spec.paper_constant_mode}
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("NLSELECT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _score_models(d: Dataset, models: Sequence[ModelIndex],
-                  spec: NonlocalPriorSpec) -> list:
-    workers = _thread_count()
-    if workers == 1:
-        return [posterior.fit_model(d, J, spec) for J in models]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda J: posterior.fit_model(d, J, spec), models))
-
-
 # =============================================================================
 # Subcommands
 # =============================================================================
@@ -277,21 +258,20 @@ def cmd_fit(args) -> int:
         "subcommand": "fit", "input": args.input, "family": family,
         "sigma2": args.sigma2, "prior": _prior_echo(spec), "q": q,
         "search": bool(args.search), "budget": args.budget, "seed": args.seed,
-        "threads": _thread_count(),
     }
+    saddle_count = 0
     if args.search:
         post, top = greedy_search(d, spec, q, args.budget, make_stream(args.seed))
-        fits = None
     else:
         try:
             models = enumerate_models(d.p, q)
         except TooManyModels as exc:
             print(f"error: {exc}; rerun with --search", file=sys.stderr)
             return EXIT_TOO_MANY_MODELS
-        fits = _score_models(d, models, spec)
-        post = posterior_probs([(J, f.log_marginal) for J, f in zip(models, fits)],
-                               q=q)
+        scores = posterior.score_models(d, models, spec)
+        post = posterior_probs(list(zip(models, scores.log_marginal.tolist())), q=q)
         top = post.top
+        saddle_count = int(scores.excluded.sum())
     top_mle = fit_mle(d, top)
     top_pm = posterior.find_posterior_mode(d, top, spec, top_mle)
     diag = hessian_diagnostics(d, top, [top_mle.beta_hat, top_pm.beta_pm])
@@ -307,7 +287,7 @@ def cmd_fit(args) -> int:
             "top_mle_converged": top_mle.converged,
             "top_mle_separation": top_mle.separation,
             "top_mode_converged": top_pm.converged,
-            "saddle_count": sum(1 for f in (fits or []) if f.saddle),
+            "saddle_count": saddle_count,
         },
     }
     text = to_json(result) + "\n"

@@ -31,7 +31,7 @@ from .modelspace import (ModelIndex, enumerate_models, greedy_search,
                          posterior_probs)
 from .numerics import (RandomStream, derive_stream, extremal_eigenvalues,
                        factor_logdet, make_stream, root_find, spectral_norm)
-from .posterior import find_posterior_mode, fit_model
+from .posterior import find_posterior_mode, fit_model, score_models
 from .priors import NonlocalPriorSpec, spimom, spimom_log_constant
 
 DESIGN_IID = "iid-normal"
@@ -524,9 +524,10 @@ def consistency_study(cfg: ExperimentConfig,
             stream = derive_stream(derive_stream(root, ni), rep)
             d, _ = simulate_dataset(cfg, n, stream)
             if models is not None:
-                entries = [(J, fit_model(d, J, spec).log_marginal)
-                           for J in models]
-                post = posterior_probs(entries, truth=truth, q=cfg.q)
+                scores = score_models(d, models, spec)
+                post = posterior_probs(
+                    list(zip(models, scores.log_marginal.tolist())),
+                    truth=truth, q=cfg.q)
             else:
                 visited, _ = greedy_search(d, spec, cfg.q, search_budget,
                                            derive_stream(stream, 10**6))

@@ -3,6 +3,11 @@
 Families: Gaussian with known variance, binomial/logistic, Poisson.  All
 log-likelihoods keep their full normalizing constants so marginal
 likelihoods are comparable across models and against quadrature oracles.
+
+Two forms of each kernel: per model (a :class:`ModelIndex` and a coefficient
+vector), and per :class:`ModelBatch` (M models of one size k, as an (M, k)
+array of columns, with an (M, k) array of coefficients), which the batched
+scoring engine in ``posterior`` runs in lockstep.
 """
 
 from __future__ import annotations
@@ -16,11 +21,17 @@ import numpy as np
 from scipy.special import gammaln
 
 from .modelspace import ModelIndex
-from .numerics import NotPositiveDefinite, SpdMatrix
+from .numerics import NotPositiveDefinite, SpdMatrix, batch_cho_solve, batch_cholesky
 
 SCORE_TOL_PER_OBS = 1e-8
 MAX_NEWTON_ITER = 100
+MAX_HALVINGS = 60
 SEPARATION_CAP = 30.0
+# Floats per batch temporary: a batch holds BATCH_FLOATS // n models for the
+# GLM families (one row of X_J beta each) and BATCH_FLOATS // k^2 for the
+# Gaussian family (one Gram slice each), so its memory stays near 256 KB per
+# temporary at any n.
+BATCH_FLOATS = 1 << 15
 
 
 class FamilySupport(ValueError):
@@ -28,11 +39,13 @@ class FamilySupport(ValueError):
 
 
 def _sigmoid(theta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(theta)
-    pos = theta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-theta[pos]))
-    e = np.exp(theta[~pos])
-    out[~pos] = e / (1.0 + e)
+    # 1 / (1 + e^-theta) for theta >= 0, e^theta / (1 + e^theta) below, so
+    # the exponential never overflows; in place, as batches pass large arrays
+    e = np.abs(theta)
+    np.exp(np.negative(e, out=e), out=e)
+    out = np.where(theta >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -66,14 +79,23 @@ class _Logistic:
     name = "logistic"
 
     def cumulant(self, theta):
-        return np.logaddexp(0.0, theta)
+        # log(1 + e^theta), written so the exponential never overflows
+        out = np.abs(theta)
+        np.log1p(np.exp(np.negative(out, out=out), out=out), out=out)
+        out += np.maximum(theta, 0.0)
+        return out
 
     def mean(self, theta):
         return _sigmoid(theta)
 
     def variance(self, theta):
+        return self.mean_variance(theta)[1]
+
+    def mean_variance(self, theta):
         p = _sigmoid(theta)
-        return p * (1.0 - p)
+        var = 1.0 - p
+        var *= p
+        return p, var
 
     def scale(self, dispersion):
         return 1.0
@@ -103,6 +125,10 @@ class _Poisson:
     def variance(self, theta):
         with np.errstate(over="ignore"):
             return np.exp(theta)
+
+    def mean_variance(self, theta):
+        mu = self.mean(theta)
+        return mu, mu
 
     def scale(self, dispersion):
         return 1.0
@@ -168,17 +194,6 @@ class Dataset:
         # sufficient statistics for the Gaussian fast path
         return self.X.T @ self.X, self.X.T @ self.y, float(self.y @ self.y)
 
-    def _model_gram(self, J: ModelIndex) -> tuple[np.ndarray, np.ndarray]:
-        """Memoized (X_J' X_J, X_J' y); model sweeps hit each slice many times."""
-        cache = self.__dict__.setdefault("_model_gram_cache", {})
-        hit = cache.get(J)
-        if hit is None:
-            xtx, xty, _ = self._gram
-            cols = J.cols
-            hit = (xtx[np.ix_(cols, cols)], xty[cols])
-            cache[J] = hit
-        return hit
-
 
 @dataclass
 class GlmFit:
@@ -200,6 +215,13 @@ def design(d: Dataset, J: ModelIndex) -> np.ndarray:
     return d.X[:, J.cols]
 
 
+def _gram_slices(d: Dataset, J: ModelIndex) -> tuple[np.ndarray, np.ndarray]:
+    # (X_J' X_J, X_J' y) sliced from the cached Gram matrix
+    xtx, xty, _ = d._gram
+    cols = J.cols
+    return xtx[cols[:, None], cols], xty[cols]
+
+
 def log_likelihood(d: Dataset, J: ModelIndex, beta: np.ndarray) -> float:
     """Full log-likelihood of submodel ``J`` at ``beta``, constants included."""
     beta = np.asarray(beta, dtype=float).reshape(-1)
@@ -208,7 +230,7 @@ def log_likelihood(d: Dataset, J: ModelIndex, beta: np.ndarray) -> float:
     fam = FAMILIES[d.family]
     s = fam.scale(d.dispersion)
     if d.family == "gaussian":
-        xtx_j, xty_j = d._model_gram(J)
+        xtx_j, xty_j = _gram_slices(d, J)
         kernel = float(xty_j @ beta - 0.5 * beta @ xtx_j @ beta)
     else:
         theta = design(d, J) @ beta
@@ -223,7 +245,7 @@ def score(d: Dataset, J: ModelIndex, beta: np.ndarray) -> np.ndarray:
     fam = FAMILIES[d.family]
     s = fam.scale(d.dispersion)
     if d.family == "gaussian":
-        xtx_j, xty_j = d._model_gram(J)
+        xtx_j, xty_j = _gram_slices(d, J)
         return s * (xty_j - xtx_j @ beta)
     Xj = design(d, J)
     return s * (Xj.T @ (d.y - fam.mean(Xj @ beta)))
@@ -233,7 +255,7 @@ def _neg_hessian_entries(d: Dataset, J: ModelIndex, beta: np.ndarray) -> np.ndar
     fam = FAMILIES[d.family]
     s = fam.scale(d.dispersion)
     if d.family == "gaussian":
-        xtx_j, _ = d._model_gram(J)
+        xtx_j, _ = _gram_slices(d, J)
         return s * xtx_j
     Xj = design(d, J)
     w = fam.variance(Xj @ beta)
@@ -250,11 +272,14 @@ def fit_mle(d: Dataset, J: ModelIndex, max_iter: int = MAX_NEWTON_ITER,
             separation_cap: float = SEPARATION_CAP) -> GlmFit:
     """Damped Newton MLE from beta = 0 with step-halving.
 
-    Stops when the score infinity-norm drops below 1e-8 * n or after
-    ``max_iter`` iterations.  For logistic models a fitted coefficient
-    exceeding ``separation_cap`` in magnitude sets the ``separation`` flag,
-    signalling that the MLE likely does not exist; this is a flag, not an
-    error, and the capped fit is still returned.
+    Stops when the score infinity-norm drops below 1e-8 * n, after
+    ``max_iter`` iterations, or when the accepted step leaves beta unchanged
+    in floating point (the Newton decrement is below the objective's
+    resolution; ``converged`` then reports whether the score test holds).
+    For logistic models a fitted coefficient exceeding ``separation_cap`` in
+    magnitude sets the ``separation`` flag, signalling that the MLE likely
+    does not exist; this is a flag, not an error, and the capped fit is
+    still returned.
     """
     if J.size > d.n:
         raise ValueError(f"|J| = {J.size} exceeds n = {d.n}")
@@ -270,23 +295,20 @@ def fit_mle(d: Dataset, J: ModelIndex, max_iter: int = MAX_NEWTON_ITER,
         g = score(d, J, beta)
         if float(np.abs(g).max()) <= tol:
             break
-        h = _neg_hessian_entries(d, J, beta)
-        try:
-            np.linalg.cholesky(h)
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefinite(
-                f"rank-deficient design for model {J}") from None
-        step = np.linalg.solve(h, g)
+        factor, ok = batch_cholesky(_neg_hessian_entries(d, J, beta))
+        if not ok:
+            raise NotPositiveDefinite(f"rank-deficient design for model {J}")
+        step = batch_cho_solve(factor, g)
         t = 1.0
         improved = False
-        for _ in range(60):
+        for _ in range(MAX_HALVINGS):
             cand = beta + t * step
             cand_ll = log_likelihood(d, J, cand)
             if cand_ll >= ll:
                 improved = True
                 break
             t *= 0.5
-        if not improved:
+        if not improved or np.array_equal(cand, beta):
             break
         beta, ll = cand, cand_ll
         iterations += 1
@@ -296,3 +318,96 @@ def fit_mle(d: Dataset, J: ModelIndex, max_iter: int = MAX_NEWTON_ITER,
     return GlmFit(model=J, beta_hat=beta, loglik=ll, converged=converged,
                   iterations=iterations, neg_hessian=neg_hessian(d, J, beta),
                   separation=separation)
+
+
+# =============================================================================
+# Batched kernels: M models of one size k at once
+# =============================================================================
+
+
+@dataclass(frozen=True, eq=False)
+class ModelBatch:
+    """Likelihood data of M models of one size k.
+
+    ``cols`` holds the zero-based columns, shape (M, k).  Gaussian batches
+    carry their slices of the cached X'X and X'y, shapes (M, k, k) and
+    (M, k); the other families carry the models' columns of X, shape
+    (M, k, n).  ``base`` is the family's constant log-likelihood term.
+    """
+
+    d: Dataset
+    cols: np.ndarray
+    base: float
+    xtx: Optional[np.ndarray] = None
+    xty: Optional[np.ndarray] = None
+    xs: Optional[np.ndarray] = None
+
+    def take(self, rows) -> "ModelBatch":
+        """The sub-batch of the given rows (an index array or a mask)."""
+        return ModelBatch(
+            d=self.d, cols=self.cols[rows], base=self.base,
+            xtx=None if self.xtx is None else self.xtx[rows],
+            xty=None if self.xty is None else self.xty[rows],
+            xs=None if self.xs is None else self.xs[rows])
+
+
+def batch_rows(d: Dataset, k: int) -> int:
+    """Models per batch of size-k models (see ``BATCH_FLOATS``)."""
+    per_model = k * k if d.family == "gaussian" else d.n
+    return max(1, BATCH_FLOATS // per_model)
+
+
+def model_batch(d: Dataset, cols: np.ndarray) -> ModelBatch:
+    """Gather the data of the models whose zero-based columns are the rows of
+    ``cols`` (shape (M, k), k >= 1)."""
+    cols = np.asarray(cols, dtype=int)
+    if cols.size and (cols.min() < 0 or cols.max() >= d.p):
+        raise ValueError(f"model columns must lie in 1..{d.p}")
+    if cols.shape[1] > d.n:
+        raise ValueError(f"|J| = {cols.shape[1]} exceeds n = {d.n}")
+    base = FAMILIES[d.family].log_base(d.y, d.dispersion)
+    if d.family == "gaussian":
+        xtx, xty, _ = d._gram
+        return ModelBatch(d=d, cols=cols, base=base,
+                          xtx=xtx[cols[:, :, None], cols[:, None, :]], xty=xty[cols])
+    return ModelBatch(d=d, cols=cols, base=base, xs=d.X.T[cols])
+
+
+def _batch_theta(batch: ModelBatch, beta: np.ndarray) -> np.ndarray:
+    # linear predictors X_J beta, one row of n per model
+    return np.matmul(beta[:, None, :], batch.xs)[:, 0, :]
+
+
+def batch_log_likelihood(batch: ModelBatch, beta: np.ndarray) -> np.ndarray:
+    """Full log-likelihood of each model at its row of ``beta`` (M, k)."""
+    d = batch.d
+    fam = FAMILIES[d.family]
+    s = fam.scale(d.dispersion)
+    if d.family == "gaussian":
+        quad = (beta * (batch.xtx * beta[:, None, :]).sum(axis=-1)).sum(axis=-1)
+        kernel = (batch.xty * beta).sum(axis=-1) - 0.5 * quad
+    else:
+        theta = _batch_theta(batch, beta)
+        kernel = theta @ d.y - fam.cumulant(theta).sum(axis=-1)
+    value = s * kernel + batch.base
+    return np.where(np.isfinite(value), value, -math.inf)
+
+
+def batch_score_hessian(batch: ModelBatch, beta: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Scores (M, k) and negative log-likelihood Hessians (M, k, k) of each
+    model at its row of ``beta``."""
+    d = batch.d
+    fam = FAMILIES[d.family]
+    s = fam.scale(d.dispersion)
+    if d.family == "gaussian":
+        return (s * (batch.xty - (batch.xtx * beta[:, None, :]).sum(axis=-1)),
+                s * batch.xtx)
+    mean, var = fam.mean_variance(_batch_theta(batch, beta))
+    xs = batch.xs
+    g = np.matmul(xs, (d.y - mean)[:, :, None])[:, :, 0]
+    # one column of X_J' W X_J at a time keeps the temporaries at (M, n)
+    h = np.empty(xs.shape[:2] + xs.shape[1:2])
+    for j in range(xs.shape[1]):
+        h[:, :, j] = np.matmul(xs, (xs[:, j, :] * var)[:, :, None])[:, :, 0]
+    return s * g, s * h

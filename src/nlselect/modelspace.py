@@ -175,16 +175,6 @@ def partition_ab(models: Sequence[ModelIndex],
     return a, b
 
 
-def _default_score_fn(d, spec) -> Callable[[ModelIndex], float]:
-    # local import: posterior depends on glm which depends on this module
-    from .posterior import fit_model
-
-    def score(model: ModelIndex) -> float:
-        return fit_model(d, model, spec).log_marginal
-
-    return score
-
-
 def greedy_search(d, spec, q: int, budget: int, stream: RandomStream,
                   score_fn: Optional[Callable[[ModelIndex], float]] = None,
                   ) -> tuple[ModelPosterior, ModelIndex]:
@@ -195,7 +185,13 @@ def greedy_search(d, spec, q: int, budget: int, stream: RandomStream,
     single-deletion neighbor, then moves to the best-scoring neighbor with
     probability 0.9 or to a uniformly random scored neighbor with
     probability 0.1.  Every score is cached, no model is ever scored twice,
-    and ``budget`` counts scores beyond the start model.
+    and ``budget`` counts scores beyond the start model.  When the budget
+    runs out mid-step, the step scores the first unseen neighbors in model
+    order.
+
+    By default a step's unseen neighbors are scored together by
+    ``posterior.score_models``; a per-model ``score_fn`` replaces that
+    scorer (the walk is the same, so tests can substitute a fake).
 
     Stopping rule (fixed here, deterministic): the walk ends when the score
     budget runs out, when no neighbor beat the current model for 3
@@ -207,11 +203,17 @@ def greedy_search(d, spec, q: int, budget: int, stream: RandomStream,
     best visited model; both are bit-reproducible from (inputs, stream).
     """
     if score_fn is None:
-        score_fn = _default_score_fn(d, spec)
+        # local import: posterior depends on glm which depends on this module
+        from .posterior import score_models
+
+        def score_batch(models: list[ModelIndex]) -> list[float]:
+            return score_models(d, models, spec).log_marginal.tolist()
+    else:
+        def score_batch(models: list[ModelIndex]) -> list[float]:
+            return [score_fn(m) for m in models]
     p = d.X.shape[1]
-    cache: dict[ModelIndex, float] = {}
     current = ModelIndex()
-    cache[current] = score_fn(current)
+    cache: dict[ModelIndex, float] = {current: score_batch([current])[0]}
     evals = 0
     stalls = 0
     saturated = 0
@@ -223,15 +225,10 @@ def greedy_search(d, spec, q: int, budget: int, stream: RandomStream,
                              for j in range(1, p + 1) if j not in current.indices)
         neighbors.extend(current.with_removed(j) for j in current.indices)
         neighbors.sort()
-        fresh = 0
-        for nb in neighbors:
-            if nb in cache:
-                continue
-            if evals >= budget:
-                break
-            cache[nb] = score_fn(nb)
-            evals += 1
-            fresh += 1
+        fresh = [nb for nb in neighbors if nb not in cache][:budget - evals]
+        if fresh:
+            cache.update(zip(fresh, score_batch(fresh)))
+        evals += len(fresh)
         saturated = 0 if fresh else saturated + 1
         scored = [nb for nb in neighbors if nb in cache]
         if not scored:

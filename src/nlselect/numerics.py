@@ -1,9 +1,11 @@
 """Deterministic numerical kernels shared across the package.
 
-Dense symmetric factorization, adaptive Gauss-Kronrod quadrature (with a
-documented change of variable for semi-infinite ranges), safeguarded scalar
-root finding, extremal-eigenvalue estimation by power iteration, and seeded
-random streams with reproducible substream derivation.
+Dense symmetric factorization (one Cholesky kernel that works on a single
+matrix or on a stack of small ones, with a status per matrix), adaptive
+Gauss-Kronrod quadrature (with a documented change of variable for
+semi-infinite ranges), safeguarded scalar root finding, extremal-eigenvalue
+estimation by power iteration, and seeded random streams with reproducible
+substream derivation.
 """
 
 from __future__ import annotations
@@ -60,6 +62,54 @@ class SpdMatrix:
         return self.entries.shape[0]
 
 
+# A pivot must exceed this fraction of its diagonal entry.  Rounding leaves
+# the pivot of an exactly collinear column at about 1e-16 of it, so the margin
+# classifies duplicated columns as rank deficient every time, whatever the
+# order of the arithmetic that formed the matrix.
+PIVOT_RTOL = 1e-12
+
+
+def batch_cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of a stack of symmetric matrices, shape (..., k, k).
+
+    Returns ``(factor, ok)``.  ``ok`` has the stack's shape and is False where
+    a pivot is nonpositive, NaN, or not above ``PIVOT_RTOL`` times its
+    diagonal entry; that matrix's factor is then meaningless.  Unlike
+    ``np.linalg.cholesky`` on a stack, one failed matrix does not fail the
+    others.  Loops over the k(k+1)/2 entries, each vectorized over the
+    stack, so it suits small k.
+    """
+    a = np.asarray(a, dtype=float)
+    k = a.shape[-1]
+    factor = np.zeros_like(a)
+    ok = np.ones(a.shape[:-2], dtype=bool)
+    for j in range(k):
+        row = factor[..., j, :j]
+        pivot = a[..., j, j] - (row * row).sum(axis=-1)
+        good = (pivot > 0.0) & (pivot > PIVOT_RTOL * a[..., j, j])
+        ok &= good
+        root = np.sqrt(np.where(good, pivot, 1.0))
+        factor[..., j, j] = root
+        for i in range(j + 1, k):
+            factor[..., i, j] = (a[..., i, j]
+                                 - (factor[..., i, :j] * row).sum(axis=-1)) / root
+    return factor, ok
+
+
+def batch_cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (L L') x = b for each matrix of a stack, given L from
+    :func:`batch_cholesky`; ``b`` has shape (..., k)."""
+    k = factor.shape[-1]
+    x = np.empty(np.broadcast_shapes(factor.shape[:-1], np.shape(b)))
+    for i in range(k):  # forward: L z = b
+        x[..., i] = (b[..., i] - (factor[..., i, :i] * x[..., :i]).sum(axis=-1)
+                     ) / factor[..., i, i]
+    for i in reversed(range(k)):  # backward, in place: L' x = z
+        x[..., i] = (x[..., i] - (factor[..., i + 1:, i] * x[..., i + 1:]).sum(axis=-1)
+                     ) / factor[..., i, i]
+    return x
+
+
 def factor_logdet(m: SpdMatrix) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of ``m`` and its log-determinant.
 
@@ -69,20 +119,14 @@ def factor_logdet(m: SpdMatrix) -> tuple[np.ndarray, float]:
     Raises
     ------
     NotPositiveDefinite
-        If a pivot is nonpositive.  Callers treat this as model or
-        posterior degeneracy (rank-deficient design, saddle point).
+        If :func:`batch_cholesky` rejects a pivot.  Callers treat this as
+        model or posterior degeneracy (rank-deficient design, saddle point).
     """
-    try:
-        factor = np.linalg.cholesky(m.entries)
-    except np.linalg.LinAlgError:
+    factor, ok = batch_cholesky(m.entries)
+    if not ok:
         raise NotPositiveDefinite(
-            f"nonpositive pivot while factoring a dim-{m.dim} matrix"
-        ) from None
-    if m.dim == 0:
-        return factor, 0.0
+            f"nonpositive pivot while factoring a dim-{m.dim} matrix")
     return factor, 2.0 * float(np.log(np.diag(factor)).sum())
-
-
 
 
 # =============================================================================

@@ -104,40 +104,43 @@ def log_density_1d(b, spec: NonlocalPriorSpec) -> np.ndarray:
     return out
 
 
-def _sum_log_density(beta, spec: NonlocalPriorSpec) -> float:
-    beta = np.asarray(beta, dtype=float).reshape(-1)
-    if beta.size == 0:
-        return 0.0
-    if not beta.all():  # exact zeros only
-        return -math.inf  # nonlocal: the density vanishes on coordinate planes
+def log_prior(beta, spec: NonlocalPriorSpec):
+    """Joint log prior density over the last axis of ``beta``, for either kind.
+
+    A vector gives a float; a stack of shape (M, k) gives M values.  A row
+    with an exact zero gets -inf: nonlocal densities vanish on coordinate
+    planes.
+    """
+    beta = np.asarray(beta, dtype=float)
+    vector = beta.ndim <= 1
+    if vector:
+        beta = beta.reshape(1, -1)
     ab = np.abs(beta)
-    log_ab_sum = float(np.log(ab).sum())
-    if spec.kind == "pimom":
-        const = 0.5 * spec.r * math.log(spec.scale) - math.lgamma(0.5 * spec.r)
-        return (beta.size * const - (spec.r + 1.0) * log_ab_sum
-                - spec.scale * float((1.0 / ab**2).sum()))
-    const = spimom_log_constant(spec.r, spec.scale, spec.paper_constant_mode)
-    return (beta.size * const - (spec.r + 1.0) * log_ab_sum
-            - 2.0 * math.sqrt(spec.scale) * float((1.0 / ab).sum()))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ab_sum = np.log(ab).sum(axis=-1)
+        if spec.kind == "pimom":
+            const = 0.5 * spec.r * math.log(spec.scale) - math.lgamma(0.5 * spec.r)
+            kernel = spec.scale * (1.0 / ab**2).sum(axis=-1)
+        else:
+            const = spimom_log_constant(spec.r, spec.scale, spec.paper_constant_mode)
+            kernel = 2.0 * math.sqrt(spec.scale) * (1.0 / ab).sum(axis=-1)
+        out = beta.shape[-1] * const - (spec.r + 1.0) * log_ab_sum - kernel
+    out = np.where(beta.all(axis=-1), out, -math.inf)
+    return float(out[0]) if vector else out
 
 
 def log_pimom(beta, spec: NonlocalPriorSpec) -> float:
     """Joint piMOM log density over the coordinates of ``beta``."""
     if spec.kind != "pimom":
         raise ValueError("spec is not a pimom spec")
-    return _sum_log_density(beta, spec)
+    return log_prior(beta, spec)
 
 
 def log_spimom(beta, spec: NonlocalPriorSpec) -> float:
     """Joint spiMOM log density over the coordinates of ``beta``."""
     if spec.kind != "spimom":
         raise ValueError("spec is not a spimom spec")
-    return _sum_log_density(beta, spec)
-
-
-def log_prior(beta, spec: NonlocalPriorSpec) -> float:
-    """Joint log prior density for either kind."""
-    return _sum_log_density(beta, spec)
+    return log_prior(beta, spec)
 
 
 # =============================================================================
@@ -145,29 +148,37 @@ def log_prior(beta, spec: NonlocalPriorSpec) -> float:
 # =============================================================================
 
 
+def _coordinates(beta, what: str) -> np.ndarray:
+    # a vector, or a stack of rows; derivatives are per coordinate
+    beta = np.asarray(beta, dtype=float)
+    if beta.ndim <= 1:
+        beta = beta.reshape(-1)
+    if not beta.all():
+        raise AtOrigin(f"log-prior {what} is undefined at a zero coordinate")
+    return beta
+
+
 def log_prior_grad(beta, spec: NonlocalPriorSpec) -> np.ndarray:
-    """Per-coordinate derivative of the log density.
+    """Per-coordinate derivative of the log density, elementwise over any
+    stack of rows.
 
     piMOM: -(r+1)/b + 2 tau / b^3.  spiMOM: -(r+1)/b + 2 sqrt(lambda) sign(b) / b^2.
     """
-    beta = np.asarray(beta, dtype=float).reshape(-1)
-    if not beta.all():
-        raise AtOrigin("log-prior gradient is undefined at a zero coordinate")
+    beta = _coordinates(beta, "gradient")
     if spec.kind == "pimom":
         return -(spec.r + 1.0) / beta + 2.0 * spec.scale / beta**3
     return -(spec.r + 1.0) / beta + 2.0 * math.sqrt(spec.scale) * np.sign(beta) / beta**2
 
 
 def log_prior_neg_hessian(beta, spec: NonlocalPriorSpec) -> np.ndarray:
-    """Negated second derivatives, returned as the raw diagonal.
+    """Negated second derivatives, returned as the raw diagonal (one per
+    coordinate, elementwise over any stack of rows).
 
     Coordinates are independent, so the Hessian is diagonal.  Entries may be
     negative far from the prior mode; definiteness is checked only on the
     assembled log-posterior Hessian.
     """
-    beta = np.asarray(beta, dtype=float).reshape(-1)
-    if not beta.all():
-        raise AtOrigin("log-prior curvature is undefined at a zero coordinate")
+    beta = _coordinates(beta, "curvature")
     if spec.kind == "pimom":
         return 6.0 * spec.scale / beta**4 - (spec.r + 1.0) / beta**2
     return 4.0 * math.sqrt(spec.scale) / np.abs(beta)**3 - (spec.r + 1.0) / beta**2

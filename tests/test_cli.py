@@ -79,6 +79,14 @@ class TestFit:
         total = sum(m["probability"] for m in res["models"])
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_config_echo_keys(self, tmp_path):
+        data = self.make_data(tmp_path)
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--input", data, "--q", 2, "--out", out]) == 0
+        assert sorted(load_json(out)["config"]) == [
+            "budget", "family", "input", "prior", "q", "search", "seed",
+            "sigma2", "subcommand"]
+
     def test_unknown_family_exits_3(self, tmp_path, capsys):
         data = self.make_data(tmp_path)
         assert run(["fit", "--input", data, "--family", "bogus"]) == 3

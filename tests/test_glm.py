@@ -1,12 +1,15 @@
-"""Likelihood derivatives against finite differences and brute-force fits."""
+"""Likelihood derivatives against finite differences and brute-force fits,
+and the batched kernels against the per-model ones."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from nlselect.glm import (Dataset, FamilySupport, fit_mle, log_likelihood,
-                          neg_hessian, score)
+from nlselect.glm import (BATCH_FLOATS, Dataset, FamilySupport,
+                          batch_log_likelihood, batch_rows, batch_score_hessian,
+                          fit_mle, log_likelihood, model_batch, neg_hessian, score)
 from nlselect.modelspace import ModelIndex
 from nlselect.numerics import NotPositiveDefinite
 
@@ -250,3 +253,30 @@ class TestValidation:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             Dataset(y=[0.0, 1.0], X=[[1.0]], family="gaussian")
+
+
+class TestBatchKernels:
+    @pytest.mark.parametrize("family", ["gaussian", "logistic", "poisson"])
+    def test_match_per_model_kernels(self, family):
+        rng = np.random.default_rng(31)
+        d = random_instance(family, rng, n=80, p=5)
+        models = [ModelIndex(c) for c in itertools.combinations(range(1, 6), 3)]
+        beta = rng.normal(scale=0.5, size=(len(models), 3))
+        batch = model_batch(d, np.array([m.indices for m in models]) - 1)
+        ll = batch_log_likelihood(batch, beta)
+        g, h = batch_score_hessian(batch, beta)
+        for i, J in enumerate(models):
+            assert ll[i] == pytest.approx(log_likelihood(d, J, beta[i]), rel=1e-12)
+            np.testing.assert_allclose(g[i], score(d, J, beta[i]), rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(h[i], neg_hessian(d, J, beta[i]).entries, rtol=1e-10)
+        sub = batch.take(np.array([4, 1]))
+        np.testing.assert_allclose(batch_log_likelihood(sub, beta[[4, 1]]), ll[[4, 1]],
+                                   rtol=1e-13)
+
+    def test_batch_rows_rule(self):
+        rng = np.random.default_rng(32)
+        gauss = random_instance("gaussian", rng, n=800, p=4)
+        logit = random_instance("logistic", rng, n=1600, p=4)
+        assert batch_rows(gauss, 3) == BATCH_FLOATS // 9
+        assert batch_rows(logit, 3) == BATCH_FLOATS // 1600
+        assert batch_rows(random_instance("poisson", rng, n=10**6, p=1), 1) == 1

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from nlselect.numerics import (NoBracket, NoConvergence, NotPositiveDefinite,
-                               SpdMatrix, adaptive_quad, derive_stream,
+                               SpdMatrix, adaptive_quad, batch_cho_solve,
+                               batch_cholesky, derive_stream,
                                extremal_eigenvalues, factor_logdet,
                                make_stream, root_find, spectral_norm)
 
@@ -61,6 +62,45 @@ class TestFactorLogdet:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             SpdMatrix(np.array([[1.0, 0.5], [0.2, 1.0]]))
+
+
+class TestBatchCholesky:
+    def test_matches_lapack_on_a_stack(self):
+        rng = np.random.default_rng(21)
+        a = np.stack([random_spd(rng, 3) for _ in range(20)])
+        factor, ok = batch_cholesky(a)
+        assert ok.all()
+        np.testing.assert_allclose(factor, np.linalg.cholesky(a), rtol=1e-12, atol=1e-14)
+
+    def test_status_per_matrix(self):
+        # np.linalg.cholesky would raise for the whole stack
+        rng = np.random.default_rng(22)
+        a = np.stack([random_spd(rng, 3) for _ in range(5)])
+        a[2] = -a[2]
+        a[4, 2, 2] = np.nan
+        _, ok = batch_cholesky(a)
+        assert ok.tolist() == [True, True, False, True, False]
+
+    def test_collinear_gram_rejected(self):
+        # the last pivot of a duplicated column is rounding noise around 0,
+        # which LAPACK accepts or rejects by chance
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            X = rng.normal(size=(int(rng.integers(5, 100)), 3))
+            X[:, 2] = X[:, 0]
+            _, ok = batch_cholesky(X.T @ X)
+            assert not ok
+
+    def test_solve_stack_and_single(self):
+        rng = np.random.default_rng(24)
+        a = np.stack([random_spd(rng, 4) for _ in range(10)])
+        b = rng.normal(size=(10, 4))
+        factor, _ = batch_cholesky(a)
+        x = batch_cho_solve(factor, b)
+        np.testing.assert_allclose(np.einsum("mij,mj->mi", a, x), b, atol=1e-12)
+        one, ok = batch_cholesky(a[3])
+        assert ok.shape == () and ok
+        np.testing.assert_array_equal(batch_cho_solve(one, b[3]), x[3])
 
 
 class TestAdaptiveQuad:

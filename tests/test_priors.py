@@ -185,6 +185,27 @@ class TestDerivatives:
                 assert -nh[i] == pytest.approx(fd, rel=1e-4, abs=1e-6 * max(1.0, abs(nh[i])))
 
 
+class TestBroadcasting:
+    @pytest.mark.parametrize("kind", ["pimom", "spimom"])
+    def test_rows_match_vectors(self, kind):
+        rng = np.random.default_rng(79)
+        spec = NonlocalPriorSpec(kind=kind, r=1.5, scale=0.8)
+        b = rng.uniform(0.2, 3.0, size=(7, 3)) * rng.choice([-1.0, 1.0], size=(7, 3))
+        b[3, 1] = 0.0
+        lp = log_prior(b, spec)
+        assert lp.shape == (7,)
+        assert lp.tolist() == [log_prior(row, spec) for row in b]
+        assert lp[3] == -math.inf
+        rows = np.delete(b, 3, axis=0)
+        for f in (log_prior_grad, log_prior_neg_hessian):
+            np.testing.assert_array_equal(f(rows, spec), [f(row, spec) for row in rows])
+        with pytest.raises(AtOrigin):
+            log_prior_grad(b, spec)
+
+    def test_empty_vector(self):
+        assert log_prior([], spimom()) == 0.0
+
+
 class TestTailOrder:
     def test_polynomial_tail_constant(self):
         b = 1e3
