@@ -2,16 +2,14 @@
 
 from .glm import Dataset, GlmFit, fit_mle, log_likelihood, neg_hessian, score
 from .modelspace import (ModelIndex, ModelPosterior, TooManyModels,
-                         enumerate_models, greedy_search, partition_ab,
-                         posterior_probs)
+                         enumerate_models, greedy_search, posterior_probs)
 from .numerics import (NoBracket, NoConvergence, NotPositiveDefinite,
                        RandomStream, SpdMatrix, adaptive_quad, derive_stream,
                        factor_logdet, make_stream, root_find)
 from .posterior import (ModelScores, PosteriorFit, find_posterior_mode,
                         fit_model, laplace_log_marginal, score_models)
-from .priors import (AtOrigin, NonlocalPriorSpec, log_pimom, log_prior,
-                     log_prior_grad, log_prior_neg_hessian, log_spimom,
-                     pimom, spimom, spimom_mixture_quad)
+from .priors import (AtOrigin, NonlocalPriorSpec, log_prior, log_prior_grad,
+                     log_prior_neg_hessian, pimom, spimom, spimom_mixture_quad)
 
 __version__ = "0.1.0"
 
@@ -21,8 +19,8 @@ __all__ = [
     "PosteriorFit", "RandomStream", "SpdMatrix", "TooManyModels",
     "adaptive_quad", "derive_stream", "enumerate_models", "factor_logdet",
     "find_posterior_mode", "fit_mle", "fit_model", "greedy_search",
-    "laplace_log_marginal", "log_likelihood", "log_pimom", "log_prior",
-    "log_prior_grad", "log_prior_neg_hessian", "log_spimom", "make_stream",
-    "neg_hessian", "partition_ab", "pimom", "posterior_probs", "root_find",
-    "score", "score_models", "spimom", "spimom_mixture_quad",
+    "laplace_log_marginal", "log_likelihood", "log_prior", "log_prior_grad",
+    "log_prior_neg_hessian", "make_stream", "neg_hessian", "pimom",
+    "posterior_probs", "root_find", "score", "score_models", "spimom",
+    "spimom_mixture_quad",
 ]

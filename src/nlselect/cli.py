@@ -21,12 +21,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import experiments, posterior, priors
+from . import experiments, posterior
 from .experiments import ExperimentConfig, hessian_diagnostics
 from .glm import FAMILIES, Dataset, fit_mle
 from .modelspace import (ModelIndex, TooManyModels, enumerate_models,
                          greedy_search, posterior_probs)
-from .numerics import adaptive_quad, make_stream
+from .numerics import NoBracket, adaptive_quad, make_stream
 from .priors import NonlocalPriorSpec, lambda_for_origin_mass, log_density_1d
 
 EXIT_OK = 0
@@ -222,7 +222,11 @@ def _prior_from_args(args) -> NonlocalPriorSpec:
         scale = args.lam
         if scale is None:
             floor = getattr(args, "effect_floor", None)
-            scale = 1.0 if floor is None else lambda_for_origin_mass(floor, r=args.r)
+            try:
+                scale = 1.0 if floor is None else lambda_for_origin_mass(floor, r=args.r)
+            except (ValueError, NoBracket) as exc:
+                raise ConfigError(
+                    f"--effect-floor {floor} gives no spimom scale: {exc}") from None
     if scale is None or scale <= 0:
         raise ConfigError("prior scale must be positive")
     if args.paper_constant and kind != "spimom":

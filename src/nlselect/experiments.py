@@ -29,10 +29,10 @@ import numpy as np
 from .glm import FAMILIES, Dataset, fit_mle, log_likelihood, neg_hessian
 from .modelspace import (ModelIndex, enumerate_models, greedy_search,
                          posterior_probs)
-from .numerics import (RandomStream, derive_stream, extremal_eigenvalues,
-                       factor_logdet, make_stream, root_find, spectral_norm)
+from .numerics import (RandomStream, derive_stream, factor_logdet, make_stream,
+                       root_find)
 from .posterior import find_posterior_mode, fit_model, score_models
-from .priors import NonlocalPriorSpec, spimom, spimom_log_constant
+from .priors import NonlocalPriorSpec, log_prior_constant, spimom
 
 DESIGN_IID = "iid-normal"
 DESIGN_EQUICORRELATED = "equicorrelated"
@@ -95,6 +95,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown design rule {self.design!r}")
         if not (0.0 <= self.rho < 1.0):
             raise ValueError("rho must lie in [0, 1)")
+        if not self.dispersion > 0.0:
+            raise ValueError("dispersion must be positive")
 
     def realized_beta0(self, n: int) -> np.ndarray:
         if self.beta0 is not None:
@@ -370,13 +372,8 @@ def _marginal_pieces(d: Dataset, J: ModelIndex, spec: NonlocalPriorSpec,
     dominant = float(((spec.scale / pm.beta_pm**2) ** spec.zeta).sum())
     coeff = 1.0 if spec.kind == "pimom" else 2.0
     kernel = -coeff * dominant
-    if spec.kind == "pimom":
-        log_const = 0.5 * spec.r * math.log(spec.scale) - math.lgamma(0.5 * spec.r)
-    else:
-        log_const = spimom_log_constant(spec.r, spec.scale,
-                                        spec.paper_constant_mode)
     _, logdet = factor_logdet(pm.neg_hessian_logpost)
-    rest = (0.5 * k * math.log(2 * math.pi) - 0.5 * logdet + k * log_const
+    rest = (0.5 * k * math.log(2 * math.pi) - 0.5 * logdet + k * log_prior_constant(spec)
             - (spec.r + 1.0) * float(np.log(np.abs(pm.beta_pm)).sum()))
     return {"loglik": ll, "kernel": kernel, "kernel_dominant": dominant,
             "rest": rest, "total": ll + kernel + rest}
@@ -581,24 +578,25 @@ def hessian_diagnostics(d: Dataset, J: ModelIndex,
     """
     if not points:
         raise ValueError("points must be nonempty")
+    if J.size == 0:
+        # eigvalsh of a 0 x 0 matrix is empty
+        return HessianDiagnostics(c_l_hat=0.0, c_u_hat=0.0, c_d_hat=0.0, c1_max=0.0)
     points = [np.asarray(b, dtype=float).reshape(-1) for b in points]
     n = d.n
     hessians = [neg_hessian(d, J, b).entries for b in points]
-    lows, highs = [], []
-    for h in hessians:
-        lo, hi = extremal_eigenvalues(h / n, tol=1e-8)
-        lows.append(lo)
-        highs.append(hi)
+    spectra = np.linalg.eigvalsh(np.array(hessians) / n)
     c_d = 0.0
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             dist = float(np.linalg.norm(points[i] - points[j]))
             if dist == 0.0:
                 continue
-            c_d = max(c_d, spectral_norm(hessians[i] - hessians[j]) / (n * dist))
+            norm = float(np.abs(np.linalg.eigvalsh(hessians[i] - hessians[j])).max())
+            c_d = max(c_d, norm / (n * dist))
     mle = fit_mle(d, J)
     Xj = d.X[:, J.cols]
     resid = d.y - FAMILIES[d.family].mean(Xj @ mle.beta_hat)
-    c1 = float(np.abs(Xj * resid[:, None]).max()) if J.size else 0.0
-    return HessianDiagnostics(c_l_hat=float(min(lows)), c_u_hat=float(max(highs)),
+    c1 = float(np.abs(Xj * resid[:, None]).max())
+    return HessianDiagnostics(c_l_hat=float(spectra[:, 0].min()),
+                              c_u_hat=float(spectra[:, -1].max()),
                               c_d_hat=float(c_d), c1_max=c1)

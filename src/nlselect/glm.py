@@ -204,7 +204,6 @@ class GlmFit:
     loglik: float
     converged: bool
     iterations: int
-    neg_hessian: Optional[SpdMatrix]
     separation: bool = False
 
 
@@ -287,7 +286,7 @@ def fit_mle(d: Dataset, J: ModelIndex, max_iter: int = MAX_NEWTON_ITER,
     if J.size == 0:
         return GlmFit(model=J, beta_hat=np.zeros(0),
                       loglik=log_likelihood(d, J, np.zeros(0)),
-                      converged=True, iterations=0, neg_hessian=None)
+                      converged=True, iterations=0)
     beta = np.zeros(J.size)
     ll = log_likelihood(d, J, beta)
     iterations = 0
@@ -316,8 +315,7 @@ def fit_mle(d: Dataset, J: ModelIndex, max_iter: int = MAX_NEWTON_ITER,
     separation = (d.family == "logistic"
                   and float(np.abs(beta).max()) > separation_cap)
     return GlmFit(model=J, beta_hat=beta, loglik=ll, converged=converged,
-                  iterations=iterations, neg_hessian=neg_hessian(d, J, beta),
-                  separation=separation)
+                  iterations=iterations, separation=separation)
 
 
 # =============================================================================

@@ -1,5 +1,5 @@
-"""Model space under a sparsity bound: enumeration, posterior probabilities,
-the nested / non-nested partition around a reference model, and a cached
+"""Model space under a sparsity bound: enumeration, posterior probabilities
+with the nested / non-nested masses around a reference model, and a cached
 stochastic greedy search for spaces too large to enumerate.
 """
 
@@ -162,17 +162,6 @@ def posterior_probs(entries: Sequence[tuple[ModelIndex, float]],
         post.mass_a = mass_a
         post.mass_b = mass_b
     return post
-
-
-def partition_ab(models: Sequence[ModelIndex],
-                 truth: ModelIndex) -> tuple[list[ModelIndex], list[ModelIndex]]:
-    """Split ``models`` into strict supersets of ``truth`` and non-supersets.
-
-    The reference model itself lands in neither list.
-    """
-    a = [m for m in models if m != truth and m.contains(truth)]
-    b = [m for m in models if not m.contains(truth)]
-    return a, b
 
 
 def greedy_search(d, spec, q: int, budget: int, stream: RandomStream,

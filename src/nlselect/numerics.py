@@ -3,9 +3,8 @@
 Dense symmetric factorization (one Cholesky kernel that works on a single
 matrix or on a stack of small ones, with a status per matrix), adaptive
 Gauss-Kronrod quadrature (with a documented change of variable for
-semi-infinite ranges), safeguarded scalar root finding, extremal-eigenvalue
-estimation by power iteration, and seeded random streams with reproducible
-substream derivation.
+semi-infinite ranges), safeguarded scalar root finding, and seeded random
+streams with reproducible substream derivation.
 """
 
 from __future__ import annotations
@@ -279,61 +278,6 @@ def root_find(f: Callable[[float], float], lo: float, hi: float,
         else:
             a, fa = x, fx
     raise NoConvergence(f"no root to |f| <= {tol} within {max_iter} iterations")
-
-
-# =============================================================================
-# Extremal eigenvalues (power iteration)
-# =============================================================================
-
-
-def _dominant_eigenvalue(a: np.ndarray, tol: float, max_iter: int) -> float:
-    """Signed eigenvalue of largest magnitude of a symmetric matrix.
-
-    Stops on the residual ||A v - lam v|| <= tol * max(1, |lam|), which for
-    symmetric matrices bounds the eigenvalue error directly; the Rayleigh
-    quotient is then accurate to about the residual squared.
-    """
-    n = a.shape[0]
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0x5EED)))
-    v = rng.normal(size=n)
-    v /= np.linalg.norm(v)
-    lam = float(v @ a @ v)
-    for _ in range(max_iter):
-        w = a @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        w = a @ v
-        lam = float(v @ w)
-        if float(np.linalg.norm(w - lam * v)) <= tol * max(1.0, abs(lam)):
-            return lam
-    return lam
-
-
-def extremal_eigenvalues(a: np.ndarray, tol: float = 1e-8,
-                         max_iter: int = 20000) -> tuple[float, float]:
-    """(smallest, largest) eigenvalue of a symmetric matrix.
-
-    Two power-iteration passes: the dominant eigenvalue first, then the
-    dominant eigenvalue of the spectrum shifted by it, which recovers the
-    eigenvalue farthest from the first.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.shape[0] == 0:
-        return 0.0, 0.0
-    if a.shape[0] == 1:
-        return float(a[0, 0]), float(a[0, 0])
-    lam1 = _dominant_eigenvalue(a, tol, max_iter)
-    shifted = a - lam1 * np.eye(a.shape[0])
-    lam2 = lam1 + _dominant_eigenvalue(shifted, tol, max_iter)
-    return (min(lam1, lam2), max(lam1, lam2))
-
-
-def spectral_norm(a: np.ndarray, tol: float = 1e-8) -> float:
-    """Spectral norm of a symmetric matrix (largest absolute eigenvalue)."""
-    lo, hi = extremal_eigenvalues(a, tol=tol)
-    return max(abs(lo), abs(hi))
 
 
 # =============================================================================

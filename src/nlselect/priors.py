@@ -78,69 +78,46 @@ def spimom(r: float = 1.0, lam: float = 1.0,
 # =============================================================================
 
 
-def spimom_log_constant(r: float, lam: float,
-                        paper_constant_mode: bool = False) -> float:
-    """log K(r, lambda) of the closed-form spiMOM density."""
-    log_k = (0.5 * (r + 1.0) * math.log(lam) + 0.5 * math.log(math.pi)
-             - math.lgamma(0.5 * r) - math.lgamma(0.5 * (r + 1.0))
-             - 0.5 * math.log(lam))
-    if paper_constant_mode:
-        log_k -= math.log(2.0)
-    return log_k
+def log_prior_constant(spec: NonlocalPriorSpec) -> float:
+    """Per-coordinate log normalizing constant of either kind.
+
+    piMOM: (r/2) log tau - log Gamma(r/2).  spiMOM: log K(r, lambda) =
+    (r/2) log lambda + (1/2) log pi - log Gamma(r/2) - log Gamma((r+1)/2),
+    less log 2 in ``paper_constant_mode``.
+    """
+    log_c = 0.5 * spec.r * math.log(spec.scale) - math.lgamma(0.5 * spec.r)
+    if spec.kind == "spimom":
+        log_c += 0.5 * math.log(math.pi) - math.lgamma(0.5 * (spec.r + 1.0))
+        if spec.paper_constant_mode:
+            log_c -= math.log(2.0)
+    return log_c
 
 
 def log_density_1d(b, spec: NonlocalPriorSpec) -> np.ndarray:
     """Elementwise log density; exactly -inf wherever b is zero."""
     b = np.asarray(b, dtype=float)
-    out = np.full(b.shape, -math.inf)
-    nz = b != 0.0
-    ab = np.abs(b[nz])
-    if spec.kind == "pimom":
-        const = 0.5 * spec.r * math.log(spec.scale) - math.lgamma(0.5 * spec.r)
-        out[nz] = const - (spec.r + 1.0) * np.log(ab) - spec.scale / ab**2
-    else:
-        const = spimom_log_constant(spec.r, spec.scale, spec.paper_constant_mode)
-        out[nz] = const - (spec.r + 1.0) * np.log(ab) - 2.0 * math.sqrt(spec.scale) / ab
-    return out
+    ab = np.abs(b)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if spec.kind == "pimom":
+            kernel = spec.scale / ab**2
+        else:
+            kernel = 2.0 * math.sqrt(spec.scale) / ab
+        out = log_prior_constant(spec) - (spec.r + 1.0) * np.log(ab) - kernel
+    return np.where(b != 0.0, out, -math.inf)
 
 
 def log_prior(beta, spec: NonlocalPriorSpec):
-    """Joint log prior density over the last axis of ``beta``, for either kind.
+    """Joint log prior density: :func:`log_density_1d` summed over the last
+    axis of ``beta``.
 
     A vector gives a float; a stack of shape (M, k) gives M values.  A row
     with an exact zero gets -inf: nonlocal densities vanish on coordinate
     planes.
     """
-    beta = np.asarray(beta, dtype=float)
-    vector = beta.ndim <= 1
-    if vector:
-        beta = beta.reshape(1, -1)
-    ab = np.abs(beta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_ab_sum = np.log(ab).sum(axis=-1)
-        if spec.kind == "pimom":
-            const = 0.5 * spec.r * math.log(spec.scale) - math.lgamma(0.5 * spec.r)
-            kernel = spec.scale * (1.0 / ab**2).sum(axis=-1)
-        else:
-            const = spimom_log_constant(spec.r, spec.scale, spec.paper_constant_mode)
-            kernel = 2.0 * math.sqrt(spec.scale) * (1.0 / ab).sum(axis=-1)
-        out = beta.shape[-1] * const - (spec.r + 1.0) * log_ab_sum - kernel
-    out = np.where(beta.all(axis=-1), out, -math.inf)
-    return float(out[0]) if vector else out
-
-
-def log_pimom(beta, spec: NonlocalPriorSpec) -> float:
-    """Joint piMOM log density over the coordinates of ``beta``."""
-    if spec.kind != "pimom":
-        raise ValueError("spec is not a pimom spec")
-    return log_prior(beta, spec)
-
-
-def log_spimom(beta, spec: NonlocalPriorSpec) -> float:
-    """Joint spiMOM log density over the coordinates of ``beta``."""
-    if spec.kind != "spimom":
-        raise ValueError("spec is not a spimom spec")
-    return log_prior(beta, spec)
+    dens = log_density_1d(beta, spec)
+    if dens.ndim <= 1:
+        return float(dens.sum())
+    return dens.sum(axis=-1)
 
 
 # =============================================================================
@@ -195,7 +172,8 @@ def spimom_mixture_quad(b: float, r: float, lam: float,
 
     Integrates piMOM(b; r, tau) against the inverse-gamma(shape (r+1)/2,
     scale lambda) density over tau in (0, inf) by adaptive quadrature.
-    Serves as the ground-truth oracle for :func:`log_spimom`.
+    Serves as the ground-truth oracle for the closed form in
+    :func:`log_density_1d`.
 
     The integrand is rescaled by its (analytically located) peak value
     before quadrature: for small |b| the integral underflows any fixed

@@ -190,6 +190,13 @@ class TestDensity:
     def test_tau_with_spimom_exits_3(self):
         assert run(["density", "--prior", "spimom", "--tau", 2.0]) == 3
 
+    @pytest.mark.parametrize("floor", ["-1", "0", "1e6"])
+    def test_effect_floor_without_scale_exits_3(self, floor, capsys):
+        # not positive: origin_mass rejects it; 1e6: no lambda in the bracket
+        assert run(["density", f"--effect-floor={floor}"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: --effect-floor") and err.count("\n") == 1
+
 
 class TestStudyCommand:
     def test_scalar_mode_rate_slope_in_json(self, tmp_path):
@@ -217,6 +224,12 @@ class TestStudyCommand:
 
     def test_unknown_study_exits_3(self, tmp_path):
         assert run(["study", "--study", "nope", "--out", tmp_path / "x"]) == 3
+
+    def test_nonpositive_sigma2_exits_3(self, tmp_path, capsys):
+        assert run(["study", "--study", "mle-rate", "--sigma2", 0,
+                    "--out", tmp_path / "x"]) == 3
+        assert capsys.readouterr().err == "error: dispersion must be positive\n"
+        assert not (tmp_path / "x.json").exists()
 
     def test_study_csv_has_replication_and_summary_rows(self, tmp_path):
         prefix = tmp_path / "mle"

@@ -226,6 +226,32 @@ class TestHessianDiagnostics:
         assert diag.c_u_hat <= top + 1e-8
         assert diag.c_d_hat > 0.0
 
+    def test_logistic_matches_dense_eigensolver(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(150, 3))
+        y = (rng.uniform(size=150) < 0.4).astype(float)
+        d = Dataset(y=y, X=X, family="logistic")
+        J = ModelIndex((1, 2, 3))
+        pts = [np.array([2.0, 0.0, 0.1]), np.array([0.0, 2.0, 0.1])]
+        diag = hessian_diagnostics(d, J, pts)
+        def hessian(b):  # X' W X with W = mu (1 - mu), coded here independently
+            mu = 1.0 / (1.0 + np.exp(-X @ b))
+            return (X.T * (mu * (1.0 - mu))) @ X
+
+        h = [hessian(b) for b in pts]
+        spectra = [np.linalg.eigvalsh(hi / 150.0) for hi in h]
+        assert diag.c_l_hat == pytest.approx(min(s[0] for s in spectra), rel=1e-12)
+        assert diag.c_u_hat == pytest.approx(max(s[-1] for s in spectra), rel=1e-12)
+        diff = np.linalg.eigvalsh(h[0] - h[1])
+        assert diff[0] < 0.0 < diff[-1]  # indefinite: the norm is not the top eigenvalue
+        ref = np.abs(diff).max() / (150.0 * np.linalg.norm(pts[0] - pts[1]))
+        assert diag.c_d_hat == pytest.approx(ref, rel=1e-12)
+
+    def test_empty_model(self):
+        d = Dataset(y=np.arange(4.0), X=np.ones((4, 1)), family="gaussian")
+        diag = hessian_diagnostics(d, ModelIndex(()), [np.zeros(0), np.zeros(0)])
+        assert tuple(diag) == (0.0, 0.0, 0.0, 0.0)
+
     def test_c1_max_matches_direct_formula(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(50, 2))

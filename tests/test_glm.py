@@ -208,7 +208,6 @@ class TestFitMle:
         fit = fit_mle(d, ModelIndex(()))
         assert fit.converged
         assert fit.beta_hat.size == 0
-        assert fit.neg_hessian is None
 
     def test_rank_deficient_raises(self):
         rng = np.random.default_rng(9)

@@ -1,5 +1,5 @@
-"""Model enumeration, posterior normalization, the nested partition, and the
-cached greedy search against an exhaustive oracle."""
+"""Model enumeration, posterior normalization, the nested / non-nested
+masses, and the cached greedy search against an exhaustive oracle."""
 
 import math
 
@@ -8,7 +8,7 @@ import pytest
 
 from nlselect.glm import Dataset
 from nlselect.modelspace import (ModelIndex, TooManyModels, enumerate_models,
-                                 greedy_search, partition_ab, posterior_probs)
+                                 greedy_search, posterior_probs)
 from nlselect.numerics import make_stream
 from nlselect.posterior import fit_model
 from nlselect.priors import spimom
@@ -96,11 +96,20 @@ class TestPosteriorProbs:
             posterior_probs([(M((1,)), 0.0), (M((1,)), 1.0)])
 
     def test_masses_with_truth(self):
+        # equal marginals over the 7 models of size <= 2 from 3 columns, so
+        # each mass is its count of models / 7; the truth is in neither set
         models = enumerate_models(3, 2)
-        post = posterior_probs([(m, 0.0) for m in models], truth=M((1,)))
-        assert post.probability_of(M((1,))) + post.mass_a + post.mass_b == \
-            pytest.approx(1.0, abs=1e-12)
-        assert post.mass_a == pytest.approx(2.0 / 7.0)  # {1,2}, {1,3}
+        cases = [
+            (M((1,)), 2, 4),   # A = {1,2}, {1,3}; B = {}, {2}, {3}, {2,3}
+            (M(()), 6, 0),     # every other model is a superset
+            (M((1, 2)), 0, 6),  # at the size bound: no strict superset
+        ]
+        for truth, n_a, n_b in cases:
+            post = posterior_probs([(m, 0.0) for m in models], truth=truth)
+            assert post.probability_of(truth) + post.mass_a + post.mass_b == \
+                pytest.approx(1.0, abs=1e-12)
+            assert post.mass_a == pytest.approx(n_a / 7.0)
+            assert post.mass_b == pytest.approx(n_b / 7.0)
 
     def test_posterior_identity(self):
         # 1/prob(truth) - 1 == (sum_A M + sum_B M) / M_truth
@@ -115,25 +124,6 @@ class TestPosteriorProbs:
         others = [v for m, v in entries if m != truth]
         rhs = sum(math.exp(v - lm_truth) for v in others)
         assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
-class TestPartition:
-    def test_example_truth_singleton(self):
-        models = enumerate_models(3, 2)
-        a, b = partition_ab(models, M((1,)))
-        assert {m.indices for m in a} == {(1, 2), (1, 3)}
-        assert {m.indices for m in b} == {(), (2,), (3,), (2, 3)}
-
-    def test_empty_truth(self):
-        models = enumerate_models(3, 2)
-        a, b = partition_ab(models, M(()))
-        assert len(a) == 6 and len(b) == 0
-
-    def test_truth_at_bound(self):
-        models = enumerate_models(3, 2)
-        a, b = partition_ab(models, M((1, 2)))
-        assert a == []
-        assert M((1, 2)) not in b
 
 
 def strong_signal_dataset(seed, n=250, p=8):

@@ -7,9 +7,8 @@ import pytest
 
 from nlselect.numerics import (NoBracket, NoConvergence, NotPositiveDefinite,
                                SpdMatrix, adaptive_quad, batch_cho_solve,
-                               batch_cholesky, derive_stream,
-                               extremal_eigenvalues, factor_logdet,
-                               make_stream, root_find, spectral_norm)
+                               batch_cholesky, derive_stream, factor_logdet,
+                               make_stream, root_find)
 
 
 def cofactor_det(a: np.ndarray) -> float:
@@ -177,24 +176,6 @@ class TestRootFind:
         for f, lo, hi in cases:
             root = root_find(f, lo, hi, tol=1e-11)
             assert abs(f(root)) <= 1e-11
-
-
-class TestExtremalEigenvalues:
-    def test_against_eigvalsh_oracle(self):
-        rng = np.random.default_rng(3)
-        for dim in (2, 5, 12):
-            a = random_spd(rng, dim)
-            lo, hi = extremal_eigenvalues(a)
-            ref = np.linalg.eigvalsh(a)
-            assert lo == pytest.approx(ref[0], rel=1e-6)
-            assert hi == pytest.approx(ref[-1], rel=1e-6)
-
-    def test_spectral_norm_indefinite(self):
-        a = np.diag([-3.0, 1.0, 2.0])
-        assert spectral_norm(a) == pytest.approx(3.0, rel=1e-7)
-
-    def test_zero_matrix(self):
-        assert spectral_norm(np.zeros((4, 4))) == 0.0
 
 
 class TestRandomStream:

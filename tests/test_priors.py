@@ -10,10 +10,9 @@ from scipy.stats import invgamma
 
 from nlselect.numerics import adaptive_quad
 from nlselect.priors import (AtOrigin, NonlocalPriorSpec, lambda_for_origin_mass,
-                             log_density_1d, log_pimom, log_prior,
-                             log_prior_grad, log_prior_neg_hessian, log_spimom,
-                             origin_mass, pimom, spimom, spimom_log_constant,
-                             spimom_mixture_quad)
+                             log_density_1d, log_prior, log_prior_constant,
+                             log_prior_grad, log_prior_neg_hessian, origin_mass,
+                             pimom, spimom, spimom_mixture_quad)
 
 
 def normalization(spec, tol=1e-8):
@@ -24,31 +23,25 @@ def normalization(spec, tol=1e-8):
 class TestClosedForms:
     def test_pimom_unit_point(self):
         # log( e^-1 / sqrt(pi) ), frozen
-        assert log_pimom([1.0], pimom()) == pytest.approx(-1.5723649429247, abs=1e-10)
+        assert log_prior([1.0], pimom()) == pytest.approx(-1.5723649429247, abs=1e-10)
 
     def test_pimom_product_form(self):
-        assert log_pimom([1.0, 1.0], pimom()) == pytest.approx(2 * -1.5723649429247, abs=1e-9)
+        assert log_prior([1.0, 1.0], pimom()) == pytest.approx(2 * -1.5723649429247, abs=1e-9)
 
     def test_pimom_zero_coordinate_sentinel(self):
-        assert log_pimom([1.0, 0.0], pimom()) == -math.inf
+        assert log_prior([1.0, 0.0], pimom()) == -math.inf
 
     def test_spimom_unit_point_default_constant(self):
-        assert log_spimom([1.0], spimom()) == pytest.approx(-2.0, abs=1e-12)
+        assert log_prior([1.0], spimom()) == pytest.approx(-2.0, abs=1e-12)
 
     def test_spimom_unit_point_paper_constant(self):
         spec = spimom(paper_constant_mode=True)
-        assert log_spimom([1.0], spec) == pytest.approx(-2.0 - math.log(2.0), abs=1e-12)
+        assert log_prior([1.0], spec) == pytest.approx(-2.0 - math.log(2.0), abs=1e-12)
 
     def test_spimom_symmetric(self):
         spec = spimom(r=2.0, lam=0.7)
         for b in (0.03, 0.4, 1.7, 12.0):
-            assert log_spimom([-b], spec) == log_spimom([b], spec)
-
-    def test_kind_mismatch(self):
-        with pytest.raises(ValueError):
-            log_pimom([1.0], spimom())
-        with pytest.raises(ValueError):
-            log_spimom([1.0], pimom())
+            assert log_prior([-b], spec) == log_prior([b], spec)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -108,7 +101,7 @@ class TestMixtureOracle:
         spec = spimom(r=r, lam=lam)
         for b in (0.05, 0.1, 0.5, 1.0, 2.0, 5.0):
             mix = spimom_mixture_quad(b, r, lam)
-            closed = math.exp(log_spimom([b], spec))
+            closed = math.exp(log_prior([b], spec))
             assert abs(closed - mix) / mix <= 1e-6
 
     def test_mixture_density_integrates_to_one(self):
@@ -214,7 +207,9 @@ class TestTailOrder:
         val = float(np.exp(log_density_1d(np.array([b]), p))[0]) * b ** 3.0
         assert val == pytest.approx(kp, rel=1e-2)
         s = spimom(r=1.0, lam=2.0)
-        ks = math.exp(spimom_log_constant(1.0, 2.0))
+        ks = math.exp(log_prior_constant(s))
+        # K(1, lambda) = lambda^(1/2) sqrt(pi) / (Gamma(1/2) Gamma(1))
+        assert ks == pytest.approx(math.sqrt(2.0), rel=1e-14)
         val = float(np.exp(log_density_1d(np.array([b]), s))[0]) * b ** 2.0
         assert val == pytest.approx(ks, rel=1e-2)
 
