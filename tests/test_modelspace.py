@@ -96,20 +96,12 @@ class TestPosteriorProbs:
             posterior_probs([(M((1,)), 0.0), (M((1,)), 1.0)])
 
     def test_masses_with_truth(self):
-        # equal marginals over the 7 models of size <= 2 from 3 columns, so
-        # each mass is its count of models / 7; the truth is in neither set
         models = enumerate_models(3, 2)
-        cases = [
-            (M((1,)), 2, 4),   # A = {1,2}, {1,3}; B = {}, {2}, {3}, {2,3}
-            (M(()), 6, 0),     # every other model is a superset
-            (M((1, 2)), 0, 6),  # at the size bound: no strict superset
-        ]
-        for truth, n_a, n_b in cases:
-            post = posterior_probs([(m, 0.0) for m in models], truth=truth)
-            assert post.probability_of(truth) + post.mass_a + post.mass_b == \
-                pytest.approx(1.0, abs=1e-12)
-            assert post.mass_a == pytest.approx(n_a / 7.0)
-            assert post.mass_b == pytest.approx(n_b / 7.0)
+        post = posterior_probs([(m, 0.0) for m in models], truth=M((1,)))
+        assert post.probability_of(M((1,))) + post.mass_a + post.mass_b == \
+            pytest.approx(1.0, abs=1e-12)
+        assert post.mass_a == pytest.approx(2.0 / 7.0)  # {1,2}, {1,3}
+        assert post.mass_b == pytest.approx(4.0 / 7.0)
 
     def test_posterior_identity(self):
         # 1/prob(truth) - 1 == (sum_A M + sum_B M) / M_truth
@@ -124,6 +116,40 @@ class TestPosteriorProbs:
         others = [v for m, v in entries if m != truth]
         rhs = sum(math.exp(v - lm_truth) for v in others)
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+class TestPartition:
+    """The strict supersets (A) and non-supersets (B) of the truth, read off
+    posterior_probs' masses: model i gets marginal 2^i, so a mass times the
+    normalizer is the bit mask of its set and pins the set exactly."""
+
+    @staticmethod
+    def masks(truth):
+        models = enumerate_models(3, 2)
+        post = posterior_probs([(m, i * math.log(2.0)) for i, m in enumerate(models)],
+                               truth=truth)
+        z = 2.0 ** len(models) - 1.0
+
+        def members(mass):
+            mask = round(mass * z)
+            assert mass * z == pytest.approx(mask, abs=1e-9)
+            return {m.indices for i, m in enumerate(models) if mask >> i & 1}
+
+        return members(post.mass_a), members(post.mass_b)
+
+    def test_example_truth_singleton(self):
+        a, b = self.masks(M((1,)))
+        assert a == {(1, 2), (1, 3)}
+        assert b == {(), (2,), (3,), (2, 3)}
+
+    def test_empty_truth(self):
+        a, b = self.masks(M(()))
+        assert len(a) == 6 and len(b) == 0
+
+    def test_truth_at_bound(self):
+        a, b = self.masks(M((1, 2)))
+        assert a == set()
+        assert (1, 2) not in b and len(b) == 6
 
 
 def strong_signal_dataset(seed, n=250, p=8):

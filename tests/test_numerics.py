@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from nlselect.experiments import hessian_diagnostics
+from nlselect.glm import Dataset
+from nlselect.modelspace import ModelIndex
 from nlselect.numerics import (NoBracket, NoConvergence, NotPositiveDefinite,
                                SpdMatrix, adaptive_quad, batch_cho_solve,
                                batch_cholesky, derive_stream, factor_logdet,
@@ -176,6 +179,46 @@ class TestRootFind:
         for f, lo, hi in cases:
             root = root_find(f, lo, hi, tol=1e-11)
             assert abs(f(root)) <= 1e-11
+
+
+class TestExtremalEigenvalues:
+    """The extremal eigenvalues and the spectral norm that hessian_diagnostics
+    reports as c_l_hat / c_u_hat and c_d_hat."""
+
+    def test_against_eigvalsh_oracle(self):
+        # a square Gaussian design X = sqrt(k) L' has n^-1 X'X = L L' = a
+        rng = np.random.default_rng(3)
+        for dim in (2, 5, 12):
+            a = random_spd(rng, dim)
+            X = math.sqrt(dim) * np.linalg.cholesky(a).T
+            d = Dataset(y=rng.normal(size=dim), X=X, family="gaussian")
+            diag = hessian_diagnostics(d, ModelIndex(tuple(range(1, dim + 1))),
+                                       [np.zeros(dim)])
+            ref = np.linalg.eigvalsh(a)
+            assert diag.c_l_hat == pytest.approx(ref[0], rel=1e-9)
+            assert diag.c_u_hat == pytest.approx(ref[-1], rel=1e-9)
+
+    def test_spectral_norm_indefinite(self):
+        # disjoint row blocks make the logistic Hessian diagonal, with entries
+        # n_j v(b_j) for v(t) = 1 / (4 cosh^2(t / 2)); the difference is
+        # indefinite and its norm is its most negative entry
+        sizes = (10, 30, 10)
+        X = np.zeros((sum(sizes), 3))
+        start = 0
+        for j, nj in enumerate(sizes):
+            X[start:start + nj, j] = 1.0
+            start += nj
+        y = np.arange(sum(sizes)) % 2.0
+        d = Dataset(y=y, X=X, family="logistic")
+        b1, b2 = np.array([0.0, 3.0, 1.0]), np.array([1.0, 0.0, 0.0])
+        diag = hessian_diagnostics(d, ModelIndex((1, 2, 3)), [b1, b2])
+        def v(t):
+            return 1.0 / (4.0 * np.cosh(t / 2.0) ** 2)
+
+        diff = np.array(sizes) * (v(b1) - v(b2))
+        assert diff.min() < 0.0 < diff.max() and -diff.min() > diff.max()
+        ref = -diff.min() / (sum(sizes) * np.linalg.norm(b1 - b2))
+        assert diag.c_d_hat == pytest.approx(ref, rel=1e-12)
 
 
 class TestRandomStream:
