@@ -278,7 +278,7 @@ def cmd_fit(args) -> int:
         saddle_count = int(scores.excluded.sum())
     top_mle = fit_mle(d, top)
     top_pm = posterior.find_posterior_mode(d, top, spec, top_mle)
-    diag = hessian_diagnostics(d, top, [top_mle.beta_hat, top_pm.beta_pm])
+    diag = hessian_diagnostics(d, top_mle, [top_mle.beta_hat, top_pm.beta_pm])
     result = {
         "config": config_echo,
         "n": d.n, "p": d.p, "n_models_scored": len(post.entries),

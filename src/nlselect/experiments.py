@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .glm import FAMILIES, Dataset, fit_mle, log_likelihood, neg_hessian
+from .glm import FAMILIES, Dataset, GlmFit, fit_mle, log_likelihood, neg_hessian
 from .modelspace import (ModelIndex, enumerate_models, greedy_search,
                          posterior_probs)
 from .numerics import (RandomStream, derive_stream, factor_logdet, make_stream,
@@ -566,16 +566,18 @@ class HessianDiagnostics(NamedTuple):
     c1_max: float
 
 
-def hessian_diagnostics(d: Dataset, J: ModelIndex,
+def hessian_diagnostics(d: Dataset, mle: GlmFit,
                         points: Sequence[np.ndarray]) -> HessianDiagnostics:
-    """Empirical identifiability constants over the supplied points.
+    """Empirical identifiability constants of the model ``mle.model`` over
+    the supplied points.
 
     c_l_hat / c_u_hat bound the spectrum of the scaled curvature n^-1 H over
     the points; c_d_hat is the largest spectral-norm Lipschitz ratio between
     point pairs; c1_max is the largest single-observation score contribution
-    |x_ij (y_i - mean_i)| at the MLE.  Reported as estimates: no pass/fail
-    threshold is claimed for c1_max.
+    |x_ij (y_i - mean_i)| at the caller's MLE ``mle``.  Reported as
+    estimates: no pass/fail threshold is claimed for c1_max.
     """
+    J = mle.model
     if not points:
         raise ValueError("points must be nonempty")
     if J.size == 0:
@@ -593,7 +595,6 @@ def hessian_diagnostics(d: Dataset, J: ModelIndex,
                 continue
             norm = float(np.abs(np.linalg.eigvalsh(hessians[i] - hessians[j])).max())
             c_d = max(c_d, norm / (n * dist))
-    mle = fit_mle(d, J)
     Xj = d.X[:, J.cols]
     resid = d.y - FAMILIES[d.family].mean(Xj @ mle.beta_hat)
     c1 = float(np.abs(Xj * resid[:, None]).max())

@@ -3,10 +3,13 @@ approximation of the log marginal likelihood.
 
 Nonlocal priors vanish on every coordinate plane, so the log posterior has
 one local maximum per orthant and the global mode shares the MLE's orthant.
-The mode finder therefore starts at the MLE (nudging exactly-zero
-coordinates into the positive orthant by convention, since the two
-orthant-restricted optima tie by symmetry there) and shortens any Newton
-step that would let a coordinate cross zero.
+The mode finder therefore starts in the MLE's orthant and shortens any
+Newton step that would let a coordinate cross zero.  Each coordinate starts
+at least delta0 from zero, where delta0 is the scale of a null coordinate's
+mode: an MLE coordinate inside (-delta0, delta0) sits deep in the prior's
+barrier, where Newton steps grow it only slowly.  Exactly-zero coordinates
+start at +delta0 by convention, since the two orthant-restricted optima tie
+by symmetry there.
 
 Two forms: :func:`fit_model` scores one submodel and is the readable
 reference; :func:`score_models` scores many at once, grouping them by size
@@ -42,8 +45,9 @@ class PriorFuncs:
     """Callable bundle the mode finder optimizes against.
 
     ``mode_scale(n)`` is the asymptotic scale of a null coordinate's mode,
-    used to seed nudged starts.  ``barrier_at_origin`` disables the orthant
-    step-shortening for priors that are finite at zero (the Gaussian
+    the least distance from zero at which the mode search starts each
+    coordinate.  ``barrier_at_origin`` disables that start rule and the
+    orthant step-shortening for priors that are finite at zero (the Gaussian
     reference prior used to validate the Laplace plumbing).
     """
 
@@ -68,6 +72,14 @@ def _as_prior_funcs(spec: Union[NonlocalPriorSpec, PriorFuncs]) -> PriorFuncs:
 
 def _mode_scale(spec: NonlocalPriorSpec, n: int) -> float:
     return (spec.scale / n) ** (1.0 / (2.0 + 2.0 * spec.zeta))
+
+
+def _search_start(mle: np.ndarray, mode_scale: float) -> np.ndarray:
+    """Start of the mode search under a nonlocal prior: each coordinate at
+    sign(b) max(|b|, delta0), with delta0 = max(mode_scale, MIN_NUDGE), and
+    exact zeros at +delta0.  Elementwise over a vector or a stack of rows."""
+    delta0 = max(mode_scale, MIN_NUDGE)
+    return np.where(mle < 0.0, np.minimum(mle, -delta0), np.maximum(mle, delta0))
 
 
 def gaussian_reference_prior(sigma2: float) -> PriorFuncs:
@@ -111,11 +123,12 @@ class PosteriorFit:
 def find_posterior_mode(d: Dataset, J: ModelIndex,
                         spec: Union[NonlocalPriorSpec, PriorFuncs],
                         mle: GlmFit, max_iter: int = MAX_MODE_ITER) -> PosteriorFit:
-    """Damped Newton ascent of log-likelihood + log-prior from the MLE.
+    """Damped Newton ascent of log-likelihood + log-prior in the MLE's orthant.
 
-    Zero MLE coordinates start at +delta0 with delta0 =
-    max((scale/n)^(1/(2+2*zeta)), 1e-4), the theoretical scale of a null
-    coordinate's mode.  Any Newton step that would flip a coordinate's sign
+    Each coordinate starts at sign(b) max(|b|, delta0), where b is its MLE
+    and delta0 = max((scale/n)^(1/(2+2*zeta)), 1e-4) is the theoretical
+    scale of a null coordinate's mode; zero MLE coordinates start at
+    +delta0.  Any Newton step that would flip a coordinate's sign
     is shortened so the coordinate stops halfway to zero, keeping the
     iterates inside the starting orthant where the prior is smooth.  The
     search also stops when the accepted step leaves beta unchanged in
@@ -131,8 +144,7 @@ def find_posterior_mode(d: Dataset, J: ModelIndex,
     tol = GRAD_TOL_PER_OBS * d.n
     beta = np.array(mle.beta_hat, dtype=float)
     if funcs.barrier_at_origin:
-        nudge = max(funcs.mode_scale(d.n), MIN_NUDGE)
-        beta[beta == 0.0] = nudge  # positive orthant by convention
+        beta = _search_start(beta, funcs.mode_scale(d.n))
 
     def objective(b: np.ndarray) -> float:
         return log_likelihood(d, J, b) + funcs.log_density(b)
@@ -339,8 +351,7 @@ def _batch_mode(batch: ModelBatch, spec: NonlocalPriorSpec, mle: np.ndarray):
     at each row's final iterate."""
     tol = GRAD_TOL_PER_OBS * batch.d.n
     m, k = mle.shape
-    beta = mle.copy()
-    beta[beta == 0.0] = max(_mode_scale(spec, batch.d.n), MIN_NUDGE)
+    beta = _search_start(mle, _mode_scale(spec, batch.d.n))
 
     def objective(sub: ModelBatch, b: np.ndarray) -> np.ndarray:
         return batch_log_likelihood(sub, b) + log_prior(b, spec)

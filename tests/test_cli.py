@@ -4,6 +4,8 @@ documented end-to-end selection examples."""
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -130,6 +132,15 @@ class TestFit:
                     "--budget", 800, "--seed", 4, "--out", out]) == 0
         res = load_json(out)
         assert res["top"] == [1, 4]
+
+    def test_python_dash_m_entry_point(self, tmp_path):
+        data = self.make_data(tmp_path)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "nlselect", "fit", "--input", str(data),
+                               "--q", "2"], capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["n_models_scored"] == 7
 
     def test_fit_reproducible(self, tmp_path):
         data = self.make_data(tmp_path, seed=9)

@@ -1,7 +1,8 @@
 """The batched scoring engine, ``posterior.score_models``, against the scalar
 reference ``fit_model``: property tests over random designs in all three
 families and both priors, degenerate designs, and greedy search with and
-without a per-model scorer."""
+without a per-model scorer.  Also the mode search's start rule: the mode
+stays in the MLE's orthant and improves on its start point."""
 
 import math
 
@@ -10,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlselect.glm import Dataset, fit_mle
+from nlselect.glm import Dataset, fit_mle, log_likelihood
 from nlselect.modelspace import ModelIndex, enumerate_models, greedy_search
 from nlselect.numerics import make_stream
-from nlselect.posterior import MAX_MODE_ITER, fit_model, score_models
-from nlselect.priors import NonlocalPriorSpec, spimom
+from nlselect.posterior import MAX_MODE_ITER, find_posterior_mode, fit_model, score_models
+from nlselect.priors import NonlocalPriorSpec, log_prior, spimom
 
 # Absolute tolerance on a log marginal: the engine runs the same steps as
 # fit_model in another floating-point order, so stopping points differ only
@@ -135,10 +136,10 @@ class TestAgainstScalarReference:
             score_models(d, [ModelIndex((1, 3))], spimom())
 
 
-def benchmark_gaussian_input():
-    """p = 30, n = 800 Gaussian data with the truth on columns 1 and 2: input 3
-    of the ``fit-enum-gaussian`` benchmark workload at run seed 0."""
-    rng = np.random.default_rng([0, 1, 3])
+def benchmark_gaussian_input(k=3):
+    """p = 30, n = 800 Gaussian data with the truth on columns 1 and 2: input
+    k of the ``fit-enum-gaussian`` benchmark workload at run seed 0."""
+    rng = np.random.default_rng([0, 1, k])
     X = rng.normal(size=(800, 30))
     X = (X - X.mean(axis=0)) / X.std(axis=0)
     y = X[:, :2] @ np.array([1.0, -0.8]) + rng.normal(size=800)
@@ -146,22 +147,22 @@ def benchmark_gaussian_input():
 
 
 class TestStalledSearch:
-    # On this input, model {4,7} reaches max|g| = 1.9e-5 > 8e-6 (the 1e-8 n
-    # gradient tolerance), after which step-halving accepts only candidates
-    # equal to beta.  The search used to spin to the 200-iteration cap with
-    # beta frozen; its log marginal was this value.
-    MODEL = ModelIndex((4, 7))
-    LOG_MARGINAL_AT_CAP = -1822.3897777991856
+    # On input 4, model {7,8,19} stops short of the 1e-8 n gradient
+    # tolerance after 6 iterations: from there step-halving accepts only
+    # candidates equal to beta.  Without the stall stop the search spins to
+    # the 200-iteration cap with beta frozen; its log marginal is this value.
+    MODEL = ModelIndex((7, 8, 19))
+    LOG_MARGINAL_AT_CAP = -1796.7787702118192
 
     def test_scalar_search_stops_at_resolution(self):
-        fit = fit_model(benchmark_gaussian_input(), self.MODEL, spimom())
+        fit = fit_model(benchmark_gaussian_input(4), self.MODEL, spimom())
         assert not fit.converged
         assert fit.iterations <= 12
         assert abs(fit.log_marginal - self.LOG_MARGINAL_AT_CAP) <= 1e-8
 
     def test_engine_stops_at_resolution(self):
-        d = benchmark_gaussian_input()
-        models = enumerate_models(30, 2)
+        d = benchmark_gaussian_input(4)
+        models = enumerate_models(30, 3)
         scores = score_models(d, models, spimom())
         i = models.index(self.MODEL)
         assert not scores.converged[i]
@@ -169,6 +170,30 @@ class TestStalledSearch:
         assert abs(scores.log_marginal[i] - self.LOG_MARGINAL_AT_CAP) <= 1e-8
         # no row of the batch runs to the cap and holds the others' loop open
         assert scores.iterations.max() < MAX_MODE_ITER
+
+
+class TestSearchStart:
+    @PROPERTY
+    @given(datasets(duplicates=False), priors)
+    def test_mode_keeps_orthant_and_improves_on_start(self, d, spec):
+        # the start is sign(b) max(|b|, delta0) for MLE coordinate b, with
+        # exact zeros at +delta0
+        delta0 = max((spec.scale / d.n) ** (1.0 / (2.0 + 2.0 * spec.zeta)), 1e-4)
+        for J in enumerate_models(d.p, min(3, d.p)):
+            mle = fit_mle(d, J)
+            pm = find_posterior_mode(d, J, spec, mle)
+            b = mle.beta_hat
+            start = np.where(b < 0.0, -1.0, 1.0) * np.maximum(np.abs(b), delta0)
+            assert np.all(pm.beta_pm != 0.0), J
+            assert np.all(np.sign(pm.beta_pm[b != 0.0]) == np.sign(b[b != 0.0])), J
+            start_value = log_likelihood(d, J, start) + log_prior(start, spec)
+            assert pm.log_post_unnorm >= start_value, J
+
+    def test_null_mode_scale_start_halves_iterations(self):
+        # Starting each coordinate at least the null-mode scale from zero:
+        # the MLE start took 40,072 iterations on these 4,526 models.
+        scores = score_models(benchmark_gaussian_input(), enumerate_models(30, 3), spimom())
+        assert scores.iterations.sum() <= 22_000
 
 
 class TestGreedySearch:
