@@ -257,7 +257,6 @@ def cmd_fit(args) -> int:
         raise ConfigError("--sigma2 must be positive")
     d = read_dataset_csv(args.input, family, args.sigma2)
     q = min(args.q, d.p)
-    n_models = sum(math.comb(d.p, k) for k in range(q + 1))
     config_echo = {
         "subcommand": "fit", "input": args.input, "family": family,
         "sigma2": args.sigma2, "prior": _prior_echo(spec), "q": q,

@@ -262,27 +262,25 @@ def _prior_label(spec: NonlocalPriorSpec) -> str:
     return f"{spec.kind}(r={spec.r:g},scale={spec.scale:g})"
 
 
-def scalar_null_mode(spec: NonlocalPriorSpec, n: float,
-                     unit_info: float = 1.0) -> float:
+def scalar_null_mode(spec: NonlocalPriorSpec, n: float) -> float:
     """Positive mode coordinate when the MLE is zero, via the stationarity root.
 
-    With per-observation information a, the coordinate solves
-    a n b^(1+2*zeta) + (r+1) b^(2*zeta - 1) ... specialized per kind:
-    spiMOM: a n b^3 + (r+1) b = 2 sqrt(lambda); piMOM: a n b^4 + (r+1) b^2 = 2 tau.
+    With unit per-observation information, the coordinate solves
+    n b^(1+2*zeta) + (r+1) b^(2*zeta - 1) ... specialized per kind:
+    spiMOM: n b^3 + (r+1) b = 2 sqrt(lambda); piMOM: n b^4 + (r+1) b^2 = 2 tau.
     No data involved; used as the exactness baseline for the full pipeline.
     """
     r, phi = spec.r, spec.scale
     if spec.kind == "spimom":
-        f = lambda b: unit_info * n * b**3 + (r + 1.0) * b - 2.0 * math.sqrt(phi)
+        f = lambda b: n * b**3 + (r + 1.0) * b - 2.0 * math.sqrt(phi)
     else:
-        f = lambda b: unit_info * n * b**4 + (r + 1.0) * b**2 - 2.0 * phi
+        f = lambda b: n * b**4 + (r + 1.0) * b**2 - 2.0 * phi
     return root_find(f, 0.0, 2.0 * spec.prior_mode, tol=1e-12)
 
 
-def scalar_mode_rate_table(spec: NonlocalPriorSpec, n_grid: Sequence[int],
-                           unit_info: float = 1.0) -> RateTable:
+def scalar_mode_rate_table(spec: NonlocalPriorSpec, n_grid: Sequence[int]) -> RateTable:
     """Rate table of the analytic null-coordinate mode over an n-grid."""
-    groups = [[scalar_null_mode(spec, n, unit_info)] for n in n_grid]
+    groups = [[scalar_null_mode(spec, n)] for n in n_grid]
     return _rate_table(f"scalar null-coordinate mode, {_prior_label(spec)}",
                        list(n_grid), groups)
 

@@ -4,10 +4,12 @@ Families: Gaussian with known variance, binomial/logistic, Poisson.  All
 log-likelihoods keep their full normalizing constants so marginal
 likelihoods are comparable across models and against quadrature oracles.
 
-Two forms of each kernel: per model (a :class:`ModelIndex` and a coefficient
-vector), and per :class:`ModelBatch` (M models of one size k, as an (M, k)
-array of columns, with an (M, k) array of coefficients), which the batched
-scoring engine in ``posterior`` runs in lockstep.
+Each family's likelihood, score and Hessian are computed in one place, the
+batch kernels over a :class:`ModelBatch` (M models of one size k, as an
+(M, k) array of columns, with an (M, k) array of coefficients), which the
+batched scoring engine in ``posterior`` runs in lockstep.  The per-model
+functions take a :class:`ModelIndex` and a coefficient vector and run the
+same kernels on a one-row batch.
 """
 
 from __future__ import annotations
@@ -52,14 +54,8 @@ def _sigmoid(theta: np.ndarray) -> np.ndarray:
 class _Gaussian:
     name = "gaussian"
 
-    def cumulant(self, theta):
-        return 0.5 * theta * theta
-
     def mean(self, theta):
         return theta
-
-    def variance(self, theta):
-        return np.ones_like(theta)
 
     def scale(self, dispersion):
         return 1.0 / dispersion
@@ -87,9 +83,6 @@ class _Logistic:
 
     def mean(self, theta):
         return _sigmoid(theta)
-
-    def variance(self, theta):
-        return self.mean_variance(theta)[1]
 
     def mean_variance(self, theta):
         p = _sigmoid(theta)
@@ -119,10 +112,6 @@ class _Poisson:
             return np.exp(theta)
 
     def mean(self, theta):
-        with np.errstate(over="ignore"):
-            return np.exp(theta)
-
-    def variance(self, theta):
         with np.errstate(over="ignore"):
             return np.exp(theta)
 
@@ -207,102 +196,66 @@ class GlmFit:
     separation: bool = False
 
 
-def design(d: Dataset, J: ModelIndex) -> np.ndarray:
-    """Columns of the design selected by ``J`` (n x |J|)."""
-    if J.size and J.indices[-1] > d.p:
-        raise ValueError(f"model {J} indexes beyond p = {d.p}")
-    return d.X[:, J.cols]
-
-
-def _gram_slices(d: Dataset, J: ModelIndex) -> tuple[np.ndarray, np.ndarray]:
-    # (X_J' X_J, X_J' y) sliced from the cached Gram matrix
-    xtx, xty, _ = d._gram
-    cols = J.cols
-    return xtx[cols[:, None], cols], xty[cols]
+def _one_row(d: Dataset, J: ModelIndex, beta) -> tuple[ModelBatch, np.ndarray]:
+    # model J as a one-row batch, and beta as its (1, k) coefficient row
+    beta = np.asarray(beta, dtype=float).reshape(-1)
+    if beta.shape[0] != J.size:
+        raise ValueError(f"beta has length {beta.shape[0]}, model has {J.size}")
+    return model_batch(d, J.cols[None, :]), beta[None, :]
 
 
 def log_likelihood(d: Dataset, J: ModelIndex, beta: np.ndarray) -> float:
     """Full log-likelihood of submodel ``J`` at ``beta``, constants included."""
-    beta = np.asarray(beta, dtype=float).reshape(-1)
-    if beta.shape[0] != J.size:
-        raise ValueError(f"beta has length {beta.shape[0]}, model has {J.size}")
-    fam = FAMILIES[d.family]
-    s = fam.scale(d.dispersion)
-    if d.family == "gaussian":
-        xtx_j, xty_j = _gram_slices(d, J)
-        kernel = float(xty_j @ beta - 0.5 * beta @ xtx_j @ beta)
-    else:
-        theta = design(d, J) @ beta
-        kernel = float(d.y @ theta - fam.cumulant(theta).sum())
-    value = s * kernel + fam.log_base(d.y, d.dispersion)
-    return value if np.isfinite(value) else -math.inf
+    batch, row = _one_row(d, J, beta)
+    return float(batch_log_likelihood(batch, row)[0])
 
 
 def score(d: Dataset, J: ModelIndex, beta: np.ndarray) -> np.ndarray:
     """Gradient of the log-likelihood: X_J' (y - b'(X_J beta)), 1/sigma^2-scaled."""
-    beta = np.asarray(beta, dtype=float).reshape(-1)
-    fam = FAMILIES[d.family]
-    s = fam.scale(d.dispersion)
-    if d.family == "gaussian":
-        xtx_j, xty_j = _gram_slices(d, J)
-        return s * (xty_j - xtx_j @ beta)
-    Xj = design(d, J)
-    return s * (Xj.T @ (d.y - fam.mean(Xj @ beta)))
-
-
-def _neg_hessian_entries(d: Dataset, J: ModelIndex, beta: np.ndarray) -> np.ndarray:
-    fam = FAMILIES[d.family]
-    s = fam.scale(d.dispersion)
-    if d.family == "gaussian":
-        xtx_j, _ = _gram_slices(d, J)
-        return s * xtx_j
-    Xj = design(d, J)
-    w = fam.variance(Xj @ beta)
-    return s * ((Xj.T * w) @ Xj)
+    batch, row = _one_row(d, J, beta)
+    return batch_score_hessian(batch, row)[0][0]
 
 
 def neg_hessian(d: Dataset, J: ModelIndex, beta: np.ndarray) -> SpdMatrix:
     """Negative log-likelihood Hessian X_J' W X_J with W = diag(b''(theta))."""
-    beta = np.asarray(beta, dtype=float).reshape(-1)
-    return SpdMatrix(_neg_hessian_entries(d, J, beta))
+    batch, row = _one_row(d, J, beta)
+    return SpdMatrix(batch_score_hessian(batch, row)[1][0])
 
 
-def fit_mle(d: Dataset, J: ModelIndex, max_iter: int = MAX_NEWTON_ITER,
-            separation_cap: float = SEPARATION_CAP) -> GlmFit:
+def fit_mle(d: Dataset, J: ModelIndex) -> GlmFit:
     """Damped Newton MLE from beta = 0 with step-halving.
 
     Stops when the score infinity-norm drops below 1e-8 * n, after
-    ``max_iter`` iterations, or when the accepted step leaves beta unchanged
-    in floating point (the Newton decrement is below the objective's
-    resolution; ``converged`` then reports whether the score test holds).
-    For logistic models a fitted coefficient exceeding ``separation_cap`` in
-    magnitude sets the ``separation`` flag, signalling that the MLE likely
-    does not exist; this is a flag, not an error, and the capped fit is
-    still returned.
+    ``MAX_NEWTON_ITER`` iterations, or when the accepted step leaves beta
+    unchanged in floating point (the Newton decrement is below the
+    objective's resolution; ``converged`` then reports whether the score
+    test holds).  For logistic models a fitted coefficient exceeding
+    ``SEPARATION_CAP`` in magnitude sets the ``separation`` flag, signalling
+    that the MLE likely does not exist; this is a flag, not an error, and
+    the capped fit is still returned.
     """
-    if J.size > d.n:
-        raise ValueError(f"|J| = {J.size} exceeds n = {d.n}")
-    tol = SCORE_TOL_PER_OBS * d.n
     if J.size == 0:
         return GlmFit(model=J, beta_hat=np.zeros(0),
                       loglik=log_likelihood(d, J, np.zeros(0)),
                       converged=True, iterations=0)
+    batch = model_batch(d, J.cols[None, :])
+    tol = SCORE_TOL_PER_OBS * d.n
     beta = np.zeros(J.size)
-    ll = log_likelihood(d, J, beta)
+    ll = float(batch_log_likelihood(batch, beta[None])[0])
     iterations = 0
-    for _ in range(max_iter):
-        g = score(d, J, beta)
+    for _ in range(MAX_NEWTON_ITER):
+        g, h = batch_score_hessian(batch, beta[None])
         if float(np.abs(g).max()) <= tol:
             break
-        factor, ok = batch_cholesky(_neg_hessian_entries(d, J, beta))
+        factor, ok = batch_cholesky(h[0])
         if not ok:
             raise NotPositiveDefinite(f"rank-deficient design for model {J}")
-        step = batch_cho_solve(factor, g)
+        step = batch_cho_solve(factor, g[0])
         t = 1.0
         improved = False
         for _ in range(MAX_HALVINGS):
             cand = beta + t * step
-            cand_ll = log_likelihood(d, J, cand)
+            cand_ll = float(batch_log_likelihood(batch, cand[None])[0])
             if cand_ll >= ll:
                 improved = True
                 break
@@ -311,9 +264,12 @@ def fit_mle(d: Dataset, J: ModelIndex, max_iter: int = MAX_NEWTON_ITER,
             break
         beta, ll = cand, cand_ll
         iterations += 1
-    converged = float(np.abs(score(d, J, beta)).max()) <= tol
+    else:
+        g = batch_score_hessian(batch, beta[None])[0]
+    # every break leaves beta where g was computed
+    converged = float(np.abs(g).max()) <= tol
     separation = (d.family == "logistic"
-                  and float(np.abs(beta).max()) > separation_cap)
+                  and float(np.abs(beta).max()) > SEPARATION_CAP)
     return GlmFit(model=J, beta_hat=beta, loglik=ll, converged=converged,
                   iterations=iterations, separation=separation)
 

@@ -26,9 +26,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .glm import (MAX_HALVINGS, MAX_NEWTON_ITER, SCORE_TOL_PER_OBS, SEPARATION_CAP,
-                  Dataset, GlmFit, ModelBatch, _neg_hessian_entries,
-                  batch_log_likelihood, batch_rows, batch_score_hessian, fit_mle,
-                  log_likelihood, model_batch, score)
+                  Dataset, GlmFit, ModelBatch, batch_log_likelihood, batch_rows,
+                  batch_score_hessian, fit_mle, log_likelihood, model_batch)
 from .modelspace import ModelIndex
 from .numerics import (NotPositiveDefinite, SpdMatrix, batch_cho_solve,
                        batch_cholesky, factor_logdet)
@@ -122,7 +121,7 @@ class PosteriorFit:
 
 def find_posterior_mode(d: Dataset, J: ModelIndex,
                         spec: Union[NonlocalPriorSpec, PriorFuncs],
-                        mle: GlmFit, max_iter: int = MAX_MODE_ITER) -> PosteriorFit:
+                        mle: GlmFit) -> PosteriorFit:
     """Damped Newton ascent of log-likelihood + log-prior in the MLE's orthant.
 
     Each coordinate starts at sign(b) max(|b|, delta0), where b is its MLE
@@ -133,8 +132,9 @@ def find_posterior_mode(d: Dataset, J: ModelIndex,
     iterates inside the starting orthant where the prior is smooth.  The
     search also stops when the accepted step leaves beta unchanged in
     floating point: the Newton decrement is then below the objective's
-    resolution, and more iterations cannot move it.  Non-convergence (the
-    gradient test unmet) is flagged on the returned fit, never raised.
+    resolution, and more iterations cannot move it.  The search takes at
+    most ``MAX_MODE_ITER`` iterations.  Non-convergence (the gradient test
+    unmet) is flagged on the returned fit, never raised.
     """
     funcs = _as_prior_funcs(spec)
     if J.size == 0:
@@ -146,19 +146,24 @@ def find_posterior_mode(d: Dataset, J: ModelIndex,
     if funcs.barrier_at_origin:
         beta = _search_start(beta, funcs.mode_scale(d.n))
 
+    batch = model_batch(d, J.cols[None, :])
+
     def objective(b: np.ndarray) -> float:
-        return log_likelihood(d, J, b) + funcs.log_density(b)
+        return float(batch_log_likelihood(batch, b[None])[0]) + funcs.log_density(b)
+
+    def gradient_curvature(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        g, h = batch_score_hessian(batch, b[None])
+        return g[0] + funcs.grad(b), h[0] + np.diag(funcs.neg_hessian_diag(b))
 
     value = objective(beta)
     iterations = 0
     converged = False
     eye = np.eye(J.size)
-    for _ in range(max_iter):
-        g = score(d, J, beta) + funcs.grad(beta)
+    for _ in range(MAX_MODE_ITER):
+        g, h = gradient_curvature(beta)
         if float(np.abs(g).max()) <= tol:
             converged = True
             break
-        h = _neg_hessian_entries(d, J, beta) + np.diag(funcs.neg_hessian_diag(beta))
         step = None
         ridge = 0.0
         for _ in range(MAX_RIDGE_TRIES):
@@ -189,9 +194,11 @@ def find_posterior_mode(d: Dataset, J: ModelIndex,
             break
         beta, value = cand, cand_value
         iterations += 1
-    h_star = _neg_hessian_entries(d, J, beta) + np.diag(funcs.neg_hessian_diag(beta))
+    else:
+        h = gradient_curvature(beta)[1]
+    # every break leaves beta where h was computed
     return PosteriorFit(model=J, beta_pm=beta, log_post_unnorm=value,
-                        neg_hessian_logpost=SpdMatrix(h_star),
+                        neg_hessian_logpost=SpdMatrix(h),
                         converged=converged, iterations=iterations)
 
 

@@ -1,11 +1,13 @@
 """Likelihood derivatives against finite differences and brute-force fits,
-and the batched kernels against the per-model ones."""
+and the batched kernels against the families' densities written out."""
 
 import itertools
 import math
 
 import numpy as np
 import pytest
+from oracles import fd_gradient, fd_jacobian
+from scipy.special import gammaln
 
 from nlselect.glm import (BATCH_FLOATS, Dataset, FamilySupport,
                           batch_log_likelihood, batch_rows, batch_score_hessian,
@@ -14,31 +16,10 @@ from nlselect.modelspace import ModelIndex
 from nlselect.numerics import NotPositiveDefinite
 
 J1 = ModelIndex((1,))
+FAMILY_NAMES = ["gaussian", "logistic", "poisson"]
 
 
-def fd_gradient(f, beta, h=1e-5):
-    beta = np.asarray(beta, dtype=float)
-    out = np.zeros_like(beta)
-    for i in range(beta.size):
-        up, dn = beta.copy(), beta.copy()
-        up[i] += h
-        dn[i] -= h
-        out[i] = (f(up) - f(dn)) / (2.0 * h)
-    return out
-
-
-def fd_jacobian(g, beta, h=1e-5):
-    beta = np.asarray(beta, dtype=float)
-    cols = []
-    for i in range(beta.size):
-        up, dn = beta.copy(), beta.copy()
-        up[i] += h
-        dn[i] -= h
-        cols.append((g(up) - g(dn)) / (2.0 * h))
-    return np.column_stack(cols)
-
-
-def random_instance(family, rng, n=40, p=3):
+def random_instance(family, rng, n=40, p=3, dispersion=1.0):
     X = rng.normal(size=(n, p))
     beta_true = rng.normal(scale=0.5, size=p)
     theta = X @ beta_true
@@ -48,7 +29,21 @@ def random_instance(family, rng, n=40, p=3):
         y = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-theta))).astype(float)
     else:
         y = rng.poisson(np.exp(theta)).astype(float)
-    return Dataset(y=y, X=X, family=family)
+    return Dataset(y=y, X=X, family=family, dispersion=dispersion)
+
+
+def direct_log_likelihood(d, J, beta):
+    """The family's log density of y summed over observations, written out
+    from its textbook form rather than from the kernels under test."""
+    theta = d.X[:, J.cols] @ beta
+    y = d.y
+    if d.family == "gaussian":
+        s2 = d.dispersion
+        return (-0.5 * np.sum((y - theta) ** 2) / s2
+                - 0.5 * d.n * math.log(2 * math.pi * s2))
+    if d.family == "logistic":
+        return np.sum(y * theta - np.log(1.0 + np.exp(theta)))
+    return np.sum(y * theta - np.exp(theta) - gammaln(y + 1.0))
 
 
 class TestLogLikelihood:
@@ -124,7 +119,7 @@ class TestNegHessian:
 class TestDerivativeSuite:
     """Score = grad(loglik) and neg_hessian = -hess(loglik) at random points."""
 
-    @pytest.mark.parametrize("family", ["gaussian", "logistic", "poisson"])
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
     def test_random_points(self, family):
         rng = np.random.default_rng(100)
         d = random_instance(family, rng)
@@ -218,7 +213,7 @@ class TestFitMle:
 
 
 class TestConcavity:
-    @pytest.mark.parametrize("family", ["gaussian", "logistic", "poisson"])
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
     def test_midpoint_above_chord(self, family):
         rng = np.random.default_rng(31)
         d = random_instance(family, rng)
@@ -230,6 +225,32 @@ class TestConcavity:
             lhs = log_likelihood(d, J, mid)
             rhs = 0.5 * (log_likelihood(d, J, a) + log_likelihood(d, J, b))
             assert lhs >= rhs - 1e-9
+
+
+class TestBadModel:
+    """A model or coefficient vector that does not fit the data is a
+    ValueError in every family."""
+
+    FUNCTIONS = {
+        "log_likelihood": log_likelihood,
+        "score": score,
+        "neg_hessian": neg_hessian,
+        "fit_mle": lambda d, J, b: fit_mle(d, J),
+    }
+
+    @pytest.mark.parametrize("name", FUNCTIONS)
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_model_beyond_p(self, family, name):
+        d = random_instance(family, np.random.default_rng(5), n=10, p=3)
+        with pytest.raises(ValueError, match=r"lie in 1\.\.3"):
+            self.FUNCTIONS[name](d, ModelIndex((2, 4)), [0.1, 0.2])
+
+    @pytest.mark.parametrize("name", ["log_likelihood", "score", "neg_hessian"])
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_beta_length(self, family, name):
+        d = random_instance(family, np.random.default_rng(6), n=10, p=3)
+        with pytest.raises(ValueError, match="length 3, model has 2"):
+            self.FUNCTIONS[name](d, ModelIndex((1, 3)), [0.1, 0.2, 0.3])
 
 
 class TestValidation:
@@ -255,19 +276,27 @@ class TestValidation:
 
 
 class TestBatchKernels:
-    @pytest.mark.parametrize("family", ["gaussian", "logistic", "poisson"])
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
     def test_match_per_model_kernels(self, family):
+        # each row of a batch against the family's log density and its
+        # finite-difference derivatives; the Gaussian instance has
+        # dispersion 2.5 so the 1/sigma^2 scaling is covered
         rng = np.random.default_rng(31)
-        d = random_instance(family, rng, n=80, p=5)
+        d = random_instance(family, rng, n=80, p=5, dispersion=2.5)
         models = [ModelIndex(c) for c in itertools.combinations(range(1, 6), 3)]
         beta = rng.normal(scale=0.5, size=(len(models), 3))
         batch = model_batch(d, np.array([m.indices for m in models]) - 1)
         ll = batch_log_likelihood(batch, beta)
         g, h = batch_score_hessian(batch, beta)
         for i, J in enumerate(models):
-            assert ll[i] == pytest.approx(log_likelihood(d, J, beta[i]), rel=1e-12)
-            np.testing.assert_allclose(g[i], score(d, J, beta[i]), rtol=1e-10, atol=1e-10)
-            np.testing.assert_allclose(h[i], neg_hessian(d, J, beta[i]).entries, rtol=1e-10)
+            f = lambda b: direct_log_likelihood(d, J, b)
+            assert ll[i] == pytest.approx(f(beta[i]), rel=1e-12)
+            fd_g = fd_gradient(f, beta[i])
+            np.testing.assert_allclose(g[i], fd_g, rtol=1e-5,
+                                       atol=1e-6 * max(1.0, np.abs(g[i]).max()))
+            fd_h = -fd_jacobian(lambda b: fd_gradient(f, b, h=1e-4), beta[i], h=1e-4)
+            np.testing.assert_allclose(h[i], fd_h, rtol=1e-4,
+                                       atol=1e-5 * max(1.0, np.abs(h[i]).max()))
         sub = batch.take(np.array([4, 1]))
         np.testing.assert_allclose(batch_log_likelihood(sub, beta[[4, 1]]), ll[[4, 1]],
                                    rtol=1e-13)
