@@ -24,8 +24,8 @@ import numpy as np
 from . import experiments, posterior
 from .experiments import ExperimentConfig, hessian_diagnostics
 from .glm import FAMILIES, Dataset, fit_mle
-from .modelspace import (ModelIndex, TooManyModels, enumerate_models,
-                         greedy_search, posterior_probs)
+from .modelspace import (ModelIndex, ModelPosterior, TooManyModels,
+                         enumerate_strata, greedy_search, normalize_strata)
 from .numerics import NoBracket, adaptive_quad, make_stream
 from .priors import NonlocalPriorSpec, lambda_for_origin_mass, log_density_1d
 
@@ -63,7 +63,8 @@ def _format_float(x: float) -> str:
 
 
 def to_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, 17-significant-digit floats."""
+    """Deterministic JSON: sorted keys, 17-significant-digit floats.  A
+    ModelPosterior is written as its list of model rows (``_models_json``)."""
     pad = " " * indent
     inner = " " * (indent + 2)
     if obj is None:
@@ -79,6 +80,8 @@ def to_json(obj, indent: int = 0) -> str:
         return json.dumps(obj)
     if isinstance(obj, ModelIndex):
         return to_json(list(obj.indices), indent)
+    if isinstance(obj, ModelPosterior):
+        return _models_json(obj, indent)
     if isinstance(obj, np.ndarray):
         return to_json(obj.tolist(), indent)
     if isinstance(obj, (list, tuple)):
@@ -96,6 +99,29 @@ def to_json(obj, indent: int = 0) -> str:
                          + to_json(obj[k], indent + 2))
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _models_json(post: ModelPosterior, indent: int) -> str:
+    """What ``to_json`` writes for the list of {"indices", "log_marginal",
+    "probability"} dicts of a posterior's models, filled into one row
+    template per model size instead of walked value by value."""
+    row_pad, field_pad = " " * (indent + 2), " " * (indent + 4)
+    log_marginal = post.log_marginal.tolist()
+    probability = post.probability.tolist()
+    out = []
+    start = 0
+    for k, rows in enumerate(post.strata):
+        indices = ("[\n" + ",\n".join([" " * (indent + 6) + "%d"] * k) + "\n"
+                   + field_pad + "]") if k else "[]"
+        template = (row_pad + "{\n" + field_pad + '"indices": ' + indices + ",\n"
+                    + field_pad + '"log_marginal": %s,\n'
+                    + field_pad + '"probability": %s\n' + row_pad + "}")
+        stop = start + rows.shape[0]
+        for row, lm, prob in zip(rows.tolist(), log_marginal[start:stop],
+                                 probability[start:stop]):
+            out.append(template % (*row, _format_float(lm), _format_float(prob)))
+        start = stop
+    return "[\n" + ",\n".join(out) + "\n" + " " * indent + "]"
 
 
 def _csv_cell(v) -> str:
@@ -255,6 +281,8 @@ def cmd_fit(args) -> int:
         raise ConfigError("--q must be nonnegative")
     if args.sigma2 <= 0:
         raise ConfigError("--sigma2 must be positive")
+    if args.budget < 0:
+        raise ConfigError("--budget must be nonnegative")
     d = read_dataset_csv(args.input, family, args.sigma2)
     q = min(args.q, d.p)
     config_echo = {
@@ -267,12 +295,12 @@ def cmd_fit(args) -> int:
         post, top = greedy_search(d, spec, q, args.budget, make_stream(args.seed))
     else:
         try:
-            models = enumerate_models(d.p, q)
+            strata = enumerate_strata(d.p, q)
         except TooManyModels as exc:
             print(f"error: {exc}; rerun with --search", file=sys.stderr)
             return EXIT_TOO_MANY_MODELS
-        scores = posterior.score_models(d, models, spec)
-        post = posterior_probs(list(zip(models, scores.log_marginal.tolist())), q=q)
+        scores = posterior.score_models(d, strata, spec)
+        post = normalize_strata(strata, scores.log_marginal, q)
         top = post.top
         saddle_count = int(scores.excluded.sum())
     top_mle = fit_mle(d, top)
@@ -281,8 +309,7 @@ def cmd_fit(args) -> int:
     result = {
         "config": config_echo,
         "n": d.n, "p": d.p, "n_models_scored": len(post.entries),
-        "models": [{"indices": m, "log_marginal": lm, "probability": prob}
-                   for m, lm, prob in post.entries],
+        "models": post,
         "top": top,
         "diagnostics": {
             "c_l_hat": diag.c_l_hat, "c_u_hat": diag.c_u_hat,
@@ -418,6 +445,8 @@ def cmd_study(args) -> int:
         n_grid = PIPELINE_N_GRID
     if not n_grid:
         raise ConfigError("empty n-grid")
+    if args.budget < 0:
+        raise ConfigError("--budget must be nonnegative")
 
     config_echo = {
         "subcommand": "study", "study": args.study, "family": args.family,

@@ -27,8 +27,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .glm import FAMILIES, Dataset, GlmFit, fit_mle, log_likelihood, neg_hessian
-from .modelspace import (ModelIndex, enumerate_models, greedy_search,
-                         posterior_probs)
+from .modelspace import (ModelIndex, enumerate_strata, greedy_search,
+                         normalize_strata)
 from .numerics import (RandomStream, derive_stream, factor_logdet, make_stream,
                        root_find)
 from .posterior import find_posterior_mode, fit_model, score_models
@@ -176,10 +176,6 @@ def _rate_table(statistic: str, ns: Sequence[int],
     slope, se, note = _fit_loglog(ns, medians)
     return RateTable(statistic=statistic, rows=rows, slope=slope,
                      slope_se=se, note=note)
-
-
-def _clean(vals):
-    return [v for v in vals if math.isfinite(v)]
 
 
 def _growth_exponents(cfg: ExperimentConfig) -> dict:
@@ -511,24 +507,20 @@ def consistency_study(cfg: ExperimentConfig,
     """
     spec = spec if spec is not None else cfg.priors[0]
     truth = cfg.true_support
-    models = None if search_budget is not None else enumerate_models(cfg.p, cfg.q)
+    strata = None if search_budget is not None else enumerate_strata(cfg.p, cfg.q)
     root = make_stream(cfg.seed)
     rows: list[dict] = []
     for ni, n in enumerate(cfg.n_grid):
         for rep in range(cfg.replications):
             stream = derive_stream(derive_stream(root, ni), rep)
             d, _ = simulate_dataset(cfg, n, stream)
-            if models is not None:
-                scores = score_models(d, models, spec)
-                post = posterior_probs(
-                    list(zip(models, scores.log_marginal.tolist())),
-                    truth=truth, q=cfg.q)
+            if strata is not None:
+                scores = score_models(d, strata, spec)
+                post = normalize_strata(strata, scores.log_marginal, cfg.q)
             else:
-                visited, _ = greedy_search(d, spec, cfg.q, search_budget,
-                                           derive_stream(stream, 10**6))
-                post = posterior_probs(
-                    [(m, lm) for m, lm, _ in visited.entries],
-                    truth=truth, q=cfg.q)
+                post, _ = greedy_search(d, spec, cfg.q, search_budget,
+                                        derive_stream(stream, 10**6))
+            post.set_truth(truth)
             rows.append({
                 "n": n, "rep": rep,
                 "prob_truth": post.probability_of(truth),

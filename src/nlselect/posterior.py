@@ -269,35 +269,39 @@ class ModelScores:
     separation: np.ndarray
 
 
-def score_models(d: Dataset, models: Sequence[ModelIndex],
+def score_models(d: Dataset, models: Sequence[np.ndarray],
                  spec: NonlocalPriorSpec) -> ModelScores:
     """Laplace log marginals of many submodels: :func:`fit_model` in lockstep.
 
-    Models are grouped by size k.  Each group becomes an (M, k) array of
-    columns, cut into batches of ``glm.batch_rows`` models, and each batch
-    runs the MLE, the mode search and the Laplace step for all its models
-    at once.  Every per-model check of ``fit_mle`` and
-    ``find_posterior_mode`` applies row by row with the same constants, and
-    a model leaves the batch's active set as soon as its own iteration
-    stops.  Log marginals agree with ``fit_model`` to rounding (the order of
-    floating-point operations differs).
+    ``models`` is a sequence of blocks, each an (M, k) integer array whose
+    rows are the 1-based column indices of size-k models; the strata of
+    ``modelspace.enumerate_strata`` are one such sequence.  Results follow
+    the blocks' rows in order.  Models are grouped by size k, each group is
+    cut into batches of ``glm.batch_rows`` models, and each batch runs the
+    MLE, the mode search and the Laplace step for all its models at once.
+    Every per-model check of ``fit_mle`` and ``find_posterior_mode``
+    applies row by row with the same constants, and a model leaves the
+    batch's active set as soon as its own iteration stops.  Log marginals
+    agree with ``fit_model`` to rounding (the order of floating-point
+    operations differs).
     """
-    m = len(models)
+    blocks = [np.asarray(b, dtype=int) for b in models]
+    ends = np.cumsum([b.shape[0] for b in blocks], dtype=int)
+    m = int(ends[-1]) if blocks else 0
     out = ModelScores(log_marginal=np.full(m, -math.inf),
                       excluded=np.zeros(m, dtype=bool),
                       converged=np.zeros(m, dtype=bool),
                       iterations=np.zeros(m, dtype=int),
                       separation=np.zeros(m, dtype=bool))
-    strata: dict[int, list[int]] = {}
-    for i, J in enumerate(models):
-        strata.setdefault(J.size, []).append(i)
-    for k, members in sorted(strata.items()):
-        rows = np.asarray(members)
+    for k in sorted({b.shape[1] for b in blocks if b.shape[0]}):
+        group = [i for i, b in enumerate(blocks) if b.shape[1] == k]
+        rows = np.concatenate([np.arange(ends[i] - blocks[i].shape[0], ends[i])
+                               for i in group])
         if k == 0:
             out.log_marginal[rows] = log_likelihood(d, ModelIndex(), np.zeros(0))
             out.converged[rows] = True
             continue
-        cols = np.array([models[i].indices for i in members]) - 1
+        cols = np.concatenate([blocks[i] for i in group]) - 1
         size = batch_rows(d, k)
         for start in range(0, rows.size, size):
             part = slice(start, start + size)

@@ -10,7 +10,9 @@ import sys
 import numpy as np
 import pytest
 
-from nlselect.cli import main, read_dataset_csv, rows_to_csv, to_json
+from nlselect.cli import dataset_to_csv, main, read_dataset_csv, rows_to_csv, to_json
+from nlselect.glm import Dataset
+from nlselect.modelspace import ModelIndex, posterior_probs
 
 
 def run(argv):
@@ -157,6 +159,31 @@ class TestFit:
         assert run(["fit", "--input", data, "--q", 3, "--out", out]) == 0
         assert load_json(out)["top"] == [2, 7]
 
+    def test_negative_budget_exits_3(self, tmp_path, capsys):
+        data = self.make_data(tmp_path)
+        assert run(["fit", "--input", data, "--search", "--budget", -5]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: --budget must be nonnegative\n"
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--input", data, "--search", "--budget", 0, "--out", out]) == 0
+        assert load_json(out)["n_models_scored"] == 1
+
+    def test_enumeration_builds_few_model_objects(self, tmp_path, monkeypatch):
+        # the 4,526 models live in column arrays, not one ModelIndex each
+        data = self.make_data(tmp_path, p=30, n=100)
+        built = []
+        post_init = ModelIndex.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ModelIndex, "__post_init__", counting)
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--input", data, "--q", 3, "--out", out]) == 0
+        assert load_json(out)["n_models_scored"] == 4526
+        assert len(built) <= 5
+
     def test_null_truth_prefers_empty_model(self, tmp_path):
         hits = 0
         for seed in range(20):
@@ -233,6 +260,15 @@ class TestStudyCommand:
         assert res["summary"]["note"] == "no trend computable"
         assert os.path.exists(str(prefix) + ".csv")
 
+    def test_negative_budget_exits_3(self, tmp_path, capsys):
+        argv = ["study", "--study", "consistency", "--search", "--p", 4, "--q", 2,
+                "--n-grid", "60", "--reps", 1, "--out", tmp_path / "cons"]
+        assert run(argv + ["--budget", -1]) == 3
+        assert capsys.readouterr().err == "error: --budget must be nonnegative\n"
+        assert not (tmp_path / "cons.json").exists()
+        assert run(argv + ["--budget", 0]) == 0
+        assert (tmp_path / "cons.json").exists()
+
     def test_unknown_study_exits_3(self, tmp_path):
         assert run(["study", "--study", "nope", "--out", tmp_path / "x"]) == 3
 
@@ -277,3 +313,37 @@ class TestSerialization:
     def test_unknown_flag_exits_2(self, capsys):
         assert run(["fit", "--nonsense"]) == 2
         capsys.readouterr()
+
+
+class TestModelRows:
+    """A fit's ``models`` rows are filled into a row template; they must be
+    the bytes ``to_json`` writes for the same rows as dicts."""
+
+    def test_template_matches_to_json_of_dicts(self):
+        post = posterior_probs([(ModelIndex(()), -3.0), (ModelIndex((1,)), -math.inf),
+                                (ModelIndex((2,)), -1.5), (ModelIndex((1, 2)), 0.25)])
+        rows = [{"indices": m, "log_marginal": lm, "probability": prob}
+                for m, lm, prob in post.entries]
+        assert to_json({"models": post, "n": 4}) == to_json({"models": rows, "n": 4})
+
+    @pytest.mark.parametrize("flags", [["--q", 2], ["--q", 0],
+                                       ["--q", 3, "--search", "--budget", 8]])
+    def test_fit_file_matches_to_json(self, tmp_path, flags):
+        # column 3 copies column 1, so every model holding both is excluded
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(60, 4))
+        X[:, 2] = X[:, 0]
+        y = X[:, 0] - 0.7 * X[:, 1] + rng.normal(size=60)
+        data = tmp_path / "dup.csv"
+        data.write_text(dataset_to_csv(Dataset(y=y, X=X)))
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--input", data, "--out", out] + flags) == 0
+        text = out.read_text(encoding="utf-8")
+        doc = json.loads(text)
+        assert to_json(doc) + "\n" == text
+        assert doc["models"][0]["indices"] == []
+        if flags[1] == 2:
+            excluded = [m for m in doc["models"]
+                        if m["indices"][:1] == [1] and 3 in m["indices"]]
+            assert excluded and all(m["log_marginal"] == "-inf" and m["probability"] == 0
+                                    for m in excluded)

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlselect.glm import Dataset, fit_mle, log_likelihood
-from nlselect.modelspace import ModelIndex, enumerate_models, greedy_search
+from nlselect.modelspace import (ModelIndex, enumerate_models, enumerate_strata,
+                                 greedy_search)
 from nlselect.numerics import make_stream
 from nlselect.posterior import MAX_MODE_ITER, find_posterior_mode, fit_model, score_models
 from nlselect.priors import NonlocalPriorSpec, log_prior, spimom
@@ -69,8 +70,13 @@ priors = st.builds(NonlocalPriorSpec, kind=st.sampled_from(["pimom", "spimom"]),
                    r=st.sampled_from([1.0, 2.0]), scale=st.sampled_from([0.3, 1.0, 3.0]))
 
 
+def blocks(models):
+    """ModelIndex objects as one-row blocks for score_models, in the order given."""
+    return [np.array([J.indices], dtype=int).reshape(1, J.size) for J in models]
+
+
 def assert_matches_scalar(d, models, spec):
-    scores = score_models(d, models, spec)
+    scores = score_models(d, blocks(models), spec)
     fits = [fit_model(d, J, spec) for J in models]
     for J, fit, got in zip(models, fits, scores.log_marginal):
         assert same_logm(fit.log_marginal, got), (J, fit.log_marginal, got)
@@ -110,7 +116,7 @@ class TestAgainstScalarReference:
         d = random_dataset("logistic", seed=5, n=80, p=3, separated=True)
         models = enumerate_models(3, 3)
         assert_matches_scalar(d, models, spimom())
-        scores = score_models(d, models, spimom())
+        scores = score_models(d, blocks(models), spimom())
         flags = [fit_mle(d, J).separation for J in models]
         assert scores.separation.tolist() == flags
         assert any(flags)
@@ -118,22 +124,22 @@ class TestAgainstScalarReference:
     def test_order_and_strata_do_not_matter(self):
         d = random_dataset("poisson", seed=8, n=90, p=5)
         models = enumerate_models(5, 3)
-        whole = score_models(d, models, spimom())
+        whole = score_models(d, enumerate_strata(5, 3), spimom())
         shuffled = np.random.default_rng(0).permutation(len(models))
-        part = score_models(d, [models[i] for i in shuffled], spimom())
+        part = score_models(d, blocks([models[i] for i in shuffled]), spimom())
         for j, i in enumerate(shuffled):
             assert same_logm(whole.log_marginal[i], part.log_marginal[j])
 
     def test_empty_model_is_exact_loglik(self):
         d = random_dataset("gaussian", seed=1, n=40, p=2)
-        scores = score_models(d, [ModelIndex()], spimom())
+        scores = score_models(d, blocks([ModelIndex()]), spimom())
         assert scores.log_marginal[0] == fit_model(d, ModelIndex(), spimom()).log_marginal
         assert scores.converged[0] and scores.iterations[0] == 0
 
     def test_columns_beyond_p_rejected(self):
         d = random_dataset("gaussian", seed=1, n=40, p=2)
         with pytest.raises(ValueError):
-            score_models(d, [ModelIndex((1, 3))], spimom())
+            score_models(d, blocks([ModelIndex((1, 3))]), spimom())
 
 
 def benchmark_gaussian_input(k=3):
@@ -163,7 +169,7 @@ class TestStalledSearch:
     def test_engine_stops_at_resolution(self):
         d = benchmark_gaussian_input(4)
         models = enumerate_models(30, 3)
-        scores = score_models(d, models, spimom())
+        scores = score_models(d, enumerate_strata(30, 3), spimom())
         i = models.index(self.MODEL)
         assert not scores.converged[i]
         assert scores.iterations[i] <= 12
@@ -192,7 +198,7 @@ class TestSearchStart:
     def test_null_mode_scale_start_halves_iterations(self):
         # Starting each coordinate at least the null-mode scale from zero:
         # the MLE start took 40,072 iterations on these 4,526 models.
-        scores = score_models(benchmark_gaussian_input(), enumerate_models(30, 3), spimom())
+        scores = score_models(benchmark_gaussian_input(), enumerate_strata(30, 3), spimom())
         assert scores.iterations.sum() <= 22_000
 
 

@@ -8,7 +8,8 @@ import pytest
 
 from nlselect.glm import Dataset
 from nlselect.modelspace import (ModelIndex, TooManyModels, enumerate_models,
-                                 greedy_search, posterior_probs)
+                                 enumerate_strata, greedy_search, normalize_strata,
+                                 posterior_probs)
 from nlselect.numerics import make_stream
 from nlselect.posterior import fit_model
 from nlselect.priors import spimom
@@ -53,6 +54,12 @@ class TestEnumerateModels:
     def test_monotone_in_q(self):
         counts = [len(enumerate_models(8, q)) for q in range(9)]
         assert all(a < b for a, b in zip(counts, counts[1:]))
+
+    def test_strata_shapes_and_order(self):
+        strata = enumerate_strata(6, 3)
+        assert [rows.shape for rows in strata] == [(1, 0), (6, 1), (15, 2), (20, 3)]
+        assert [tuple(r) for rows in strata for r in rows.tolist()] == \
+               [m.indices for m in enumerate_models(6, 3)]
 
 
 class TestPosteriorProbs:
@@ -102,6 +109,38 @@ class TestPosteriorProbs:
             pytest.approx(1.0, abs=1e-12)
         assert post.mass_a == pytest.approx(2.0 / 7.0)  # {1,2}, {1,3}
         assert post.mass_b == pytest.approx(4.0 / 7.0)
+
+    def test_probability_of_every_model(self):
+        rng = np.random.default_rng(3)
+        models = enumerate_models(6, 3)
+        kept = [m for m in models if rng.uniform() < 0.6]
+        post = posterior_probs([(m, v) for m, v in zip(kept, rng.normal(size=len(kept)))])
+        for m, _, prob in post.entries:
+            assert post.probability_of(m) == prob
+        for m in set(models) - set(kept):
+            assert post.probability_of(m) == 0.0
+        assert post.probability_of(M((1, 2, 3, 4))) == 0.0
+
+    def test_masses_add_left_to_right(self):
+        # the masses are bit-for-bit a running sum over the rows in order
+        rng = np.random.default_rng(4)
+        models = enumerate_models(12, 3)
+        truth = M((2, 5))
+        post = posterior_probs(list(zip(models, rng.normal(scale=2.0, size=len(models)))),
+                               truth=truth)
+        mass_a = mass_b = 0.0
+        for m, _, prob in post.entries:
+            if m == truth:
+                continue
+            if m.contains(truth):
+                mass_a += prob
+            else:
+                mass_b += prob
+        assert (post.mass_a, post.mass_b) == (mass_a, mass_b)
+
+    def test_normalize_strata_needs_one_marginal_per_model(self):
+        with pytest.raises(ValueError):
+            normalize_strata(enumerate_strata(3, 1), np.zeros(3), q=1)
 
     def test_posterior_identity(self):
         # 1/prob(truth) - 1 == (sum_A M + sum_B M) / M_truth
@@ -211,3 +250,41 @@ class TestGreedySearch:
                                    stream=make_stream(seed))
             hits += top == exhaustive_top
         assert hits >= 5
+
+
+class TestWalkOrder:
+    """One walk pinned model by model.  The fake scorer makes many exact
+    ties, the stream takes random moves at steps 0 and 1, and the budget
+    runs out mid-step.  At current model {1,4,6} the walk scores
+    (1,2,4,6), (1,3,4,6), (1,4), ... in plain tuple order, not size-major,
+    so the pinned order changes if the neighbor order, the tie-break or the
+    budget cut does."""
+
+    VISITS = [
+        (), (1,), (2,), (3,), (4,), (5,), (6,), (7,),
+        (1, 6), (2, 6), (3, 6), (4, 6), (5, 6), (6, 7),
+        (1, 4, 6), (2, 4, 6), (3, 4, 6), (4, 5, 6), (4, 6, 7),
+        (1, 2, 4, 6), (1, 3, 4, 6), (1, 4), (1, 4, 5, 6), (1, 4, 6, 7),
+        (1, 2, 4), (1, 3, 4), (1, 4, 5), (1, 4, 7), (1, 2, 3, 4),
+        (1, 3), (1, 3, 4, 5), (1, 3, 4, 7), (3, 4),
+    ]
+
+    def test_visit_order_and_top(self):
+        rng = np.random.default_rng(0)
+        d = Dataset(y=rng.normal(size=20), X=rng.normal(size=(20, 7)))
+        seen = []
+
+        def tied_score(J):
+            seen.append(J.indices)
+            return float(sum(J.indices) % 3 + (J.size == 2))
+
+        post, top = greedy_search(d, spimom(), q=4, budget=32, stream=make_stream(4),
+                                  score_fn=tied_score)
+        assert seen == self.VISITS
+        assert top == M((1, 4))
+        assert sorted(m.indices for m, _, _ in post.entries) == sorted(self.VISITS)
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError):
+            greedy_search(strong_signal_dataset(0), spimom(), q=2, budget=-1,
+                          stream=make_stream(0))
