@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import math
 import os
 import sys
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import experiments, posterior
 from .experiments import ExperimentConfig, hessian_diagnostics
-from .glm import FAMILIES, Dataset, fit_mle
+from .glm import FAMILIES, Dataset
 from .modelspace import (ModelIndex, ModelPosterior, TooManyModels,
                          enumerate_strata, greedy_search, normalize_strata)
 from .numerics import NoBracket, adaptive_quad, make_stream
@@ -39,6 +40,10 @@ DEFAULT_BUDGET = 200
 SCALAR_N_GRID = (10**3, 10**4, 10**5, 10**6, 10**7)
 PIPELINE_N_GRID = (200, 800, 3200, 12800)
 CONSISTENCY_N_GRID = (100, 200, 400, 800)
+STUDIES = {"mle-rate": experiments.mle_rate_study,
+           "mode-rate": experiments.mode_rate_study,
+           "logm-ratio": experiments.logm_ratio_study,
+           "consistency": experiments.consistency_study}
 
 
 class ConfigError(Exception):
@@ -76,7 +81,6 @@ def to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
     if isinstance(obj, str):
-        import json
         return json.dumps(obj)
     if isinstance(obj, ModelIndex):
         return to_json(list(obj.indices), indent)
@@ -94,7 +98,6 @@ def to_json(obj, indent: int = 0) -> str:
             return "{}"
         items = []
         for k in sorted(obj, key=str):
-            import json
             items.append(inner + json.dumps(str(k)) + ": "
                          + to_json(obj[k], indent + 2))
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
@@ -293,19 +296,15 @@ def cmd_fit(args) -> int:
     saddle_count = 0
     if args.search:
         post, top = greedy_search(d, spec, q, args.budget, make_stream(args.seed))
+        scores, row = posterior.score_models(d, [[top.indices]], spec), 0
     else:
-        try:
-            strata = enumerate_strata(d.p, q)
-        except TooManyModels as exc:
-            print(f"error: {exc}; rerun with --search", file=sys.stderr)
-            return EXIT_TOO_MANY_MODELS
+        strata = enumerate_strata(d.p, q)
         scores = posterior.score_models(d, strata, spec)
         post = normalize_strata(strata, scores.log_marginal, q)
-        top = post.top
+        row, top = post.top_row, post.top
         saddle_count = int(scores.excluded.sum())
-    top_mle = fit_mle(d, top)
-    top_pm = posterior.find_posterior_mode(d, top, spec, top_mle)
-    diag = hessian_diagnostics(d, top_mle, [top_mle.beta_hat, top_pm.beta_pm])
+    mle, mode = scores.mle[row, :top.size], scores.mode[row, :top.size]
+    diag = hessian_diagnostics(d, top, mle, [mle, mode])
     result = {
         "config": config_echo,
         "n": d.n, "p": d.p, "n_models_scored": len(post.entries),
@@ -314,9 +313,9 @@ def cmd_fit(args) -> int:
         "diagnostics": {
             "c_l_hat": diag.c_l_hat, "c_u_hat": diag.c_u_hat,
             "c_d_hat": diag.c_d_hat, "c1_max": diag.c1_max,
-            "top_mle_converged": top_mle.converged,
-            "top_mle_separation": top_mle.separation,
-            "top_mode_converged": top_pm.converged,
+            "top_mle_converged": scores.mle_converged[row],
+            "top_mle_separation": scores.separation[row],
+            "top_mode_converged": scores.converged[row],
             "saddle_count": saddle_count,
         },
     }
@@ -432,9 +431,8 @@ def _study_config(args, n_grid: tuple[int, ...]) -> ExperimentConfig:
 
 
 def cmd_study(args) -> int:
-    known = ("mle-rate", "mode-rate", "logm-ratio", "consistency")
-    if args.study not in known:
-        raise ConfigError(f"unknown study {args.study!r}; choose from {known}")
+    if args.study not in STUDIES:
+        raise ConfigError(f"unknown study {args.study!r}; choose from {tuple(STUDIES)}")
     if args.n_grid is not None:
         n_grid = _parse_int_list(args.n_grid, "n-grid")
     elif args.study == "mode-rate" and args.scalar:
@@ -472,15 +470,12 @@ def cmd_study(args) -> int:
                    "per_n": [{"n": n, "mode": m} for n, m, _ in table.rows]}
     else:
         cfg = _study_config(args, n_grid)
-        if args.study == "mle-rate":
-            res = experiments.mle_rate_study(cfg)
-        elif args.study == "mode-rate":
-            res = experiments.mode_rate_study(cfg)
-        elif args.study == "logm-ratio":
-            res = experiments.logm_ratio_study(cfg)
-        else:
-            budget = args.budget if args.search else None
-            res = experiments.consistency_study(cfg, search_budget=budget)
+        budget = args.budget if args.search else None
+        extra = {"search_budget": budget} if args.study == "consistency" else {}
+        try:
+            res = STUDIES[args.study](cfg, **extra)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         rows = res.rows
         summary = res.summary()
         if len(n_grid) < 2 and not summary.get("note"):
@@ -608,6 +603,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except TooManyModels as exc:
+        print(f"error: {exc}; rerun with --search", file=sys.stderr)
+        return EXIT_TOO_MANY_MODELS
 
 
 if __name__ == "__main__":

@@ -26,12 +26,11 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .glm import FAMILIES, Dataset, GlmFit, fit_mle, log_likelihood, neg_hessian
+from .glm import FAMILIES, Dataset, log_likelihood, neg_hessian
 from .modelspace import (ModelIndex, enumerate_strata, greedy_search,
                          normalize_strata)
-from .numerics import (RandomStream, derive_stream, factor_logdet, make_stream,
-                       root_find)
-from .posterior import find_posterior_mode, fit_model, score_models
+from .numerics import RandomStream, derive_stream, make_stream, root_find
+from .posterior import ModelScores, score_models
 from .priors import NonlocalPriorSpec, log_prior_constant, spimom
 
 DESIGN_IID = "iid-normal"
@@ -234,11 +233,11 @@ def mle_rate_study(cfg: ExperimentConfig) -> MleRateResult:
         for rep in range(cfg.replications):
             stream = derive_stream(derive_stream(root, ni), rep)
             d, beta0 = simulate_dataset(cfg, n, stream)
-            fit = fit_mle(d, cfg.true_support)
-            err = float(np.linalg.norm(fit.beta_hat - beta0))
+            scores = score_models(d, [[cfg.true_support.indices]], cfg.priors[0])
+            err = float(np.linalg.norm(scores.mle[0] - beta0))
             rows.append({"n": n, "rep": rep, "l2_error": err,
-                         "converged": fit.converged})
-            if fit.converged:
+                         "converged": bool(scores.mle_converged[0])})
+            if scores.mle_converged[0]:
                 vals.append(err)
             else:
                 excluded += 1
@@ -325,13 +324,12 @@ def mode_rate_study(cfg: ExperimentConfig) -> ModeRateResult:
             for rep in range(cfg.replications):
                 stream = derive_stream(derive_stream(root, ni), rep)
                 d, _ = simulate_dataset(cfg, n, stream)
-                mle = fit_mle(d, model)
-                pm = find_posterior_mode(d, model, spec, mle)
-                if not (mle.converged and pm.converged):
+                scores = score_models(d, [[model.indices]], spec)
+                if not (scores.mle_converged[0] and scores.converged[0]):
                     rows.append({"prior": label, "n": n, "rep": rep,
                                  "null_gap": float("nan"), "converged": False})
                     continue
-                gap = abs(float(pm.beta_pm[null_pos] - mle.beta_hat[null_pos]))
+                gap = abs(float(scores.mode[0, null_pos] - scores.mle[0, null_pos]))
                 rows.append({"prior": label, "n": n, "rep": rep,
                              "null_gap": gap, "converged": True})
                 vals.append(gap)
@@ -350,8 +348,9 @@ def mode_rate_study(cfg: ExperimentConfig) -> ModeRateResult:
 
 
 def _marginal_pieces(d: Dataset, J: ModelIndex, spec: NonlocalPriorSpec,
-                     pm) -> dict:
-    """Exact additive decomposition of one Laplace log marginal.
+                     scores: ModelScores, i: int) -> dict:
+    """Exact additive decomposition of the Laplace log marginal of model
+    ``J``, from the mode and log det H* in row ``i`` of ``scores``.
 
     total = loglik + kernel + rest, where kernel is the exact prior kernel
     -c_zeta * sum (phi/beta^2)^zeta (c = 1 for piMOM, 2 for spiMOM), and
@@ -359,16 +358,17 @@ def _marginal_pieces(d: Dataset, J: ModelIndex, spec: NonlocalPriorSpec,
     prior factor, and the (k/2) log 2pi - (1/2) logdet Laplace terms.
     """
     k = J.size
-    ll = log_likelihood(d, J, pm.beta_pm)
+    mode = scores.mode[i, :k]
+    ll = log_likelihood(d, J, mode)
     if k == 0:
         return {"loglik": ll, "kernel": 0.0, "kernel_dominant": 0.0,
                 "rest": 0.0, "total": ll}
-    dominant = float(((spec.scale / pm.beta_pm**2) ** spec.zeta).sum())
+    dominant = float(((spec.scale / mode**2) ** spec.zeta).sum())
     coeff = 1.0 if spec.kind == "pimom" else 2.0
     kernel = -coeff * dominant
-    _, logdet = factor_logdet(pm.neg_hessian_logpost)
-    rest = (0.5 * k * math.log(2 * math.pi) - 0.5 * logdet + k * log_prior_constant(spec)
-            - (spec.r + 1.0) * float(np.log(np.abs(pm.beta_pm)).sum()))
+    rest = (0.5 * k * math.log(2 * math.pi) - 0.5 * scores.logdet[i]
+            + k * log_prior_constant(spec)
+            - (spec.r + 1.0) * float(np.log(np.abs(mode)).sum()))
     return {"loglik": ll, "kernel": kernel, "kernel_dominant": dominant,
             "rest": rest, "total": ll + kernel + rest}
 
@@ -408,8 +408,8 @@ class LogmRatioResult:
         }
 
 
-def logm_ratio_study(cfg: ExperimentConfig, supersets_per_size: int = 20,
-                     spec: Optional[NonlocalPriorSpec] = None) -> LogmRatioResult:
+def logm_ratio_study(cfg: ExperimentConfig, supersets_per_size: int = 20
+                     ) -> LogmRatioResult:
     """Median log(M_J / M_J0) over strict supersets J of the truth, per n.
 
     Every row carries the likelihood-ratio part, the dominant prior-ratio
@@ -420,7 +420,7 @@ def logm_ratio_study(cfg: ExperimentConfig, supersets_per_size: int = 20,
     proportionality constant is unknown, so only sign and monotonicity are
     meaningful checks.
     """
-    spec = spec if spec is not None else cfg.priors[0]
+    spec = cfg.priors[0]
     truth = cfg.true_support
     root = make_stream(cfg.seed)
     rows: list[dict] = []
@@ -429,23 +429,23 @@ def logm_ratio_study(cfg: ExperimentConfig, supersets_per_size: int = 20,
         for rep in range(cfg.replications):
             stream = derive_stream(derive_stream(root, ni), rep)
             d, _ = simulate_dataset(cfg, n, stream)
-            pm0 = fit_model(d, truth, spec)
-            pieces0 = _marginal_pieces(d, truth, spec, pm0)
-            supersets = _sample_supersets(truth, cfg.p, cfg.q,
-                                          supersets_per_size,
-                                          derive_stream(stream, 10**6))
-            for J in supersets:
-                pm = fit_model(d, J, spec)
-                if not math.isfinite(pm.log_marginal):
+            models = [truth] + _sample_supersets(truth, cfg.p, cfg.q,
+                                                 supersets_per_size,
+                                                 derive_stream(stream, 10**6))
+            scores = score_models(d, [[J.indices] for J in models], spec)
+            logm = scores.log_marginal.tolist()
+            pieces0 = _marginal_pieces(d, truth, spec, scores, 0)
+            for i, J in enumerate(models[1:], start=1):
+                if not math.isfinite(logm[i]):
                     continue
-                pieces = _marginal_pieces(d, J, spec, pm)
+                pieces = _marginal_pieces(d, J, spec, scores, i)
                 total = pieces["total"] - pieces0["total"]
-                gap = abs((pm.log_marginal - pm0.log_marginal) - total)
+                gap = abs((logm[i] - logm[0]) - total)
                 max_gap = max(max_gap, gap)
                 extra = J.size - truth.size
                 rows.append({
                     "n": n, "rep": rep, "extra": extra,
-                    "log_ratio": pm.log_marginal - pm0.log_marginal,
+                    "log_ratio": logm[i] - logm[0],
                     "loglik_part": pieces["loglik"] - pieces0["loglik"],
                     "prior_part_dominant":
                         pieces["kernel_dominant"] - pieces0["kernel_dominant"],
@@ -494,7 +494,6 @@ class ConsistencyResult:
 
 
 def consistency_study(cfg: ExperimentConfig,
-                      spec: Optional[NonlocalPriorSpec] = None,
                       search_budget: Optional[int] = None) -> ConsistencyResult:
     """Posterior mass on and around the true model along the n-grid.
 
@@ -505,7 +504,7 @@ def consistency_study(cfg: ExperimentConfig,
     comparison lambda^(1/6) versus n^(2/9) is reported without assertion;
     its constants are not quantified.
     """
-    spec = spec if spec is not None else cfg.priors[0]
+    spec = cfg.priors[0]
     truth = cfg.true_support
     strata = None if search_budget is not None else enumerate_strata(cfg.p, cfg.q)
     root = make_stream(cfg.seed)
@@ -556,18 +555,17 @@ class HessianDiagnostics(NamedTuple):
     c1_max: float
 
 
-def hessian_diagnostics(d: Dataset, mle: GlmFit,
+def hessian_diagnostics(d: Dataset, J: ModelIndex, mle: np.ndarray,
                         points: Sequence[np.ndarray]) -> HessianDiagnostics:
-    """Empirical identifiability constants of the model ``mle.model`` over
-    the supplied points.
+    """Empirical identifiability constants of the model ``J`` over the
+    supplied points.
 
     c_l_hat / c_u_hat bound the spectrum of the scaled curvature n^-1 H over
     the points; c_d_hat is the largest spectral-norm Lipschitz ratio between
     point pairs; c1_max is the largest single-observation score contribution
-    |x_ij (y_i - mean_i)| at the caller's MLE ``mle``.  Reported as
+    |x_ij (y_i - mean_i)| at the caller's MLE vector ``mle``.  Reported as
     estimates: no pass/fail threshold is claimed for c1_max.
     """
-    J = mle.model
     if not points:
         raise ValueError("points must be nonempty")
     if J.size == 0:
@@ -586,7 +584,7 @@ def hessian_diagnostics(d: Dataset, mle: GlmFit,
             norm = float(np.abs(np.linalg.eigvalsh(hessians[i] - hessians[j])).max())
             c_d = max(c_d, norm / (n * dist))
     Xj = d.X[:, J.cols]
-    resid = d.y - FAMILIES[d.family].mean(Xj @ mle.beta_hat)
+    resid = d.y - FAMILIES[d.family].mean(Xj @ np.asarray(mle, dtype=float))
     c1 = float(np.abs(Xj * resid[:, None]).max())
     return HessianDiagnostics(c_l_hat=float(spectra[:, 0].min()),
                               c_u_hat=float(spectra[:, -1].max()),

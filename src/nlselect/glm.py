@@ -188,9 +188,7 @@ class Dataset:
 class GlmFit:
     """Maximum-likelihood fit of one submodel."""
 
-    model: ModelIndex
     beta_hat: np.ndarray
-    loglik: float
     converged: bool
     iterations: int
     separation: bool = False
@@ -235,9 +233,7 @@ def fit_mle(d: Dataset, J: ModelIndex) -> GlmFit:
     the capped fit is still returned.
     """
     if J.size == 0:
-        return GlmFit(model=J, beta_hat=np.zeros(0),
-                      loglik=log_likelihood(d, J, np.zeros(0)),
-                      converged=True, iterations=0)
+        return GlmFit(beta_hat=np.zeros(0), converged=True, iterations=0)
     batch = model_batch(d, J.cols[None, :])
     tol = SCORE_TOL_PER_OBS * d.n
     beta = np.zeros(J.size)
@@ -270,8 +266,8 @@ def fit_mle(d: Dataset, J: ModelIndex) -> GlmFit:
     converged = float(np.abs(g).max()) <= tol
     separation = (d.family == "logistic"
                   and float(np.abs(beta).max()) > SEPARATION_CAP)
-    return GlmFit(model=J, beta_hat=beta, loglik=ll, converged=converged,
-                  iterations=iterations, separation=separation)
+    return GlmFit(beta_hat=beta, converged=converged, iterations=iterations,
+                  separation=separation)
 
 
 # =============================================================================

@@ -137,10 +137,16 @@ class ModelPosterior:
         self.mass_b = _sum_in_order(self.probability[~contains])
 
     @property
-    def top(self) -> ModelIndex:
-        """Highest-marginal model; ties go to the lexicographically smallest."""
+    def top_row(self) -> int:
+        """Position of the highest-marginal model in strata order; ties go
+        to the lexicographically smallest model."""
         ties = np.flatnonzero(self.log_marginal == self.log_marginal.max())
-        return ModelIndex(min(self._model(i) for i in ties.tolist()))
+        return min(ties.tolist(), key=self._model)
+
+    @property
+    def top(self) -> ModelIndex:
+        """The model at ``top_row``."""
+        return ModelIndex(self._model(self.top_row))
 
 
 class _Entries:

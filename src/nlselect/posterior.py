@@ -11,10 +11,10 @@ barrier, where Newton steps grow it only slowly.  Exactly-zero coordinates
 start at +delta0 by convention, since the two orthant-restricted optima tie
 by symmetry there.
 
-Two forms: :func:`fit_model` scores one submodel and is the readable
-reference; :func:`score_models` scores many at once, grouping them by size
-and running the same steps, with the same checks and constants, for all
-models of a group in lockstep.
+Two forms: :func:`score_models` scores many submodels in lockstep batches,
+and every command and study reads its marginals, MLEs and modes;
+:func:`fit_model` scores one submodel and is the readable reference that
+the engine is tested against.
 """
 
 from __future__ import annotations
@@ -109,7 +109,6 @@ def gaussian_reference_prior(sigma2: float) -> PriorFuncs:
 class PosteriorFit:
     """Posterior mode, curvature there, and (once computed) the marginal."""
 
-    model: ModelIndex
     beta_pm: np.ndarray
     log_post_unnorm: float
     neg_hessian_logpost: Optional[SpdMatrix]
@@ -139,7 +138,7 @@ def find_posterior_mode(d: Dataset, J: ModelIndex,
     funcs = _as_prior_funcs(spec)
     if J.size == 0:
         ll = log_likelihood(d, J, np.zeros(0))
-        return PosteriorFit(model=J, beta_pm=np.zeros(0), log_post_unnorm=ll,
+        return PosteriorFit(beta_pm=np.zeros(0), log_post_unnorm=ll,
                             neg_hessian_logpost=None, converged=True, iterations=0)
     tol = GRAD_TOL_PER_OBS * d.n
     beta = np.array(mle.beta_hat, dtype=float)
@@ -197,14 +196,12 @@ def find_posterior_mode(d: Dataset, J: ModelIndex,
     else:
         h = gradient_curvature(beta)[1]
     # every break leaves beta where h was computed
-    return PosteriorFit(model=J, beta_pm=beta, log_post_unnorm=value,
+    return PosteriorFit(beta_pm=beta, log_post_unnorm=value,
                         neg_hessian_logpost=SpdMatrix(h),
                         converged=converged, iterations=iterations)
 
 
-def laplace_log_marginal(d: Dataset, J: ModelIndex,
-                         spec: Union[NonlocalPriorSpec, PriorFuncs],
-                         pm: PosteriorFit) -> float:
+def laplace_log_marginal(d: Dataset, J: ModelIndex, pm: PosteriorFit) -> float:
     """Laplace log marginal likelihood at the posterior mode.
 
     (|J|/2) log(2 pi) - (1/2) logdet(H*) + log posterior at the mode, with
@@ -236,9 +233,9 @@ def fit_model(d: Dataset, J: ModelIndex,
     try:
         mle = fit_mle(d, J)
         pm = find_posterior_mode(d, J, spec, mle)
-        pm.log_marginal = laplace_log_marginal(d, J, spec, pm)
+        pm.log_marginal = laplace_log_marginal(d, J, pm)
     except NotPositiveDefinite:
-        return PosteriorFit(model=J, beta_pm=np.full(J.size, np.nan),
+        return PosteriorFit(beta_pm=np.full(J.size, np.nan),
                             log_post_unnorm=-math.inf, neg_hessian_logpost=None,
                             converged=False, iterations=0,
                             log_marginal=-math.inf, saddle=True)
@@ -256,9 +253,12 @@ class ModelScores:
 
     ``excluded`` marks a rank-deficient design or a negative log-posterior
     Hessian at the mode that fails to factor; those models get a -inf log
-    marginal (``fit_model`` sets ``saddle`` on them).  ``converged`` and
-    ``iterations`` describe the mode search, which an excluded model with a
-    rank-deficient design never starts.  ``separation`` is the logistic
+    marginal (``fit_model`` sets ``saddle`` on them).  ``mle`` and ``mode``
+    are (M, w) arrays padded with NaN beyond each model's size, w the widest
+    model; a rank-deficient design has neither, and its ``mle_converged``
+    (the score test at the MLE's last iterate) is False.  ``converged`` and
+    ``iterations`` describe the mode search.  ``logdet`` is log det H* at
+    the mode, NaN where H* fails to factor.  ``separation`` is the logistic
     MLE's flag (a coefficient beyond ``SEPARATION_CAP``).
     """
 
@@ -267,6 +267,10 @@ class ModelScores:
     converged: np.ndarray
     iterations: np.ndarray
     separation: np.ndarray
+    mle: np.ndarray
+    mode: np.ndarray
+    mle_converged: np.ndarray
+    logdet: np.ndarray
 
 
 def score_models(d: Dataset, models: Sequence[np.ndarray],
@@ -281,25 +285,29 @@ def score_models(d: Dataset, models: Sequence[np.ndarray],
     MLE, the mode search and the Laplace step for all its models at once.
     Every per-model check of ``fit_mle`` and ``find_posterior_mode``
     applies row by row with the same constants, and a model leaves the
-    batch's active set as soon as its own iteration stops.  Log marginals
-    agree with ``fit_model`` to rounding (the order of floating-point
+    batch's active set as soon as its own iteration stops.  Results agree
+    with the scalar functions to rounding (the order of floating-point
     operations differs).
     """
     blocks = [np.asarray(b, dtype=int) for b in models]
     ends = np.cumsum([b.shape[0] for b in blocks], dtype=int)
     m = int(ends[-1]) if blocks else 0
+    w = max((b.shape[1] for b in blocks), default=0)
     out = ModelScores(log_marginal=np.full(m, -math.inf),
                       excluded=np.zeros(m, dtype=bool),
                       converged=np.zeros(m, dtype=bool),
                       iterations=np.zeros(m, dtype=int),
-                      separation=np.zeros(m, dtype=bool))
+                      separation=np.zeros(m, dtype=bool),
+                      mle=np.full((m, w), math.nan), mode=np.full((m, w), math.nan),
+                      mle_converged=np.zeros(m, dtype=bool), logdet=np.full(m, math.nan))
     for k in sorted({b.shape[1] for b in blocks if b.shape[0]}):
         group = [i for i, b in enumerate(blocks) if b.shape[1] == k]
         rows = np.concatenate([np.arange(ends[i] - blocks[i].shape[0], ends[i])
                                for i in group])
         if k == 0:
             out.log_marginal[rows] = log_likelihood(d, ModelIndex(), np.zeros(0))
-            out.converged[rows] = True
+            out.converged[rows] = out.mle_converged[rows] = True
+            out.logdet[rows] = 0.0
             continue
         cols = np.concatenate([blocks[i] for i in group]) - 1
         size = batch_rows(d, k)
@@ -311,37 +319,42 @@ def score_models(d: Dataset, models: Sequence[np.ndarray],
 
 def _score_batch(batch: ModelBatch, spec: NonlocalPriorSpec, out: ModelScores,
                  rows: np.ndarray) -> None:
-    beta, full_rank = _batch_mle(batch)
+    beta, full_rank, out.mle_converged[rows] = _batch_mle(batch)
     out.excluded[rows] = ~full_rank
     if not full_rank.all():
         batch, beta, rows = batch.take(full_rank), beta[full_rank], rows[full_rank]
         if not rows.size:
             return
+    k = beta.shape[-1]
+    out.mle[rows, :k] = beta
     if batch.d.family == "logistic":
         out.separation[rows] = np.abs(beta).max(axis=-1) > SEPARATION_CAP
-    value, h_star, converged, iterations = _batch_mode(batch, spec, beta)
+    value, mode, h_star, converged, iterations = _batch_mode(batch, spec, beta)
+    out.mode[rows, :k] = mode
     factor, ok = batch_cholesky(h_star)
     logdet = 2.0 * np.log(np.diagonal(factor, axis1=-2, axis2=-1)).sum(axis=-1)
-    k = h_star.shape[-1]
     log_marginal = 0.5 * k * math.log(2 * math.pi) - 0.5 * logdet + value
     out.log_marginal[rows] = np.where(ok, log_marginal, -math.inf)
+    out.logdet[rows] = np.where(ok, logdet, math.nan)
     out.excluded[rows] = ~ok
     out.converged[rows] = converged
     out.iterations[rows] = iterations
 
 
-def _batch_mle(batch: ModelBatch) -> tuple[np.ndarray, np.ndarray]:
-    """``fit_mle`` for every row: (beta (M, k), full-rank mask (M,))."""
+def _batch_mle(batch: ModelBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``fit_mle`` for every row: (beta (M, k), full-rank mask, converged)."""
     tol = SCORE_TOL_PER_OBS * batch.d.n
     m, k = batch.cols.shape
     beta = np.zeros((m, k))
     ll = batch_log_likelihood(batch, beta)
     full_rank = np.ones(m, dtype=bool)
+    converged = np.zeros(m, dtype=bool)
     act, sub = np.arange(m), batch
     for _ in range(MAX_NEWTON_ITER):
         g, h = batch_score_hessian(sub, beta[act])
         factor, ok = batch_cholesky(h)
         run = np.abs(g).max(axis=-1) > tol
+        converged[act[~run]] = True
         full_rank[act[run & ~ok]] = False
         run &= ok
         step = np.zeros_like(g)
@@ -353,13 +366,16 @@ def _batch_mle(batch: ModelBatch) -> tuple[np.ndarray, np.ndarray]:
         act, sub = _shrink(act, sub, moved)
         if not act.size:
             break
-    return beta, full_rank
+    else:
+        g = batch_score_hessian(sub, beta[act])[0]
+        converged[act] = np.abs(g).max(axis=-1) <= tol
+    return beta, full_rank, converged
 
 
 def _batch_mode(batch: ModelBatch, spec: NonlocalPriorSpec, mle: np.ndarray):
     """``find_posterior_mode`` for every row: (log posterior at the mode,
-    H*, converged, iterations), with H* the negative log-posterior Hessian
-    at each row's final iterate."""
+    the mode, H*, converged, iterations), with H* the negative log-posterior
+    Hessian at each row's final iterate."""
     tol = GRAD_TOL_PER_OBS * batch.d.n
     m, k = mle.shape
     beta = _search_start(mle, _mode_scale(spec, batch.d.n))
@@ -397,7 +413,7 @@ def _batch_mode(batch: ModelBatch, spec: NonlocalPriorSpec, mle: np.ndarray):
     else:
         b = beta[act]
         h_star[act] = curvature(b, batch_score_hessian(sub, b)[1])
-    return value, h_star, converged, iterations
+    return value, beta, h_star, converged, iterations
 
 
 def _shrink(act: np.ndarray, sub: ModelBatch, keep: np.ndarray

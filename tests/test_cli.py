@@ -278,6 +278,20 @@ class TestStudyCommand:
         assert capsys.readouterr().err == "error: dispersion must be positive\n"
         assert not (tmp_path / "x.json").exists()
 
+    def test_mode_rate_without_null_coordinate_exits_3(self, tmp_path, capsys):
+        assert run(["study", "--study", "mode-rate", "--p", 3, "--j0", "1,2,3",
+                    "--beta0", "1,1,1", "--out", tmp_path / "m"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "m.json").exists()
+
+    def test_consistency_over_cap_exits_4(self, tmp_path, capsys):
+        # sum_{k<=4} C(100, k) = 4,087,976 models, and no --search
+        assert run(["study", "--study", "consistency", "--p", 100, "--q", 4,
+                    "--out", tmp_path / "c"]) == 4
+        assert capsys.readouterr().err == (
+            "error: 4087976 models exceeds the cap of 1000000; rerun with --search\n")
+
     def test_study_csv_has_replication_and_summary_rows(self, tmp_path):
         prefix = tmp_path / "mle"
         assert run(["study", "--study", "mle-rate", "--p", 4, "--q", 2,
@@ -347,3 +361,46 @@ class TestModelRows:
                         if m["indices"][:1] == [1] and 3 in m["indices"]]
             assert excluded and all(m["log_marginal"] == "-inf" and m["probability"] == 0
                                     for m in excluded)
+
+
+class TestOneScoringPath:
+    """Every command scores through ``posterior.score_models``; the scalar
+    functions are the tests' reference only."""
+
+    @pytest.mark.parametrize("family", ["gaussian", "logistic"])
+    def test_commands_never_call_the_scalar_path(self, tmp_path, monkeypatch, family):
+        from nlselect import glm, posterior
+        from nlselect.experiments import hessian_diagnostics
+        from nlselect.priors import spimom
+
+        fit_mle, find_mode = glm.fit_mle, posterior.find_posterior_mode
+        data = tmp_path / "d.csv"
+        assert run(["simulate", "--out", data, "--p", 4, "--n", 150,
+                    "--family", family, "--seed", 2]) == 0
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a command called the scalar reference path")
+
+        reference = (glm.fit_mle, posterior.find_posterior_mode, posterior.fit_model)
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "nlselect":
+                for attr, value in list(vars(mod).items()):
+                    if any(value is f for f in reference):
+                        monkeypatch.setattr(mod, attr, forbidden)
+
+        for flags in ([], ["--search", "--budget", 6]):
+            out = tmp_path / "fit.json"
+            assert run(["fit", "--input", data, "--family", family, "--q", 2,
+                        "--out", out] + flags) == 0
+            doc = load_json(out)
+            d = read_dataset_csv(str(data), family, 1.0)
+            top = ModelIndex(doc["top"])
+            mle = fit_mle(d, top)
+            pm = find_mode(d, top, spimom(), mle)
+            want = hessian_diagnostics(d, top, mle.beta_hat, [mle.beta_hat, pm.beta_pm])
+            for key, value in want._asdict().items():
+                assert doc["diagnostics"][key] == pytest.approx(value, rel=1e-8, abs=0.0)
+        for study in ("mle-rate", "mode-rate", "logm-ratio", "consistency"):
+            assert run(["study", "--study", study, "--family", family, "--p", 4,
+                        "--q", 3, "--n-grid", "100,200", "--reps", 2,
+                        "--out", tmp_path / study]) == 0

@@ -1,8 +1,9 @@
 """The batched scoring engine, ``posterior.score_models``, against the scalar
-reference ``fit_model``: property tests over random designs in all three
-families and both priors, degenerate designs, and greedy search with and
-without a per-model scorer.  Also the mode search's start rule: the mode
-stays in the MLE's orthant and improves on its start point."""
+reference ``fit_model``, ``fit_mle`` and ``find_posterior_mode``: property
+tests of the marginals, MLEs, modes and log det H* over random designs in
+all three families and both priors, degenerate designs, and greedy search
+with and without a per-model scorer.  Also the mode search's start rule:
+the mode stays in the MLE's orthant and improves on its start point."""
 
 import math
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from nlselect.glm import Dataset, fit_mle, log_likelihood
 from nlselect.modelspace import (ModelIndex, enumerate_models, enumerate_strata,
                                  greedy_search)
-from nlselect.numerics import make_stream
+from nlselect.numerics import NotPositiveDefinite, factor_logdet, make_stream
 from nlselect.posterior import MAX_MODE_ITER, find_posterior_mode, fit_model, score_models
 from nlselect.priors import NonlocalPriorSpec, log_prior, spimom
 
@@ -22,6 +23,9 @@ from nlselect.priors import NonlocalPriorSpec, log_prior, spimom
 # fit_model in another floating-point order, so stopping points differ only
 # within the gradient tolerance.
 LOGM_TOL = 1e-6
+# Absolute tolerance on an MLE or mode coordinate and on log det H*, for the
+# same reason.
+POINT_TOL = 1e-6
 
 # Fixed examples keep the suite deterministic from run to run.
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
@@ -76,11 +80,35 @@ def blocks(models):
 
 
 def assert_matches_scalar(d, models, spec):
+    """Log marginals and exclusions against ``fit_model``; MLEs, modes and
+    log det H* against ``fit_mle``, ``find_posterior_mode`` and
+    ``factor_logdet``; NaN padding beyond each model's size.  The converged
+    flags are not compared: where a gradient sits at the tolerance, the two
+    paths' floating-point orders decide it differently."""
     scores = score_models(d, blocks(models), spec)
     fits = [fit_model(d, J, spec) for J in models]
     for J, fit, got in zip(models, fits, scores.log_marginal):
         assert same_logm(fit.log_marginal, got), (J, fit.log_marginal, got)
     assert scores.excluded.tolist() == [f.saddle for f in fits]
+    for i, J in enumerate(models):
+        k = J.size
+        assert np.isnan(scores.mle[i, k:]).all() and np.isnan(scores.mode[i, k:]).all()
+        try:
+            mle = fit_mle(d, J)
+        except NotPositiveDefinite:  # rank-deficient: no MLE, no mode
+            assert np.isnan(scores.mle[i]).all() and np.isnan(scores.mode[i]).all(), J
+            continue
+        pm = find_posterior_mode(d, J, spec, mle)
+        # a separated logistic model has no MLE: the likelihood is flat along
+        # the separating direction, where both paths stop far out
+        tol = dict(rtol=POINT_TOL if mle.separation else 0.0, atol=POINT_TOL)
+        np.testing.assert_allclose(scores.mle[i, :k], mle.beta_hat, **tol)
+        np.testing.assert_allclose(scores.mode[i, :k], pm.beta_pm, **tol)
+        if fits[i].saddle:
+            assert np.isnan(scores.logdet[i]), J
+        elif k:
+            logdet = factor_logdet(pm.neg_hessian_logpost)[1]
+            assert abs(scores.logdet[i] - logdet) <= POINT_TOL, (J, scores.logdet[i], logdet)
     return scores, fits
 
 
@@ -98,6 +126,7 @@ class TestAgainstScalarReference:
             both = [J.contains(ModelIndex((1, 2))) for J in models]
             assert scores.excluded.tolist() == both
             assert np.all(scores.log_marginal[both] == -math.inf)
+            assert np.isnan(scores.mle[both]).all() and np.isnan(scores.logdet[both]).all()
 
     def test_saddle_at_mode_is_excluded(self):
         # Mirror-image rows keep every iterate on the diagonal b1 = b2.  The
@@ -111,6 +140,20 @@ class TestAgainstScalarReference:
         scores, _ = assert_matches_scalar(d, enumerate_models(2, 2), spec)
         assert scores.excluded.tolist() == [False, False, False, True]
         assert scores.converged[3]
+
+    def test_mle_converged_at_iteration_cap(self, monkeypatch):
+        # With one Newton step allowed, the score test runs at the iterate
+        # that step reached: a Gaussian MLE is exact after one step, a
+        # logistic one is not.
+        from nlselect import glm, posterior
+        monkeypatch.setattr(glm, "MAX_NEWTON_ITER", 1)
+        monkeypatch.setattr(posterior, "MAX_NEWTON_ITER", 1)
+        for family, want in (("gaussian", True), ("logistic", False)):
+            d = random_dataset(family, seed=4, n=80, p=3)
+            models = enumerate_models(3, 3)[1:]
+            scores = score_models(d, blocks(models), spimom())
+            assert scores.mle_converged.tolist() == [fit_mle(d, J).converged for J in models]
+            assert scores.mle_converged.tolist() == [want] * len(models)
 
     def test_separated_logistic_is_flagged(self):
         d = random_dataset("logistic", seed=5, n=80, p=3, separated=True)

@@ -193,7 +193,7 @@ class TestExtremalEigenvalues:
             X = math.sqrt(dim) * np.linalg.cholesky(a).T
             d = Dataset(y=rng.normal(size=dim), X=X, family="gaussian")
             J = ModelIndex(tuple(range(1, dim + 1)))
-            diag = hessian_diagnostics(d, fit_mle(d, J), [np.zeros(dim)])
+            diag = hessian_diagnostics(d, J, fit_mle(d, J).beta_hat, [np.zeros(dim)])
             ref = np.linalg.eigvalsh(a)
             assert diag.c_l_hat == pytest.approx(ref[0], rel=1e-9)
             assert diag.c_u_hat == pytest.approx(ref[-1], rel=1e-9)
@@ -211,7 +211,8 @@ class TestExtremalEigenvalues:
         y = np.arange(sum(sizes)) % 2.0
         d = Dataset(y=y, X=X, family="logistic")
         b1, b2 = np.array([0.0, 3.0, 1.0]), np.array([1.0, 0.0, 0.0])
-        diag = hessian_diagnostics(d, fit_mle(d, ModelIndex((1, 2, 3))), [b1, b2])
+        J = ModelIndex((1, 2, 3))
+        diag = hessian_diagnostics(d, J, fit_mle(d, J).beta_hat, [b1, b2])
         def v(t):
             return 1.0 / (4.0 * np.cosh(t / 2.0) ** 2)
 
