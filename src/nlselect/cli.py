@@ -1,8 +1,9 @@
 """Command-line front door: selection runs, simulation, prior density grids,
 and the rate/consistency studies, all seeded and machine-readable.
 
-Exit codes: 0 success, 2 malformed input (CSV or command line), 3 invalid
-configuration, 4 model space over the enumeration cap without --search.
+Exit codes: 0 success, 2 malformed input (CSV or command line) or an
+unwritable output path, 3 invalid configuration, 4 model space over the
+enumeration cap without --search.
 JSON output serializes numbers with 17 significant digits and sorted keys,
 so rerunning an echoed configuration reproduces files byte-for-byte;
 non-finite values appear as the strings "inf", "-inf", "nan".  Output files
@@ -136,10 +137,16 @@ def _csv_cell(v) -> str:
 
 
 def write_atomic(path: str, text: str) -> None:
+    """Write through a temporary sibling; on failure remove it, raise InputError."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        raise InputError(f"{path}: {exc.strerror}") from None
 
 
 def rows_to_csv(rows: Sequence[dict]) -> str:
@@ -405,10 +412,10 @@ def _summary_rows(summary: dict, label: str = "summary") -> list[dict]:
     return rows
 
 
-def _study_config(args, n_grid: tuple[int, ...]) -> ExperimentConfig:
+def _study_config(args, n_grid: tuple[int, ...],
+                  spec: NonlocalPriorSpec) -> ExperimentConfig:
     family = _check_family(args.family)
     j0 = _parse_support(args.j0)
-    spec = _prior_from_args(args)
     beta0 = None
     decay_c = decay_m = None
     if args.m is not None:
@@ -445,41 +452,39 @@ def cmd_study(args) -> int:
         raise ConfigError("empty n-grid")
     if args.budget < 0:
         raise ConfigError("--budget must be nonnegative")
+    spec = _prior_from_args(args)
 
     config_echo = {
         "subcommand": "study", "study": args.study, "family": args.family,
         "p": args.p, "q": args.q, "j0": args.j0, "beta0": args.beta0,
         "m": args.m, "decay_c": args.decay_c, "n_grid": list(n_grid),
-        "reps": args.reps, "seed": args.seed, "prior": args.prior,
-        "r": args.r, "tau": args.tau, "lambda": args.lam,
-        "paper_constant": args.paper_constant, "scalar": bool(args.scalar),
+        "reps": args.reps, "seed": args.seed, "prior": _prior_echo(spec),
         "design": args.design, "rho": args.rho, "sigma2": args.sigma2,
-        "epsilon": args.epsilon, "nu": args.nu,
+        "epsilon": args.epsilon, "nu": args.nu, "scalar": bool(args.scalar),
         "search": bool(args.search), "budget": args.budget,
     }
 
-    if args.study == "mode-rate" and args.scalar:
-        spec = _prior_from_args(args)
-        table = experiments.scalar_mode_rate_table(spec, n_grid)
-        rows = [{"prior": experiments._prior_label(spec), "n": n, "mode": m}
-                for n, m, _ in table.rows]
-        summary = {"study": "mode-rate-scalar",
-                   "prior": experiments._prior_label(spec),
-                   "slope": table.slope, "slope_se": table.slope_se,
-                   "note": table.note,
-                   "per_n": [{"n": n, "mode": m} for n, m, _ in table.rows]}
-    else:
-        cfg = _study_config(args, n_grid)
-        budget = args.budget if args.search else None
-        extra = {"search_budget": budget} if args.study == "consistency" else {}
-        try:
+    try:
+        if args.study == "mode-rate" and args.scalar:
+            table = experiments.scalar_mode_rate_table(spec, n_grid)
+            rows = [{"prior": experiments._prior_label(spec), "n": n, "mode": m}
+                    for n, m, _ in table.rows]
+            summary = {"study": "mode-rate-scalar",
+                       "prior": experiments._prior_label(spec),
+                       "slope": table.slope, "slope_se": table.slope_se,
+                       "note": table.note,
+                       "per_n": [{"n": n, "mode": m} for n, m, _ in table.rows]}
+        else:
+            cfg = _study_config(args, n_grid, spec)
+            budget = args.budget if args.search else None
+            extra = {"search_budget": budget} if args.study == "consistency" else {}
             res = STUDIES[args.study](cfg, **extra)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        rows = res.rows
-        summary = res.summary()
-        if len(n_grid) < 2 and not summary.get("note"):
-            summary["note"] = "no trend computable"
+            rows = res.rows
+            summary = res.summary()
+            if len(n_grid) < 2 and not summary.get("note"):
+                summary["note"] = "no trend computable"
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     csv_rows = [{"row_type": "replication", **r} for r in rows]
     csv_rows.extend(_summary_rows(summary))

@@ -1,6 +1,7 @@
 """Simulation harness: desk-scale empirical checks of the asymptotic claims.
 
-Four studies, all bit-reproducible from (config, seed):
+Four studies, each one pass over the same replication loop
+(``_replications``), so all are bit-reproducible from (config, seed):
 
 * ``mle_rate_study``      -- l2 error of the MLE on the true support.
 * ``mode_rate_study``     -- distance between posterior mode and MLE on a
@@ -22,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -73,10 +74,7 @@ class ExperimentConfig:
             raise ValueError("need |J0| <= q <= p")
         if self.true_support.size and self.true_support.indices[-1] > self.p:
             raise ValueError("true support indexes beyond p")
-        if not self.n_grid or any(n <= 1 for n in self.n_grid):
-            raise ValueError("n_grid entries must exceed 1")
-        if any(a >= b for a, b in zip(self.n_grid, self.n_grid[1:])):
-            raise ValueError("n_grid must be strictly increasing")
+        _check_n_grid(self.n_grid)
         if self.replications < 1:
             raise ValueError("need at least one replication")
         has_fixed = self.beta0 is not None
@@ -104,6 +102,15 @@ class ExperimentConfig:
         return np.full(self.true_support.size, value)
 
 
+def _check_n_grid(n_grid: Sequence[int]) -> None:
+    """Raise ValueError unless ``n_grid`` is nonempty, strictly increasing
+    and above 1."""
+    if not n_grid or any(n <= 1 for n in n_grid):
+        raise ValueError("n_grid entries must exceed 1")
+    if any(a >= b for a, b in zip(n_grid, n_grid[1:])):
+        raise ValueError("n_grid must be strictly increasing")
+
+
 def simulate_dataset(cfg: ExperimentConfig, n: int,
                      stream: RandomStream) -> tuple[Dataset, np.ndarray]:
     """Draw one dataset of size ``n`` under the configured truth.
@@ -127,6 +134,19 @@ def simulate_dataset(cfg: ExperimentConfig, n: int,
     return Dataset(y=y, X=X, family=cfg.family, dispersion=cfg.dispersion), beta0
 
 
+def _replications(cfg: ExperimentConfig
+                  ) -> Iterator[tuple[int, int, RandomStream, Dataset, np.ndarray]]:
+    """``(n, rep, stream, dataset, beta0)`` for every replication, n-major.
+    Replication ``rep`` at grid position ``i`` draws its dataset from the
+    stream at path ``(i, rep)`` under ``cfg.seed``."""
+    root = make_stream(cfg.seed)
+    for ni, n in enumerate(cfg.n_grid):
+        for rep in range(cfg.replications):
+            stream = derive_stream(derive_stream(root, ni), rep)
+            d, beta0 = simulate_dataset(cfg, n, stream)
+            yield n, rep, stream, d, beta0
+
+
 # =============================================================================
 # Rate tables
 # =============================================================================
@@ -141,6 +161,11 @@ class RateTable:
     slope: Optional[float] = None
     slope_se: Optional[float] = None
     note: str = ""
+
+    def summary(self) -> dict:
+        return {"statistic": self.statistic, "slope": self.slope,
+                "slope_se": self.slope_se, "note": self.note,
+                "per_n": [{"n": n, "median": m, "iqr": i} for n, m, i in self.rows]}
 
 
 def _fit_loglog(ns: Sequence[int], medians: Sequence[float]
@@ -160,11 +185,12 @@ def _fit_loglog(ns: Sequence[int], medians: Sequence[float]
 
 
 def _rate_table(statistic: str, ns: Sequence[int],
-                groups: Sequence[Sequence[float]]) -> RateTable:
+                values: Sequence[tuple[int, float]]) -> RateTable:
+    """Rate table of the ``(n, value)`` pairs, grouped by the n of ``ns``."""
     rows = []
     medians = []
-    for n, vals in zip(ns, groups):
-        arr = np.asarray(vals, dtype=float)
+    for n in ns:
+        arr = np.array([v for m, v in values if m == n], dtype=float)
         if arr.size == 0:
             rows.append((n, float("nan"), float("nan")))
             medians.append(float("nan"))
@@ -201,18 +227,15 @@ class MleRateResult:
     table: RateTable
     scaled_medians: list[tuple[int, float]]  # (n, n^(1/3) * median)
     rows: list[dict]
-    excluded: int
+
+    @property
+    def excluded(self) -> int:
+        return sum(not r["converged"] for r in self.rows)
 
     def summary(self) -> dict:
         return {
-            "study": "mle-rate",
-            "statistic": self.table.statistic,
-            "per_n": [{"n": n, "median": m, "iqr": i}
-                      for n, m, i in self.table.rows],
+            "study": "mle-rate", **self.table.summary(),
             "scaled_medians": [{"n": n, "value": v} for n, v in self.scaled_medians],
-            "slope": self.table.slope,
-            "slope_se": self.table.slope_se,
-            "note": self.table.note,
             "excluded_replications": self.excluded,
         }
 
@@ -224,28 +247,16 @@ def mle_rate_study(cfg: ExperimentConfig) -> MleRateResult:
     medians and counted.  The scaled statistic n^(1/3) * median tracks
     whether the error decays faster than the theoretical envelope.
     """
-    root = make_stream(cfg.seed)
     rows: list[dict] = []
-    groups: list[list[float]] = []
-    excluded = 0
-    for ni, n in enumerate(cfg.n_grid):
-        vals: list[float] = []
-        for rep in range(cfg.replications):
-            stream = derive_stream(derive_stream(root, ni), rep)
-            d, beta0 = simulate_dataset(cfg, n, stream)
-            scores = score_models(d, [[cfg.true_support.indices]], cfg.priors[0])
-            err = float(np.linalg.norm(scores.mle[0] - beta0))
-            rows.append({"n": n, "rep": rep, "l2_error": err,
-                         "converged": bool(scores.mle_converged[0])})
-            if scores.mle_converged[0]:
-                vals.append(err)
-            else:
-                excluded += 1
-        groups.append(vals)
-    table = _rate_table("l2 error of MLE on true support", cfg.n_grid, groups)
+    for n, rep, _, d, beta0 in _replications(cfg):
+        scores = score_models(d, [[cfg.true_support.indices]], cfg.priors[0])
+        rows.append({"n": n, "rep": rep,
+                     "l2_error": float(np.linalg.norm(scores.mle[0] - beta0)),
+                     "converged": bool(scores.mle_converged[0])})
+    table = _rate_table("l2 error of MLE on true support", cfg.n_grid,
+                        [(r["n"], r["l2_error"]) for r in rows if r["converged"]])
     scaled = [(n, n ** (1.0 / 3.0) * med) for n, med, _ in table.rows]
-    return MleRateResult(table=table, scaled_medians=scaled, rows=rows,
-                         excluded=excluded)
+    return MleRateResult(table=table, scaled_medians=scaled, rows=rows)
 
 
 # =============================================================================
@@ -275,9 +286,9 @@ def scalar_null_mode(spec: NonlocalPriorSpec, n: float) -> float:
 
 def scalar_mode_rate_table(spec: NonlocalPriorSpec, n_grid: Sequence[int]) -> RateTable:
     """Rate table of the analytic null-coordinate mode over an n-grid."""
-    groups = [[scalar_null_mode(spec, n)] for n in n_grid]
-    return _rate_table(f"scalar null-coordinate mode, {_prior_label(spec)}",
-                       list(n_grid), groups)
+    _check_n_grid(n_grid)
+    return _rate_table(f"scalar null-coordinate mode, {_prior_label(spec)}", n_grid,
+                       [(n, scalar_null_mode(spec, n)) for n in n_grid])
 
 
 @dataclass
@@ -288,16 +299,11 @@ class ModeRateResult:
     rows: list[dict]
 
     def summary(self) -> dict:
-        def tab(t: RateTable) -> dict:
-            return {"statistic": t.statistic, "slope": t.slope,
-                    "slope_se": t.slope_se, "note": t.note,
-                    "per_n": [{"n": n, "median": m, "iqr": i}
-                              for n, m, i in t.rows]}
         return {
             "study": "mode-rate",
             "null_index": self.null_index,
-            "pipeline": {k: tab(t) for k, t in self.tables.items()},
-            "scalar": {k: tab(t) for k, t in self.scalar_tables.items()},
+            "pipeline": {k: t.summary() for k, t in self.tables.items()},
+            "scalar": {k: t.summary() for k, t in self.scalar_tables.items()},
         }
 
 
@@ -311,31 +317,23 @@ def mode_rate_study(cfg: ExperimentConfig) -> ModeRateResult:
     if cfg.true_support.size >= cfg.p:
         raise ValueError("no null coordinate available: |J0| = p")
     null_index = min(set(range(1, cfg.p + 1)) - set(cfg.true_support.indices))
-    model = cfg.true_support.with_added(null_index)
-    null_pos = model.indices.index(null_index)
-    root = make_stream(cfg.seed)
+    model = sorted(cfg.true_support.indices + (null_index,))
+    null_pos = model.index(null_index)
     rows: list[dict] = []
     tables: dict[str, RateTable] = {}
-    for si, spec in enumerate(cfg.priors):
+    for spec in cfg.priors:
         label = _prior_label(spec)
-        groups: list[list[float]] = []
-        for ni, n in enumerate(cfg.n_grid):
-            vals: list[float] = []
-            for rep in range(cfg.replications):
-                stream = derive_stream(derive_stream(root, ni), rep)
-                d, _ = simulate_dataset(cfg, n, stream)
-                scores = score_models(d, [[model.indices]], spec)
-                if not (scores.mle_converged[0] and scores.converged[0]):
-                    rows.append({"prior": label, "n": n, "rep": rep,
-                                 "null_gap": float("nan"), "converged": False})
-                    continue
-                gap = abs(float(scores.mode[0, null_pos] - scores.mle[0, null_pos]))
-                rows.append({"prior": label, "n": n, "rep": rep,
-                             "null_gap": gap, "converged": True})
-                vals.append(gap)
-            groups.append(vals)
+        start = len(rows)
+        for n, rep, _, d, _ in _replications(cfg):
+            scores = score_models(d, [[model]], spec)
+            ok = bool(scores.mle_converged[0] and scores.converged[0])
+            gap = (abs(float(scores.mode[0, null_pos] - scores.mle[0, null_pos]))
+                   if ok else float("nan"))
+            rows.append({"prior": label, "n": n, "rep": rep, "null_gap": gap,
+                         "converged": ok})
         tables[label] = _rate_table(
-            f"null-coordinate |mode - MLE|, {label}", cfg.n_grid, groups)
+            f"null-coordinate |mode - MLE|, {label}", cfg.n_grid,
+            [(r["n"], r["null_gap"]) for r in rows[start:] if r["converged"]])
     scalar_tables = {_prior_label(s): scalar_mode_rate_table(s, cfg.n_grid)
                      for s in cfg.priors}
     return ModeRateResult(tables=tables, scalar_tables=scalar_tables,
@@ -422,39 +420,35 @@ def logm_ratio_study(cfg: ExperimentConfig, supersets_per_size: int = 20
     """
     spec = cfg.priors[0]
     truth = cfg.true_support
-    root = make_stream(cfg.seed)
     rows: list[dict] = []
     max_gap = 0.0
-    for ni, n in enumerate(cfg.n_grid):
-        for rep in range(cfg.replications):
-            stream = derive_stream(derive_stream(root, ni), rep)
-            d, _ = simulate_dataset(cfg, n, stream)
-            models = [truth] + _sample_supersets(truth, cfg.p, cfg.q,
-                                                 supersets_per_size,
-                                                 derive_stream(stream, 10**6))
-            scores = score_models(d, [[J.indices] for J in models], spec)
-            logm = scores.log_marginal.tolist()
-            pieces0 = _marginal_pieces(d, truth, spec, scores, 0)
-            for i, J in enumerate(models[1:], start=1):
-                if not math.isfinite(logm[i]):
-                    continue
-                pieces = _marginal_pieces(d, J, spec, scores, i)
-                total = pieces["total"] - pieces0["total"]
-                gap = abs((logm[i] - logm[0]) - total)
-                max_gap = max(max_gap, gap)
-                extra = J.size - truth.size
-                rows.append({
-                    "n": n, "rep": rep, "extra": extra,
-                    "log_ratio": logm[i] - logm[0],
-                    "loglik_part": pieces["loglik"] - pieces0["loglik"],
-                    "prior_part_dominant":
-                        pieces["kernel_dominant"] - pieces0["kernel_dominant"],
-                    "prior_part_exact": pieces["kernel"] - pieces0["kernel"],
-                    "rest_part": pieces["rest"] - pieces0["rest"],
-                    "identity_gap": gap,
-                    "predicted_first_term":
-                        (1.0 + cfg.epsilon) * (cfg.nu + extra) * math.log(cfg.p),
-                })
+    for n, rep, stream, d, _ in _replications(cfg):
+        models = [truth] + _sample_supersets(truth, cfg.p, cfg.q,
+                                             supersets_per_size,
+                                             derive_stream(stream, 10**6))
+        scores = score_models(d, [[J.indices] for J in models], spec)
+        logm = scores.log_marginal.tolist()
+        pieces0 = _marginal_pieces(d, truth, spec, scores, 0)
+        for i, J in enumerate(models[1:], start=1):
+            if not math.isfinite(logm[i]):
+                continue
+            pieces = _marginal_pieces(d, J, spec, scores, i)
+            total = pieces["total"] - pieces0["total"]
+            gap = abs((logm[i] - logm[0]) - total)
+            max_gap = max(max_gap, gap)
+            extra = J.size - truth.size
+            rows.append({
+                "n": n, "rep": rep, "extra": extra,
+                "log_ratio": logm[i] - logm[0],
+                "loglik_part": pieces["loglik"] - pieces0["loglik"],
+                "prior_part_dominant":
+                    pieces["kernel_dominant"] - pieces0["kernel_dominant"],
+                "prior_part_exact": pieces["kernel"] - pieces0["kernel"],
+                "rest_part": pieces["rest"] - pieces0["rest"],
+                "identity_gap": gap,
+                "predicted_first_term":
+                    (1.0 + cfg.epsilon) * (cfg.nu + extra) * math.log(cfg.p),
+            })
     per_group: list[dict] = []
     for n in cfg.n_grid:
         for extra in sorted({r["extra"] for r in rows}):
@@ -507,25 +501,21 @@ def consistency_study(cfg: ExperimentConfig,
     spec = cfg.priors[0]
     truth = cfg.true_support
     strata = None if search_budget is not None else enumerate_strata(cfg.p, cfg.q)
-    root = make_stream(cfg.seed)
     rows: list[dict] = []
-    for ni, n in enumerate(cfg.n_grid):
-        for rep in range(cfg.replications):
-            stream = derive_stream(derive_stream(root, ni), rep)
-            d, _ = simulate_dataset(cfg, n, stream)
-            if strata is not None:
-                scores = score_models(d, strata, spec)
-                post = normalize_strata(strata, scores.log_marginal, cfg.q)
-            else:
-                post, _ = greedy_search(d, spec, cfg.q, search_budget,
-                                        derive_stream(stream, 10**6))
-            post.set_truth(truth)
-            rows.append({
-                "n": n, "rep": rep,
-                "prob_truth": post.probability_of(truth),
-                "mass_a": post.mass_a, "mass_b": post.mass_b,
-                "top_is_truth": post.top == truth,
-            })
+    for n, rep, stream, d, _ in _replications(cfg):
+        if strata is not None:
+            scores = score_models(d, strata, spec)
+            post = normalize_strata(strata, scores.log_marginal, cfg.q)
+        else:
+            post, _ = greedy_search(d, spec, cfg.q, search_budget,
+                                    derive_stream(stream, 10**6))
+        post.set_truth(truth)
+        rows.append({
+            "n": n, "rep": rep,
+            "prob_truth": post.probability_of(truth),
+            "mass_a": post.mass_a, "mass_b": post.mass_b,
+            "top_is_truth": post.top == truth,
+        })
     per_n: list[dict] = []
     for n in cfg.n_grid:
         grp = [r for r in rows if r["n"] == n]

@@ -65,9 +65,6 @@ class ModelIndex:
     def contains(self, other: "ModelIndex") -> bool:
         return set(other.indices) <= set(self.indices)
 
-    def with_added(self, j: int) -> "ModelIndex":
-        return ModelIndex.of(self.indices + (j,))
-
     def __str__(self) -> str:
         return "{" + ",".join(map(str, self.indices)) + "}"
 
@@ -110,20 +107,12 @@ class ModelPosterior:
         return tuple(self.strata[k][i - self._starts[k]].tolist())
 
     def probability_of(self, model: ModelIndex) -> float:
-        """Probability of ``model``, 0 when it was not evaluated.  A binary
-        search of its stratum, one column at a time."""
+        """Probability of ``model``, 0 when it was not evaluated."""
         k = model.size
         if k >= len(self.strata):
             return 0.0
-        rows = self.strata[k]
-        lo, hi = 0, rows.shape[0]
-        for j, v in enumerate(model.indices):
-            col = rows[lo:hi, j]
-            lo, hi = (lo + int(np.searchsorted(col, v, "left")),
-                      lo + int(np.searchsorted(col, v, "right")))
-        if lo == hi:
-            return 0.0
-        return float(self.probability[self._starts[k] + lo])
+        hit = np.flatnonzero((self.strata[k] == model.indices).all(axis=1))
+        return float(self.probability[self._starts[k] + hit[0]]) if hit.size else 0.0
 
     def set_truth(self, truth: ModelIndex) -> None:
         """Set ``truth`` and its masses ``mass_a`` and ``mass_b``."""

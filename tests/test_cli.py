@@ -20,7 +20,8 @@ def run(argv):
 
 
 def load_json(path):
-    return json.load(open(path, encoding="utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 class TestSimulate:
@@ -159,6 +160,17 @@ class TestFit:
         assert run(["fit", "--input", data, "--q", 3, "--out", out]) == 0
         assert load_json(out)["top"] == [2, 7]
 
+    @pytest.mark.parametrize("out", ["missing/x.json", "outdir"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, out):
+        # "outdir" is an existing directory: the temp file must not stay behind
+        data = self.make_data(tmp_path)
+        (tmp_path / "outdir").mkdir()
+        out = tmp_path / out
+        assert run(["fit", "--input", data, "--q", 1, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}:") and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["d.csv", "d.csv.truth.json", "outdir"]
+
     def test_negative_budget_exits_3(self, tmp_path, capsys):
         data = self.make_data(tmp_path)
         assert run(["fit", "--input", data, "--search", "--budget", -5]) == 3
@@ -268,6 +280,30 @@ class TestStudyCommand:
         assert not (tmp_path / "cons.json").exists()
         assert run(argv + ["--budget", 0]) == 0
         assert (tmp_path / "cons.json").exists()
+
+    def test_config_echoes_effective_prior(self, tmp_path):
+        from nlselect.priors import lambda_for_origin_mass
+        prefix = tmp_path / "mode"
+        assert run(["study", "--study", "mode-rate", "--p", 4, "--reps", 2,
+                    "--n-grid", "50,100", "--effect-floor", 0.3, "--out", prefix]) == 0
+        config = load_json(str(prefix) + ".json")["config"]
+        assert config["prior"] == {"kind": "spimom", "r": 1.0, "paper_constant": False,
+                                   "scale": lambda_for_origin_mass(0.3, r=1.0)}
+        assert not {"r", "tau", "lambda", "paper_constant"} & set(config)
+
+    @pytest.mark.parametrize("grid", ["-5,10", "0", "100,10"])
+    def test_scalar_mode_rate_checks_n_grid(self, tmp_path, capsys, grid):
+        assert run(["study", "--study", "mode-rate", "--scalar", f"--n-grid={grid}",
+                    "--out", tmp_path / "s"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_grid") and err.count("\n") == 1
+        assert not os.listdir(tmp_path)
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        prefix = tmp_path / "missing" / "x"
+        assert run(["study", "--study", "mode-rate", "--scalar", "--out", prefix]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {prefix}.csv:") and err.count("\n") == 1
 
     def test_unknown_study_exits_3(self, tmp_path):
         assert run(["study", "--study", "nope", "--out", tmp_path / "x"]) == 3

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from nlselect import experiments
+from nlselect.cli import to_json
 from nlselect.experiments import (DESIGN_EQUICORRELATED, ExperimentConfig,
                                   consistency_study, hessian_diagnostics,
                                   logm_ratio_study, mle_rate_study,
@@ -264,6 +266,11 @@ class TestHessianDiagnostics:
         assert diag.c1_max == pytest.approx(ref, rel=1e-12)
 
 
+STUDIES = [mle_rate_study, mode_rate_study, logm_ratio_study, consistency_study,
+           lambda cfg: consistency_study(cfg, search_budget=12)]
+STUDY_IDS = ["mle-rate", "mode-rate", "logm-ratio", "consistency", "consistency-search"]
+
+
 class TestReproducibility:
     def test_mle_rate_rows_bit_identical(self):
         cfg = base_config(n_grid=(100, 200), replications=3)
@@ -271,3 +278,46 @@ class TestReproducibility:
         b = mle_rate_study(cfg)
         assert a.rows == b.rows
         assert a.table.rows == b.table.rows
+
+    @pytest.mark.parametrize("study", STUDIES, ids=STUDY_IDS)
+    def test_rows_and_summary_bit_identical(self, study):
+        # compared as written, since a NaN row value never equals itself
+        cfg = base_config(p=4, n_grid=(60, 120), replications=2, seed=8)
+        a, b = study(cfg), study(cfg)
+        assert to_json([a.rows, a.summary()]) == to_json([b.rows, b.summary()])
+
+
+class TestReplicationContract:
+    """Replication ``rep`` at grid position ``i`` draws its dataset from the
+    stream at path ``(i, rep)``, n-major, in every study."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        calls = []
+        simulate = experiments.simulate_dataset
+
+        def recording(cfg, n, stream):
+            calls.append((n, stream.path))
+            return simulate(cfg, n, stream)
+
+        monkeypatch.setattr(experiments, "simulate_dataset", recording)
+        return calls
+
+    @staticmethod
+    def expected(cfg):
+        return [(n, (i, rep)) for i, n in enumerate(cfg.n_grid)
+                for rep in range(cfg.replications)]
+
+    @pytest.mark.parametrize("study", STUDIES, ids=STUDY_IDS)
+    def test_stream_paths(self, draws, study):
+        cfg = base_config(p=4, n_grid=(60, 90, 120), replications=2, seed=8)
+        study(cfg)
+        assert draws == self.expected(cfg)
+
+    def test_mode_rate_repeats_per_prior(self, draws):
+        cfg = base_config(p=4, n_grid=(60, 120), replications=2,
+                          priors=(spimom(), pimom()))
+        res = mode_rate_study(cfg)
+        assert draws == 2 * self.expected(cfg)
+        assert [r["prior"] for r in res.rows] == (
+            ["spimom(r=1,scale=1)"] * 4 + ["pimom(r=1,scale=1)"] * 4)
