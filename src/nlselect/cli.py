@@ -41,10 +41,9 @@ DEFAULT_BUDGET = 200
 SCALAR_N_GRID = (10**3, 10**4, 10**5, 10**6, 10**7)
 PIPELINE_N_GRID = (200, 800, 3200, 12800)
 CONSISTENCY_N_GRID = (100, 200, 400, 800)
-STUDIES = {"mle-rate": experiments.mle_rate_study,
-           "mode-rate": experiments.mode_rate_study,
-           "logm-ratio": experiments.logm_ratio_study,
-           "consistency": experiments.consistency_study}
+# study name -> function in ``experiments``, looked up when the command runs
+STUDIES = {"mle-rate": "mle_rate_study", "mode-rate": "mode_rate_study",
+           "logm-ratio": "logm_ratio_study", "consistency": "consistency_study"}
 
 
 class ConfigError(Exception):
@@ -136,16 +135,24 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def write_atomic(path: str, text: str) -> None:
-    """Write through a temporary sibling; on failure remove it, raise InputError."""
-    tmp = path + ".tmp"
+def write_atomic(files: dict[str, str]) -> None:
+    """Write each path's text through a temporary sibling, then rename them
+    all into place.  All or none: on failure remove the temporaries and the
+    files already renamed, and raise InputError naming the failed path."""
+    renamed = []
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in files.items():
+            with open(path + ".tmp", "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for path in files:
+            os.replace(path + ".tmp", path)
+            renamed.append(path)
     except OSError as exc:
-        if os.path.isfile(tmp):
-            os.remove(tmp)
+        for done in files:
+            if os.path.isfile(done + ".tmp"):
+                os.remove(done + ".tmp")
+        for done in renamed:
+            os.remove(done)
         raise InputError(f"{path}: {exc.strerror}") from None
 
 
@@ -328,7 +335,7 @@ def cmd_fit(args) -> int:
     }
     text = to_json(result) + "\n"
     if args.out:
-        write_atomic(args.out, text)
+        write_atomic({args.out: text})
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -354,7 +361,6 @@ def cmd_simulate(args) -> int:
         d, realized = experiments.simulate_dataset(cfg, args.n, make_stream(args.seed))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    write_atomic(args.out, dataset_to_csv(d))
     sidecar = {
         "config": {"subcommand": "simulate", "family": family, "p": args.p,
                    "n": args.n, "seed": args.seed, "design": args.design,
@@ -363,7 +369,8 @@ def cmd_simulate(args) -> int:
         "beta0": list(realized),
         "csv": args.out,
     }
-    write_atomic(args.out + ".truth.json", to_json(sidecar) + "\n")
+    write_atomic({args.out: dataset_to_csv(d),
+                  args.out + ".truth.json": to_json(sidecar) + "\n"})
     return EXIT_OK
 
 
@@ -383,7 +390,7 @@ def cmd_density(args) -> int:
     rows = [{"beta": b, "density": v} for b, v in zip(grid, dens)]
     text = rows_to_csv(rows)
     if args.out:
-        write_atomic(args.out, text)
+        write_atomic({args.out: text})
     else:
         sys.stdout.write(text)
     if args.verify:
@@ -478,7 +485,7 @@ def cmd_study(args) -> int:
             cfg = _study_config(args, n_grid, spec)
             budget = args.budget if args.search else None
             extra = {"search_budget": budget} if args.study == "consistency" else {}
-            res = STUDIES[args.study](cfg, **extra)
+            res = getattr(experiments, STUDIES[args.study])(cfg, **extra)
             rows = res.rows
             summary = res.summary()
             if len(n_grid) < 2 and not summary.get("note"):
@@ -489,9 +496,9 @@ def cmd_study(args) -> int:
     csv_rows = [{"row_type": "replication", **r} for r in rows]
     csv_rows.extend(_summary_rows(summary))
     out_prefix = args.out if args.out else args.study
-    write_atomic(out_prefix + ".csv", rows_to_csv(csv_rows))
-    write_atomic(out_prefix + ".json",
-                 to_json({"config": config_echo, "summary": summary}) + "\n")
+    write_atomic({out_prefix + ".csv": rows_to_csv(csv_rows),
+                  out_prefix + ".json":
+                  to_json({"config": config_echo, "summary": summary}) + "\n"})
     return EXIT_OK
 
 

@@ -10,14 +10,20 @@ batch kernels over a :class:`ModelBatch` (M models of one size k, as an
 batched scoring engine in ``posterior`` runs in lockstep.  The per-model
 functions take a :class:`ModelIndex` and a coefficient vector and run the
 same kernels on a one-row batch.
+
+:func:`newton_ascent` is the scalar reference's one damped Newton loop:
+:func:`fit_mle` runs it on the log-likelihood, and
+``posterior.find_posterior_mode`` on the log posterior.  The batched engine
+has its own lockstep loop in ``posterior``; neither calls the other's.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import gammaln
@@ -25,7 +31,8 @@ from scipy.special import gammaln
 from .modelspace import ModelIndex
 from .numerics import NotPositiveDefinite, SpdMatrix, batch_cho_solve, batch_cholesky
 
-SCORE_TOL_PER_OBS = 1e-8
+# the gradient test of every Newton ascent: |g|_inf <= GRAD_TOL_PER_OBS * n
+GRAD_TOL_PER_OBS = 1e-8
 MAX_NEWTON_ITER = 100
 MAX_HALVINGS = 60
 SEPARATION_CAP = 30.0
@@ -220,54 +227,104 @@ def neg_hessian(d: Dataset, J: ModelIndex, beta: np.ndarray) -> SpdMatrix:
     return SpdMatrix(batch_score_hessian(batch, row)[1][0])
 
 
-def fit_mle(d: Dataset, J: ModelIndex) -> GlmFit:
-    """Damped Newton MLE from beta = 0 with step-halving.
+# Where a Newton ascent stopped; scalars for one model, per-row arrays for a batch
+NewtonAscent = namedtuple("NewtonAscent", "beta value h converged iterations singular")
 
-    Stops when the score infinity-norm drops below 1e-8 * n, after
-    ``MAX_NEWTON_ITER`` iterations, or when the accepted step leaves beta
-    unchanged in floating point (the Newton decrement is below the
-    objective's resolution; ``converged`` then reports whether the score
-    test holds).  For logistic models a fitted coefficient exceeding
-    ``SEPARATION_CAP`` in magnitude sets the ``separation`` flag, signalling
-    that the MLE likely does not exist; this is a flag, not an error, and
-    the capped fit is still returned.
+
+def newton_ascent(objective: Callable[[np.ndarray], float],
+                  derivatives: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+                  beta: np.ndarray, n: int, max_iter: int, ridge_tries: int,
+                  step_cap: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
+                  ) -> NewtonAscent:
+    """Damped Newton ascent of ``objective`` from ``beta``, for one model.
+
+    ``derivatives(b)`` returns the gradient and the negative Hessian.  Each
+    iteration solves for the Newton step by Cholesky; where the negative
+    Hessian does not factor it retries with a ridge, doubling from
+    1e-8 max(1, max|h|), up to ``ridge_tries`` tries in all.  The step starts
+    at fraction ``step_cap(beta, step)`` (else 1) and is halved, at most
+    ``MAX_HALVINGS`` times, until the objective does not decrease.  The
+    ascent stops when the gradient's infinity-norm is at most
+    ``GRAD_TOL_PER_OBS * n``, when no Newton step factors (``singular``),
+    when no halving is accepted or the accepted step leaves beta unchanged
+    in floating point (the Newton decrement is below the objective's
+    resolution), or after ``max_iter`` steps.  Returns the final iterate,
+    the objective and the negative Hessian there, ``converged`` (the
+    gradient test at that iterate), the steps taken and ``singular``.
     """
-    if J.size == 0:
-        return GlmFit(beta_hat=np.zeros(0), converged=True, iterations=0)
-    batch = model_batch(d, J.cols[None, :])
-    tol = SCORE_TOL_PER_OBS * d.n
-    beta = np.zeros(J.size)
-    ll = float(batch_log_likelihood(batch, beta[None])[0])
+    tol = GRAD_TOL_PER_OBS * n
+    value = objective(beta)
+    eye = np.eye(beta.size)
     iterations = 0
-    for _ in range(MAX_NEWTON_ITER):
-        g, h = batch_score_hessian(batch, beta[None])
+    singular = False
+    for _ in range(max_iter):
+        g, h = derivatives(beta)
         if float(np.abs(g).max()) <= tol:
             break
-        factor, ok = batch_cholesky(h[0])
-        if not ok:
-            raise NotPositiveDefinite(f"rank-deficient design for model {J}")
-        step = batch_cho_solve(factor, g[0])
-        t = 1.0
+        step = None
+        ridge = 0.0
+        for _ in range(ridge_tries):
+            factor, ok = batch_cholesky(h + ridge * eye)
+            if ok:
+                step = batch_cho_solve(factor, g)
+                break
+            # indefinite away from the optimum; damp toward gradient ascent
+            ridge = max(2.0 * ridge, 1e-8 * max(1.0, float(np.abs(h).max())))
+        if step is None:
+            singular = True
+            break
+        t = 1.0 if step_cap is None else float(step_cap(beta, step))
         improved = False
         for _ in range(MAX_HALVINGS):
             cand = beta + t * step
-            cand_ll = float(batch_log_likelihood(batch, cand[None])[0])
-            if cand_ll >= ll:
+            cand_value = objective(cand)
+            if cand_value >= value:
                 improved = True
                 break
             t *= 0.5
         if not improved or np.array_equal(cand, beta):
             break
-        beta, ll = cand, cand_ll
+        beta, value = cand, cand_value
         iterations += 1
     else:
-        g = batch_score_hessian(batch, beta[None])[0]
-    # every break leaves beta where g was computed
-    converged = float(np.abs(g).max()) <= tol
+        g, h = derivatives(beta)
+    # every break leaves beta where g and h were computed
+    return NewtonAscent(beta=beta, value=value, h=h,
+                        converged=float(np.abs(g).max()) <= tol,
+                        iterations=iterations, singular=singular)
+
+
+def fit_mle(d: Dataset, J: ModelIndex) -> GlmFit:
+    """Maximum-likelihood fit: :func:`newton_ascent` of the log-likelihood
+    from beta = 0, with one Cholesky try per step, no step cap and at most
+    ``MAX_NEWTON_ITER`` iterations.
+
+    For logistic models a fitted coefficient exceeding ``SEPARATION_CAP`` in
+    magnitude sets the ``separation`` flag, signalling that the MLE likely
+    does not exist; this is a flag, not an error, and the capped fit is
+    still returned.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If the design of ``J`` is rank-deficient.
+    """
+    if J.size == 0:
+        return GlmFit(beta_hat=np.zeros(0), converged=True, iterations=0)
+    batch = model_batch(d, J.cols[None, :])
+
+    def derivatives(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        g, h = batch_score_hessian(batch, b[None])
+        return g[0], h[0]
+
+    fit = newton_ascent(lambda b: float(batch_log_likelihood(batch, b[None])[0]),
+                        derivatives, np.zeros(J.size), d.n, MAX_NEWTON_ITER, ridge_tries=1)
+    if fit.singular:
+        raise NotPositiveDefinite(f"rank-deficient design for model {J}")
     separation = (d.family == "logistic"
-                  and float(np.abs(beta).max()) > SEPARATION_CAP)
-    return GlmFit(beta_hat=beta, converged=converged, iterations=iterations,
-                  separation=separation)
+                  and float(np.abs(fit.beta).max()) > SEPARATION_CAP)
+    return GlmFit(beta_hat=fit.beta, converged=fit.converged,
+                  iterations=fit.iterations, separation=separation)
 
 
 # =============================================================================

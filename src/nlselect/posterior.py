@@ -14,7 +14,12 @@ by symmetry there.
 Two forms: :func:`score_models` scores many submodels in lockstep batches,
 and every command and study reads its marginals, MLEs and modes;
 :func:`fit_model` scores one submodel and is the readable reference that
-the engine is tested against.
+the engine is tested against.  Each form has one damped Newton loop, run
+once for the MLE and once for the mode: the engine's lockstep ``_newton``
+here, and ``glm.newton_ascent`` for the reference.  The two share only
+``glm``'s likelihood kernels.  In both, a fit is ``converged`` when the
+gradient test |g|_inf <= ``GRAD_TOL_PER_OBS`` * n holds at the returned
+iterate, whichever rule stopped the loop.
 """
 
 from __future__ import annotations
@@ -25,15 +30,15 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .glm import (MAX_HALVINGS, MAX_NEWTON_ITER, SCORE_TOL_PER_OBS, SEPARATION_CAP,
-                  Dataset, GlmFit, ModelBatch, batch_log_likelihood, batch_rows,
-                  batch_score_hessian, fit_mle, log_likelihood, model_batch)
+from .glm import (GRAD_TOL_PER_OBS, MAX_HALVINGS, MAX_NEWTON_ITER, SEPARATION_CAP,
+                  Dataset, GlmFit, ModelBatch, NewtonAscent, batch_log_likelihood,
+                  batch_rows, batch_score_hessian, fit_mle, log_likelihood, model_batch,
+                  newton_ascent)
 from .modelspace import ModelIndex
 from .numerics import (NotPositiveDefinite, SpdMatrix, batch_cho_solve,
                        batch_cholesky, factor_logdet)
 from .priors import NonlocalPriorSpec, log_prior, log_prior_grad, log_prior_neg_hessian
 
-GRAD_TOL_PER_OBS = 1e-8
 MAX_MODE_ITER = 200
 MAX_RIDGE_TRIES = 60
 MIN_NUDGE = 1e-4
@@ -81,6 +86,15 @@ def _search_start(mle: np.ndarray, mode_scale: float) -> np.ndarray:
     return np.where(mle < 0.0, np.minimum(mle, -delta0), np.maximum(mle, delta0))
 
 
+def _orthant_cap(beta: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """The largest step fraction (at most 1) that stops every sign-flipping
+    coordinate halfway to zero, for a vector or per row of a stack."""
+    flips = np.sign(beta + step) != np.sign(beta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        caps = np.where(flips, np.abs(beta) / (2.0 * np.abs(step)), np.inf)
+    return np.minimum(1.0, caps.min(axis=-1))
+
+
 def gaussian_reference_prior(sigma2: float) -> PriorFuncs:
     """Mean-zero Gaussian prior, for which Laplace is exact.
 
@@ -121,26 +135,24 @@ class PosteriorFit:
 def find_posterior_mode(d: Dataset, J: ModelIndex,
                         spec: Union[NonlocalPriorSpec, PriorFuncs],
                         mle: GlmFit) -> PosteriorFit:
-    """Damped Newton ascent of log-likelihood + log-prior in the MLE's orthant.
+    """Posterior mode in the MLE's orthant: :func:`glm.newton_ascent` of
+    log-likelihood + log-prior, with up to ``MAX_RIDGE_TRIES`` ridge tries
+    per step and at most ``MAX_MODE_ITER`` iterations.
 
     Each coordinate starts at sign(b) max(|b|, delta0), where b is its MLE
     and delta0 = max((scale/n)^(1/(2+2*zeta)), 1e-4) is the theoretical
     scale of a null coordinate's mode; zero MLE coordinates start at
     +delta0.  Any Newton step that would flip a coordinate's sign
     is shortened so the coordinate stops halfway to zero, keeping the
-    iterates inside the starting orthant where the prior is smooth.  The
-    search also stops when the accepted step leaves beta unchanged in
-    floating point: the Newton decrement is then below the objective's
-    resolution, and more iterations cannot move it.  The search takes at
-    most ``MAX_MODE_ITER`` iterations.  Non-convergence (the gradient test
-    unmet) is flagged on the returned fit, never raised.
+    iterates inside the starting orthant where the prior is smooth.
+    Non-convergence (the gradient test unmet at the returned iterate) is
+    flagged on the returned fit, never raised.
     """
     funcs = _as_prior_funcs(spec)
     if J.size == 0:
         ll = log_likelihood(d, J, np.zeros(0))
         return PosteriorFit(beta_pm=np.zeros(0), log_post_unnorm=ll,
                             neg_hessian_logpost=None, converged=True, iterations=0)
-    tol = GRAD_TOL_PER_OBS * d.n
     beta = np.array(mle.beta_hat, dtype=float)
     if funcs.barrier_at_origin:
         beta = _search_start(beta, funcs.mode_scale(d.n))
@@ -150,55 +162,16 @@ def find_posterior_mode(d: Dataset, J: ModelIndex,
     def objective(b: np.ndarray) -> float:
         return float(batch_log_likelihood(batch, b[None])[0]) + funcs.log_density(b)
 
-    def gradient_curvature(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def derivatives(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         g, h = batch_score_hessian(batch, b[None])
         return g[0] + funcs.grad(b), h[0] + np.diag(funcs.neg_hessian_diag(b))
 
-    value = objective(beta)
-    iterations = 0
-    converged = False
-    eye = np.eye(J.size)
-    for _ in range(MAX_MODE_ITER):
-        g, h = gradient_curvature(beta)
-        if float(np.abs(g).max()) <= tol:
-            converged = True
-            break
-        step = None
-        ridge = 0.0
-        for _ in range(MAX_RIDGE_TRIES):
-            factor, ok = batch_cholesky(h + ridge * eye)
-            if ok:
-                step = batch_cho_solve(factor, g)
-                break
-            # indefinite away from the mode; damp toward gradient ascent
-            ridge = max(2.0 * ridge, 1e-8 * max(1.0, float(np.abs(h).max())))
-        if step is None:
-            break
-        t = 1.0
-        if funcs.barrier_at_origin:
-            landing = beta + step
-            flips = np.sign(landing) != np.sign(beta)
-            if np.any(flips):
-                caps = np.abs(beta[flips]) / (2.0 * np.abs(step[flips]))
-                t = min(1.0, float(caps.min()))
-        improved = False
-        for _ in range(MAX_HALVINGS):
-            cand = beta + t * step
-            cand_value = objective(cand)
-            if cand_value >= value:
-                improved = True
-                break
-            t *= 0.5
-        if not improved or np.array_equal(cand, beta):
-            break
-        beta, value = cand, cand_value
-        iterations += 1
-    else:
-        h = gradient_curvature(beta)[1]
-    # every break leaves beta where h was computed
-    return PosteriorFit(beta_pm=beta, log_post_unnorm=value,
-                        neg_hessian_logpost=SpdMatrix(h),
-                        converged=converged, iterations=iterations)
+    fit = newton_ascent(objective, derivatives, beta, d.n, MAX_MODE_ITER,
+                        ridge_tries=MAX_RIDGE_TRIES,
+                        step_cap=_orthant_cap if funcs.barrier_at_origin else None)
+    return PosteriorFit(beta_pm=fit.beta, log_post_unnorm=fit.value,
+                        neg_hessian_logpost=SpdMatrix(fit.h),
+                        converged=fit.converged, iterations=fit.iterations)
 
 
 def laplace_log_marginal(d: Dataset, J: ModelIndex, pm: PosteriorFit) -> float:
@@ -256,8 +229,10 @@ class ModelScores:
     marginal (``fit_model`` sets ``saddle`` on them).  ``mle`` and ``mode``
     are (M, w) arrays padded with NaN beyond each model's size, w the widest
     model; a rank-deficient design has neither, and its ``mle_converged``
-    (the score test at the MLE's last iterate) is False.  ``converged`` and
-    ``iterations`` describe the mode search.  ``logdet`` is log det H* at
+    is False.  ``mle_converged`` and ``converged`` are the gradient test at
+    the returned MLE and mode, whether the search stopped at the test, at
+    the stall stop or at its iteration cap; ``iterations`` counts the mode
+    search's Newton steps.  ``logdet`` is log det H* at
     the mode, NaN where H* fails to factor.  ``separation`` is the logistic
     MLE's flag (a coefficient beyond ``SEPARATION_CAP``).
     """
@@ -319,168 +294,116 @@ def score_models(d: Dataset, models: Sequence[np.ndarray],
 
 def _score_batch(batch: ModelBatch, spec: NonlocalPriorSpec, out: ModelScores,
                  rows: np.ndarray) -> None:
-    beta, full_rank, out.mle_converged[rows] = _batch_mle(batch)
-    out.excluded[rows] = ~full_rank
-    if not full_rank.all():
+    m, k = batch.cols.shape
+    mle = _newton(batch, batch_log_likelihood, batch_score_hessian, np.zeros((m, k)),
+                  MAX_NEWTON_ITER, ridge_tries=1)
+    out.mle_converged[rows] = mle.converged
+    out.excluded[rows] = mle.singular  # a rank-deficient design
+    beta = mle.beta
+    if mle.singular.any():
+        full_rank = ~mle.singular
         batch, beta, rows = batch.take(full_rank), beta[full_rank], rows[full_rank]
         if not rows.size:
             return
-    k = beta.shape[-1]
     out.mle[rows, :k] = beta
     if batch.d.family == "logistic":
         out.separation[rows] = np.abs(beta).max(axis=-1) > SEPARATION_CAP
-    value, mode, h_star, converged, iterations = _batch_mode(batch, spec, beta)
-    out.mode[rows, :k] = mode
-    factor, ok = batch_cholesky(h_star)
-    logdet = 2.0 * np.log(np.diagonal(factor, axis1=-2, axis2=-1)).sum(axis=-1)
-    log_marginal = 0.5 * k * math.log(2 * math.pi) - 0.5 * logdet + value
-    out.log_marginal[rows] = np.where(ok, log_marginal, -math.inf)
-    out.logdet[rows] = np.where(ok, logdet, math.nan)
-    out.excluded[rows] = ~ok
-    out.converged[rows] = converged
-    out.iterations[rows] = iterations
-
-
-def _batch_mle(batch: ModelBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``fit_mle`` for every row: (beta (M, k), full-rank mask, converged)."""
-    tol = SCORE_TOL_PER_OBS * batch.d.n
-    m, k = batch.cols.shape
-    beta = np.zeros((m, k))
-    ll = batch_log_likelihood(batch, beta)
-    full_rank = np.ones(m, dtype=bool)
-    converged = np.zeros(m, dtype=bool)
-    act, sub = np.arange(m), batch
-    for _ in range(MAX_NEWTON_ITER):
-        g, h = batch_score_hessian(sub, beta[act])
-        factor, ok = batch_cholesky(h)
-        run = np.abs(g).max(axis=-1) > tol
-        converged[act[~run]] = True
-        full_rank[act[run & ~ok]] = False
-        run &= ok
-        step = np.zeros_like(g)
-        step[run] = batch_cho_solve(factor[run], g[run])
-        moved, cand, cand_ll = _backtrack(batch_log_likelihood, sub, beta[act], step,
-                                          np.ones(act.size), ll[act], np.flatnonzero(run))
-        beta[act[moved]] = cand[moved]
-        ll[act[moved]] = cand_ll[moved]
-        act, sub = _shrink(act, sub, moved)
-        if not act.size:
-            break
-    else:
-        g = batch_score_hessian(sub, beta[act])[0]
-        converged[act] = np.abs(g).max(axis=-1) <= tol
-    return beta, full_rank, converged
-
-
-def _batch_mode(batch: ModelBatch, spec: NonlocalPriorSpec, mle: np.ndarray):
-    """``find_posterior_mode`` for every row: (log posterior at the mode,
-    the mode, H*, converged, iterations), with H* the negative log-posterior
-    Hessian at each row's final iterate."""
-    tol = GRAD_TOL_PER_OBS * batch.d.n
-    m, k = mle.shape
-    beta = _search_start(mle, _mode_scale(spec, batch.d.n))
 
     def objective(sub: ModelBatch, b: np.ndarray) -> np.ndarray:
         return batch_log_likelihood(sub, b) + log_prior(b, spec)
 
-    def curvature(b: np.ndarray, h_lik: np.ndarray) -> np.ndarray:
+    def derivatives(sub: ModelBatch, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        g, h = batch_score_hessian(sub, b)
         diag = np.arange(k)
-        h_lik[:, diag, diag] += log_prior_neg_hessian(b, spec)
-        return h_lik
+        h[:, diag, diag] += log_prior_neg_hessian(b, spec)
+        return g + log_prior_grad(b, spec), h
 
+    mode = _newton(batch, objective, derivatives,
+                   _search_start(beta, _mode_scale(spec, batch.d.n)), MAX_MODE_ITER,
+                   ridge_tries=MAX_RIDGE_TRIES, step_cap=_orthant_cap)
+    out.mode[rows, :k] = mode.beta
+    factor, ok = batch_cholesky(mode.h)
+    logdet = 2.0 * np.log(np.diagonal(factor, axis1=-2, axis2=-1)).sum(axis=-1)
+    log_marginal = 0.5 * k * math.log(2 * math.pi) - 0.5 * logdet + mode.value
+    out.log_marginal[rows] = np.where(ok, log_marginal, -math.inf)
+    out.logdet[rows] = np.where(ok, logdet, math.nan)
+    out.excluded[rows] = ~ok
+    out.converged[rows] = mode.converged
+    out.iterations[rows] = mode.iterations
+
+
+def _newton(batch: ModelBatch, objective: Callable, derivatives: Callable,
+            beta: np.ndarray, max_iter: int, ridge_tries: int,
+            step_cap: Optional[Callable] = None) -> NewtonAscent:
+    """The damped Newton ascent of :func:`glm.newton_ascent` for every row
+    of ``beta`` (M, k, the start, updated in place) in lockstep, with
+    per-row arrays in the result.
+
+    ``objective(sub, b)`` and ``derivatives(sub, b)`` evaluate the rows
+    ``b`` of the sub-batch ``sub``; ``step_cap(b, step)`` gives each row's
+    first step fraction.  A row leaves the active set as soon as its own
+    ascent stops, by the same rules and constants as the scalar loop.
+    """
+    tol = GRAD_TOL_PER_OBS * batch.d.n
+    m, k = beta.shape
     value = objective(batch, beta)
-    h_star = np.empty((m, k, k))
+    h_last = np.empty((m, k, k))
     converged = np.zeros(m, dtype=bool)
+    singular = np.zeros(m, dtype=bool)
     iterations = np.zeros(m, dtype=int)
+    eye = np.eye(k)
     act, sub = np.arange(m), batch
-    for _ in range(MAX_MODE_ITER):
-        b = beta[act]
-        g_lik, h_lik = batch_score_hessian(sub, b)
-        g = g_lik + log_prior_grad(b, spec)
-        h = curvature(b, h_lik)
-        h_star[act] = h  # a row that stops now keeps this iterate
+    for _ in range(max_iter):
+        b, v = beta[act], value[act]
+        g, h = derivatives(sub, b)
+        h_last[act] = h  # a row that stops now keeps this iterate
         run = np.abs(g).max(axis=-1) > tol
         converged[act[~run]] = True
-        step, solved = _ridged_steps(h, g, run)
-        moved, cand, cand_value = _backtrack(objective, sub, b, step, _orthant_cap(b, step),
-                                             value[act], np.flatnonzero(solved))
+        # Newton steps; where h does not factor, retry with h + ridge I, the
+        # ridge doubling from 1e-8 max(1, max|h|)
+        step = np.zeros_like(g)
+        ridge = np.zeros(act.size)
+        floor = 1e-8 * np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
+        pending = np.flatnonzero(run)
+        for _ in range(ridge_tries):
+            if not pending.size:
+                break
+            factor, ok = batch_cholesky(h[pending] + ridge[pending, None, None] * eye)
+            step[pending[ok]] = batch_cho_solve(factor[ok], g[pending[ok]])
+            pending = pending[~ok]
+            ridge[pending] = np.maximum(2.0 * ridge[pending], floor[pending])
+        singular[act[pending]] = True
+        run[pending] = False
+        # step-halving: each row with a step takes the first of b + t step,
+        # b + (t/2) step, ... whose objective is >= its value
+        t = np.ones(act.size) if step_cap is None else step_cap(b, step)
+        cand, cand_value = b.copy(), v.copy()
+        accepted = np.zeros(act.size, dtype=bool)
+        pending = np.flatnonzero(run)
+        for _ in range(MAX_HALVINGS):
+            if not pending.size:
+                break
+            trial = b[pending] + t[pending, None] * step[pending]
+            part = sub if pending.size == act.size else sub.take(pending)
+            trial_value = objective(part, trial)
+            ok = trial_value >= v[pending]
+            hit = pending[ok]
+            cand[hit] = trial[ok]
+            cand_value[hit] = trial_value[ok]
+            accepted[hit] = True
+            pending = pending[~ok]
+            t[pending] *= 0.5
+        # a row stops when no halving is accepted or the step leaves it unchanged
+        moved = accepted & np.any(cand != b, axis=-1)
         beta[act[moved]] = cand[moved]
         value[act[moved]] = cand_value[moved]
         iterations[act[moved]] += 1
-        act, sub = _shrink(act, sub, moved)
+        if not moved.all():
+            act, sub = act[moved], sub.take(moved)
         if not act.size:
             break
     else:
-        b = beta[act]
-        h_star[act] = curvature(b, batch_score_hessian(sub, b)[1])
-    return value, beta, h_star, converged, iterations
-
-
-def _shrink(act: np.ndarray, sub: ModelBatch, keep: np.ndarray
-            ) -> tuple[np.ndarray, ModelBatch]:
-    # drop the rows whose iteration stopped from the active set
-    if keep.all():
-        return act, sub
-    return act[keep], sub.take(keep)
-
-
-def _ridged_steps(h: np.ndarray, g: np.ndarray, rows: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Newton steps h^-1 g for the masked rows.  Where h does not factor,
-    retry with h + ridge I, the ridge doubling from 1e-8 max(1, max|h|), up
-    to ``MAX_RIDGE_TRIES`` tries.  Returns (steps, solved mask)."""
-    step = np.zeros_like(g)
-    solved = np.zeros(g.shape[0], dtype=bool)
-    ridge = np.zeros(g.shape[0])
-    floor = 1e-8 * np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
-    eye = np.eye(g.shape[1])
-    pending = np.flatnonzero(rows)
-    for _ in range(MAX_RIDGE_TRIES):
-        if not pending.size:
-            break
-        factor, ok = batch_cholesky(h[pending] + ridge[pending, None, None] * eye)
-        done = pending[ok]
-        step[done] = batch_cho_solve(factor[ok], g[done])
-        solved[done] = True
-        pending = pending[~ok]
-        ridge[pending] = np.maximum(2.0 * ridge[pending], floor[pending])
-    return step, solved
-
-
-def _orthant_cap(beta: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """Per row, the largest step fraction (at most 1) that stops every
-    sign-flipping coordinate halfway to zero."""
-    flips = np.sign(beta + step) != np.sign(beta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        caps = np.where(flips, np.abs(beta) / (2.0 * np.abs(step)), np.inf)
-    return np.minimum(1.0, caps.min(axis=-1))
-
-
-def _backtrack(objective: Callable, sub: ModelBatch, beta: np.ndarray,
-               step: np.ndarray, t: np.ndarray, value: np.ndarray,
-               pending: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Step-halving in lockstep for the rows in ``pending``.
-
-    Each row takes the first of beta + t step, beta + (t/2) step, ... (at
-    most ``MAX_HALVINGS`` tries) whose objective is >= its current value.
-    Returns (moved, candidates, their values).  ``moved`` is False for a row
-    with no acceptable candidate and for one whose accepted candidate equals
-    beta in floating point; both stop iterating.
-    """
-    cand = beta.copy()
-    cand_value = value.copy()
-    accepted = np.zeros(beta.shape[0], dtype=bool)
-    for _ in range(MAX_HALVINGS):
-        if not pending.size:
-            break
-        trial = beta[pending] + t[pending, None] * step[pending]
-        part = sub if pending.size == beta.shape[0] else sub.take(pending)
-        trial_value = objective(part, trial)
-        ok = trial_value >= value[pending]
-        hit = pending[ok]
-        cand[hit] = trial[ok]
-        cand_value[hit] = trial_value[ok]
-        accepted[hit] = True
-        pending = pending[~ok]
-        t[pending] *= 0.5
-    return accepted & np.any(cand != beta, axis=-1), cand, cand_value
+        g, h_last[act] = derivatives(sub, beta[act])
+        converged[act] = np.abs(g).max(axis=-1) <= tol
+    return NewtonAscent(beta=beta, value=value, h=h_last, converged=converged,
+                        iterations=iterations, singular=singular)

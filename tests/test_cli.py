@@ -304,6 +304,26 @@ class TestStudyCommand:
         assert run(["study", "--study", "mode-rate", "--scalar", "--out", prefix]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {prefix}.csv:") and err.count("\n") == 1
+        # only the JSON is unwritable (a directory): no CSV stays behind alone
+        (tmp_path / "ow" / "x.json").mkdir(parents=True)
+        prefix = tmp_path / "ow" / "x"
+        assert run(["study", "--study", "mode-rate", "--scalar", "--out", prefix]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {prefix}.json:") and err.count("\n") == 1
+        assert os.listdir(tmp_path / "ow") == ["x.json"]
+
+    def test_study_is_looked_up_when_the_command_runs(self, tmp_path, monkeypatch):
+        from nlselect import experiments
+        study, ran = experiments.consistency_study, []
+
+        def counting(*args, **kwargs):
+            ran.append(1)
+            return study(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "consistency_study", counting)
+        assert run(["study", "--study", "consistency", "--p", 4, "--q", 2, "--reps", 1,
+                    "--n-grid", "100,200", "--out", tmp_path / "c"]) == 0
+        assert ran == [1]
 
     def test_unknown_study_exits_3(self, tmp_path):
         assert run(["study", "--study", "nope", "--out", tmp_path / "x"]) == 3
@@ -409,7 +429,6 @@ class TestOneScoringPath:
         from nlselect.experiments import hessian_diagnostics
         from nlselect.priors import spimom
 
-        fit_mle, find_mode = glm.fit_mle, posterior.find_posterior_mode
         data = tmp_path / "d.csv"
         assert run(["simulate", "--out", data, "--p", 4, "--n", 150,
                     "--family", family, "--seed", 2]) == 0
@@ -417,26 +436,30 @@ class TestOneScoringPath:
         def forbidden(*args, **kwargs):
             raise AssertionError("a command called the scalar reference path")
 
-        reference = (glm.fit_mle, posterior.find_posterior_mode, posterior.fit_model)
-        for name, mod in list(sys.modules.items()):
-            if name.split(".")[0] == "nlselect":
-                for attr, value in list(vars(mod).items()):
-                    if any(value is f for f in reference):
-                        monkeypatch.setattr(mod, attr, forbidden)
+        reference = (glm.fit_mle, glm.newton_ascent, posterior.find_posterior_mode,
+                     posterior.fit_model)
+        docs = []
+        with monkeypatch.context() as guard:
+            for name, mod in list(sys.modules.items()):
+                if name.split(".")[0] == "nlselect":
+                    for attr, value in list(vars(mod).items()):
+                        if any(value is f for f in reference):
+                            guard.setattr(mod, attr, forbidden)
+            for flags in ([], ["--search", "--budget", 6]):
+                out = tmp_path / "fit.json"
+                assert run(["fit", "--input", data, "--family", family, "--q", 2,
+                            "--out", out] + flags) == 0
+                docs.append(load_json(out))
+            for study in ("mle-rate", "mode-rate", "logm-ratio", "consistency"):
+                assert run(["study", "--study", study, "--family", family, "--p", 4,
+                            "--q", 3, "--n-grid", "100,200", "--reps", 2,
+                            "--out", tmp_path / study]) == 0
 
-        for flags in ([], ["--search", "--budget", 6]):
-            out = tmp_path / "fit.json"
-            assert run(["fit", "--input", data, "--family", family, "--q", 2,
-                        "--out", out] + flags) == 0
-            doc = load_json(out)
-            d = read_dataset_csv(str(data), family, 1.0)
+        d = read_dataset_csv(str(data), family, 1.0)
+        for doc in docs:
             top = ModelIndex(doc["top"])
-            mle = fit_mle(d, top)
-            pm = find_mode(d, top, spimom(), mle)
+            mle = glm.fit_mle(d, top)
+            pm = posterior.find_posterior_mode(d, top, spimom(), mle)
             want = hessian_diagnostics(d, top, mle.beta_hat, [mle.beta_hat, pm.beta_pm])
             for key, value in want._asdict().items():
                 assert doc["diagnostics"][key] == pytest.approx(value, rel=1e-8, abs=0.0)
-        for study in ("mle-rate", "mode-rate", "logm-ratio", "consistency"):
-            assert run(["study", "--study", study, "--family", family, "--p", 4,
-                        "--q", 3, "--n-grid", "100,200", "--reps", 2,
-                        "--out", tmp_path / study]) == 0

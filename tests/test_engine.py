@@ -155,6 +155,29 @@ class TestAgainstScalarReference:
             assert scores.mle_converged.tolist() == [fit_mle(d, J).converged for J in models]
             assert scores.mle_converged.tolist() == [want] * len(models)
 
+    @pytest.mark.parametrize("family", ["gaussian", "poisson"])
+    def test_mode_converged_at_iteration_cap(self, monkeypatch, family):
+        # With the cap at the uncapped search's iteration count j, the
+        # gradient test runs at the iterate the j-th step reached, where the
+        # uncapped search met it: both paths return that search unchanged.
+        from nlselect import posterior
+        d = random_dataset(family, seed=4, n=80, p=3)
+        J, spec = ModelIndex((1, 2, 3)), spimom()
+        free, free_fit = score_models(d, blocks([J]), spec), fit_model(d, J, spec)
+        j = int(free.iterations[0])
+        assert j >= 1 and free.converged[0] and free_fit.iterations == j
+        monkeypatch.setattr(posterior, "MAX_MODE_ITER", j)
+        capped, fit = score_models(d, blocks([J]), spec), fit_model(d, J, spec)
+        assert capped.iterations[0] == fit.iterations == j
+        assert capped.converged[0] and fit.converged
+        np.testing.assert_array_equal(capped.mode, free.mode)
+        assert capped.log_marginal[0] == free.log_marginal[0]
+        assert capped.logdet[0] == free.logdet[0]
+        np.testing.assert_array_equal(fit.beta_pm, free_fit.beta_pm)
+        assert fit.log_marginal == free_fit.log_marginal
+        assert (factor_logdet(fit.neg_hessian_logpost)[1]
+                == factor_logdet(free_fit.neg_hessian_logpost)[1])
+
     def test_separated_logistic_is_flagged(self):
         d = random_dataset("logistic", seed=5, n=80, p=3, separated=True)
         models = enumerate_models(3, 3)
