@@ -2,8 +2,8 @@
 and the rate/consistency studies, all seeded and machine-readable.
 
 Exit codes: 0 success, 2 malformed input (CSV or command line) or an
-unwritable output path, 3 invalid configuration, 4 model space over the
-enumeration cap without --search.
+unwritable output path, 3 invalid configuration (a non-finite value
+included), 4 model space over the enumeration cap without --search.
 JSON output serializes numbers with 17 significant digits and sorted keys,
 so rerunning an echoed configuration reproduces files byte-for-byte;
 non-finite values appear as the strings "inf", "-inf", "nan".  Output files
@@ -227,11 +227,14 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
         raise ConfigError(f"cannot parse {what} list {text!r}") from None
 
 
-def _parse_float_list(text: str, what: str) -> tuple[float, ...]:
+def _parse_beta0(text: str) -> tuple[float, ...]:
+    """``--beta0``: comma-separated coefficients; ``none`` or empty gives none."""
+    if text.strip().lower() == "none":
+        return ()
     try:
         return tuple(float(v) for v in text.split(",") if v.strip() != "")
     except ValueError:
-        raise ConfigError(f"cannot parse {what} list {text!r}") from None
+        raise ConfigError(f"cannot parse beta0 list {text!r}") from None
 
 
 def _parse_support(text: str) -> ModelIndex:
@@ -346,17 +349,11 @@ def cmd_simulate(args) -> int:
     if args.p < 1 or args.n < 2:
         raise ConfigError("need --p >= 1 and --n >= 2")
     j0 = _parse_support(args.j0)
-    if args.beta0.strip().lower() in ("", "none"):
-        beta0: tuple[float, ...] = ()
-        if j0.size:
-            raise ConfigError("--beta0 none requires --j0 none")
-    else:
-        beta0 = _parse_float_list(args.beta0, "beta0")
     try:
         cfg = ExperimentConfig(
             family=family, p=args.p, q=max(j0.size, min(args.p, DEFAULT_Q)),
             true_support=j0, n_grid=(args.n,), replications=1, seed=args.seed,
-            beta0=beta0, design=args.design, rho=args.rho,
+            beta0=_parse_beta0(args.beta0), design=args.design, rho=args.rho,
             dispersion=args.sigma2)
         d, realized = experiments.simulate_dataset(cfg, args.n, make_stream(args.seed))
     except ValueError as exc:
@@ -431,8 +428,7 @@ def _study_config(args, n_grid: tuple[int, ...],
         if args.beta0 is not None:
             raise ConfigError("give either --beta0 or --m, not both")
     else:
-        beta0 = _parse_float_list(args.beta0 if args.beta0 is not None
-                                  else "1.0,-0.8", "beta0")
+        beta0 = _parse_beta0(args.beta0 if args.beta0 is not None else "1.0,-0.8")
     try:
         return ExperimentConfig(
             family=family, p=args.p, q=args.q, true_support=j0,
@@ -578,7 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--p", type=int, default=5)
     study.add_argument("--q", type=int, default=DEFAULT_Q)
     study.add_argument("--j0", default="1,2")
-    study.add_argument("--beta0", default=None)
+    study.add_argument("--beta0", default=None,
+                       help="true coefficients on --j0 (or 'none'; default 1.0,-0.8)")
     study.add_argument("--m", type=float, default=None, help="signal decay exponent")
     study.add_argument("--decay-c", dest="decay_c", type=float, default=1.0,
                        help="signal decay constant used with --m")

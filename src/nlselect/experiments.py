@@ -94,6 +94,8 @@ class ExperimentConfig:
             raise ValueError("rho must lie in [0, 1)")
         if not self.dispersion > 0.0:
             raise ValueError("dispersion must be positive")
+        if math.isinf(self.dispersion):
+            raise ValueError("dispersion must be finite")
 
     def realized_beta0(self, n: int) -> np.ndarray:
         if self.beta0 is not None:
@@ -358,9 +360,6 @@ def _marginal_pieces(d: Dataset, J: ModelIndex, spec: NonlocalPriorSpec,
     k = J.size
     mode = scores.mode[i, :k]
     ll = log_likelihood(d, J, mode)
-    if k == 0:
-        return {"loglik": ll, "kernel": 0.0, "kernel_dominant": 0.0,
-                "rest": 0.0, "total": ll}
     dominant = float(((spec.scale / mode**2) ** spec.zeta).sum())
     coeff = 1.0 if spec.kind == "pimom" else 2.0
     kernel = -coeff * dominant

@@ -147,10 +147,10 @@ FAMILIES = {f.name: f for f in (_Gaussian(), _Logistic(), _Poisson())}
 class Dataset:
     """Immutable regression data: response, design, family tag, dispersion.
 
-    ``dispersion`` is the known Gaussian variance and is ignored by the
-    other families.  Model indices are 1-based positions into the columns
-    of ``X``; no intercept is implicit, callers include a constant column
-    explicitly when they want one.
+    ``dispersion`` is the known Gaussian variance, positive and finite, and
+    is ignored by the other families.  Model indices are 1-based positions
+    into the columns of ``X``; no intercept is implicit, callers include a
+    constant column explicitly when they want one.
     """
 
     y: np.ndarray
@@ -171,8 +171,8 @@ class Dataset:
             raise ValueError("non-finite entries in y or X")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.dispersion <= 0:
-            raise ValueError("dispersion must be positive")
+        if not 0.0 < self.dispersion < math.inf:
+            raise ValueError("dispersion must be positive and finite")
         FAMILIES[self.family].check_support(y)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "X", X)
@@ -259,7 +259,7 @@ def newton_ascent(objective: Callable[[np.ndarray], float],
     singular = False
     for _ in range(max_iter):
         g, h = derivatives(beta)
-        if float(np.abs(g).max()) <= tol:
+        if float(np.abs(g).max(initial=0.0)) <= tol:
             break
         step = None
         ridge = 0.0
@@ -269,7 +269,7 @@ def newton_ascent(objective: Callable[[np.ndarray], float],
                 step = batch_cho_solve(factor, g)
                 break
             # indefinite away from the optimum; damp toward gradient ascent
-            ridge = max(2.0 * ridge, 1e-8 * max(1.0, float(np.abs(h).max())))
+            ridge = max(2.0 * ridge, 1e-8 * max(1.0, float(np.abs(h).max(initial=0.0))))
         if step is None:
             singular = True
             break
@@ -290,7 +290,7 @@ def newton_ascent(objective: Callable[[np.ndarray], float],
         g, h = derivatives(beta)
     # every break leaves beta where g and h were computed
     return NewtonAscent(beta=beta, value=value, h=h,
-                        converged=float(np.abs(g).max()) <= tol,
+                        converged=float(np.abs(g).max(initial=0.0)) <= tol,
                         iterations=iterations, singular=singular)
 
 
@@ -309,8 +309,6 @@ def fit_mle(d: Dataset, J: ModelIndex) -> GlmFit:
     NotPositiveDefinite
         If the design of ``J`` is rank-deficient.
     """
-    if J.size == 0:
-        return GlmFit(beta_hat=np.zeros(0), converged=True, iterations=0)
     batch = model_batch(d, J.cols[None, :])
 
     def derivatives(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -322,7 +320,7 @@ def fit_mle(d: Dataset, J: ModelIndex) -> GlmFit:
     if fit.singular:
         raise NotPositiveDefinite(f"rank-deficient design for model {J}")
     separation = (d.family == "logistic"
-                  and float(np.abs(fit.beta).max()) > SEPARATION_CAP)
+                  and float(np.abs(fit.beta).max(initial=0.0)) > SEPARATION_CAP)
     return GlmFit(beta_hat=fit.beta, converged=fit.converged,
                   iterations=fit.iterations, separation=separation)
 
@@ -360,13 +358,13 @@ class ModelBatch:
 
 def batch_rows(d: Dataset, k: int) -> int:
     """Models per batch of size-k models (see ``BATCH_FLOATS``)."""
-    per_model = k * k if d.family == "gaussian" else d.n
+    per_model = max(1, k * k) if d.family == "gaussian" else d.n
     return max(1, BATCH_FLOATS // per_model)
 
 
 def model_batch(d: Dataset, cols: np.ndarray) -> ModelBatch:
     """Gather the data of the models whose zero-based columns are the rows of
-    ``cols`` (shape (M, k), k >= 1)."""
+    ``cols`` (shape (M, k), k >= 0)."""
     cols = np.asarray(cols, dtype=int)
     if cols.size and (cols.min() < 0 or cols.max() >= d.p):
         raise ValueError(f"model columns must lie in 1..{d.p}")

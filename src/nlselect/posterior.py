@@ -32,7 +32,7 @@ import numpy as np
 
 from .glm import (GRAD_TOL_PER_OBS, MAX_HALVINGS, MAX_NEWTON_ITER, SEPARATION_CAP,
                   Dataset, GlmFit, ModelBatch, NewtonAscent, batch_log_likelihood,
-                  batch_rows, batch_score_hessian, fit_mle, log_likelihood, model_batch,
+                  batch_rows, batch_score_hessian, fit_mle, model_batch,
                   newton_ascent)
 from .modelspace import ModelIndex
 from .numerics import (NotPositiveDefinite, SpdMatrix, batch_cho_solve,
@@ -92,7 +92,7 @@ def _orthant_cap(beta: np.ndarray, step: np.ndarray) -> np.ndarray:
     flips = np.sign(beta + step) != np.sign(beta)
     with np.errstate(divide="ignore", invalid="ignore"):
         caps = np.where(flips, np.abs(beta) / (2.0 * np.abs(step)), np.inf)
-    return np.minimum(1.0, caps.min(axis=-1))
+    return np.minimum(1.0, caps.min(axis=-1, initial=np.inf))
 
 
 def gaussian_reference_prior(sigma2: float) -> PriorFuncs:
@@ -121,7 +121,8 @@ def gaussian_reference_prior(sigma2: float) -> PriorFuncs:
 
 @dataclass
 class PosteriorFit:
-    """Posterior mode, curvature there, and (once computed) the marginal."""
+    """Posterior mode, curvature H* there (0 x 0 for the empty model; None
+    only on a degenerate fit from :func:`fit_model`), and the marginal."""
 
     beta_pm: np.ndarray
     log_post_unnorm: float
@@ -149,10 +150,6 @@ def find_posterior_mode(d: Dataset, J: ModelIndex,
     flagged on the returned fit, never raised.
     """
     funcs = _as_prior_funcs(spec)
-    if J.size == 0:
-        ll = log_likelihood(d, J, np.zeros(0))
-        return PosteriorFit(beta_pm=np.zeros(0), log_post_unnorm=ll,
-                            neg_hessian_logpost=None, converged=True, iterations=0)
     beta = np.array(mle.beta_hat, dtype=float)
     if funcs.barrier_at_origin:
         beta = _search_start(beta, funcs.mode_scale(d.n))
@@ -178,8 +175,8 @@ def laplace_log_marginal(d: Dataset, J: ModelIndex, pm: PosteriorFit) -> float:
     """Laplace log marginal likelihood at the posterior mode.
 
     (|J|/2) log(2 pi) - (1/2) logdet(H*) + log posterior at the mode, with
-    H* the negative log-posterior Hessian there.  The empty model has no
-    parameters and no prior, so its marginal is the exact log-likelihood.
+    H* the negative log-posterior Hessian there.  For the empty model H* is
+    0 x 0 with log det 0, so this is exactly the log-likelihood.
 
     Raises
     ------
@@ -188,8 +185,6 @@ def laplace_log_marginal(d: Dataset, J: ModelIndex, pm: PosteriorFit) -> float:
         Laplace formula is invalid, and callers exclude the model by
         assigning it a -inf marginal.
     """
-    if J.size == 0:
-        return log_likelihood(d, J, np.zeros(0))
     _, logdet = factor_logdet(pm.neg_hessian_logpost)
     return (0.5 * J.size * math.log(2 * math.pi) - 0.5 * logdet
             + pm.log_post_unnorm)
@@ -260,7 +255,8 @@ def score_models(d: Dataset, models: Sequence[np.ndarray],
     MLE, the mode search and the Laplace step for all its models at once.
     Every per-model check of ``fit_mle`` and ``find_posterior_mode``
     applies row by row with the same constants, and a model leaves the
-    batch's active set as soon as its own iteration stops.  Results agree
+    batch's active set as soon as its own iteration stops; empty models stop
+    at iteration 0 and score their exact log-likelihood.  Results agree
     with the scalar functions to rounding (the order of floating-point
     operations differs).
     """
@@ -279,11 +275,6 @@ def score_models(d: Dataset, models: Sequence[np.ndarray],
         group = [i for i, b in enumerate(blocks) if b.shape[1] == k]
         rows = np.concatenate([np.arange(ends[i] - blocks[i].shape[0], ends[i])
                                for i in group])
-        if k == 0:
-            out.log_marginal[rows] = log_likelihood(d, ModelIndex(), np.zeros(0))
-            out.converged[rows] = out.mle_converged[rows] = True
-            out.logdet[rows] = 0.0
-            continue
         cols = np.concatenate([blocks[i] for i in group]) - 1
         size = batch_rows(d, k)
         for start in range(0, rows.size, size):
@@ -307,7 +298,7 @@ def _score_batch(batch: ModelBatch, spec: NonlocalPriorSpec, out: ModelScores,
             return
     out.mle[rows, :k] = beta
     if batch.d.family == "logistic":
-        out.separation[rows] = np.abs(beta).max(axis=-1) > SEPARATION_CAP
+        out.separation[rows] = np.abs(beta).max(axis=-1, initial=0.0) > SEPARATION_CAP
 
     def objective(sub: ModelBatch, b: np.ndarray) -> np.ndarray:
         return batch_log_likelihood(sub, b) + log_prior(b, spec)
@@ -357,13 +348,13 @@ def _newton(batch: ModelBatch, objective: Callable, derivatives: Callable,
         b, v = beta[act], value[act]
         g, h = derivatives(sub, b)
         h_last[act] = h  # a row that stops now keeps this iterate
-        run = np.abs(g).max(axis=-1) > tol
+        run = np.abs(g).max(axis=-1, initial=0.0) > tol
         converged[act[~run]] = True
         # Newton steps; where h does not factor, retry with h + ridge I, the
         # ridge doubling from 1e-8 max(1, max|h|)
         step = np.zeros_like(g)
         ridge = np.zeros(act.size)
-        floor = 1e-8 * np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
+        floor = 1e-8 * np.maximum(1.0, np.abs(h).max(axis=(-2, -1), initial=0.0))
         pending = np.flatnonzero(run)
         for _ in range(ridge_tries):
             if not pending.size:
@@ -404,6 +395,6 @@ def _newton(batch: ModelBatch, objective: Callable, derivatives: Callable,
             break
     else:
         g, h_last[act] = derivatives(sub, beta[act])
-        converged[act] = np.abs(g).max(axis=-1) <= tol
+        converged[act] = np.abs(g).max(axis=-1, initial=0.0) <= tol
     return NewtonAscent(beta=beta, value=value, h=h_last, converged=converged,
                         iterations=iterations, singular=singular)

@@ -34,8 +34,9 @@ class AtOrigin(ValueError):
 class NonlocalPriorSpec:
     """Prior kind plus hyperparameters.
 
-    ``scale`` is tau for piMOM and lambda for spiMOM; the kernel exponent
-    zeta (1 for piMOM, 1/2 for spiMOM) is derived from the kind.
+    ``scale`` is tau for piMOM and lambda for spiMOM; ``r`` and ``scale``
+    must be positive and finite.  The kernel exponent zeta (1 for piMOM,
+    1/2 for spiMOM) is derived from the kind.
     """
 
     kind: str
@@ -46,8 +47,8 @@ class NonlocalPriorSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("pimom", "spimom"):
             raise ValueError(f"unknown prior kind {self.kind!r}")
-        if self.r <= 0 or self.scale <= 0:
-            raise ValueError("r and scale must be positive")
+        if not (0.0 < self.r < math.inf and 0.0 < self.scale < math.inf):
+            raise ValueError("r and scale must be positive and finite")
         if self.paper_constant_mode and self.kind != "spimom":
             raise ValueError("paper_constant_mode applies to spimom only")
 

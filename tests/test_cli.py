@@ -334,6 +334,14 @@ class TestStudyCommand:
         assert capsys.readouterr().err == "error: dispersion must be positive\n"
         assert not (tmp_path / "x.json").exists()
 
+    def test_beta0_none_runs_a_null_truth(self, tmp_path):
+        argv = ["study", "--study", "consistency", "--p", 4, "--q", 2, "--j0", "none",
+                "--reps", 2, "--n-grid", "100,200"]
+        assert run(argv + ["--beta0", "none", "--out", tmp_path / "a"]) == 0
+        assert run(argv + ["--beta0=", "--out", tmp_path / "b"]) == 0
+        summary = load_json(tmp_path / "a.json")["summary"]
+        assert summary == load_json(tmp_path / "b.json")["summary"]
+
     def test_mode_rate_without_null_coordinate_exits_3(self, tmp_path, capsys):
         assert run(["study", "--study", "mode-rate", "--p", 3, "--j0", "1,2,3",
                     "--beta0", "1,1,1", "--out", tmp_path / "m"]) == 3
@@ -359,6 +367,25 @@ class TestStudyCommand:
         summaries = [l for l in lines[1:] if l.startswith("summary.")]
         assert len(reps) == 3 * 3
         assert len(summaries) >= 3  # per-n medians at least
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("flags", [
+        "fit --lambda nan", "fit --lambda inf", "fit --r nan",
+        "fit --prior pimom --tau nan", "fit --sigma2 nan", "fit --sigma2 inf",
+        "density --lambda nan", "study --study mle-rate --sigma2 inf",
+        "simulate --p 5 --n 100 --sigma2 inf"])
+    def test_exits_3_and_writes_nothing(self, tmp_path, capsys, flags):
+        data = tmp_path / "d.csv"
+        assert run(["simulate", "--out", data, "--p", 5, "--n", 100]) == 0
+        command, *rest = flags.split()
+        argv = [command, "--out", tmp_path / "x", *rest]
+        if command == "fit":
+            argv += ["--input", data]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.endswith("finite\n") and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["d.csv", "d.csv.truth.json"]
 
 
 class TestSerialization:

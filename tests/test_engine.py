@@ -106,7 +106,7 @@ def assert_matches_scalar(d, models, spec):
         np.testing.assert_allclose(scores.mode[i, :k], pm.beta_pm, **tol)
         if fits[i].saddle:
             assert np.isnan(scores.logdet[i]), J
-        elif k:
+        else:
             logdet = factor_logdet(pm.neg_hessian_logpost)[1]
             assert abs(scores.logdet[i] - logdet) <= POINT_TOL, (J, scores.logdet[i], logdet)
     return scores, fits
@@ -206,6 +206,42 @@ class TestAgainstScalarReference:
         d = random_dataset("gaussian", seed=1, n=40, p=2)
         with pytest.raises(ValueError):
             score_models(d, blocks([ModelIndex((1, 3))]), spimom())
+
+
+class TestEmptyModel:
+    """The empty model runs the MLE and the mode search through the same loops
+    as every other model; both stop at iteration 0 on the empty gradient, and
+    its Laplace marginal is the exact log-likelihood."""
+
+    @staticmethod
+    def assert_exact(d, spec, scores, i):
+        empty = ModelIndex()
+        want = log_likelihood(d, empty, [])
+        assert scores.log_marginal[i] == fit_model(d, empty, spec).log_marginal == want
+        assert not scores.excluded[i] and not scores.separation[i]
+        assert scores.converged[i] and scores.mle_converged[i]
+        assert scores.iterations[i] == 0 and scores.logdet[i] == 0.0
+        assert np.isnan(scores.mle[i]).all() and np.isnan(scores.mode[i]).all()
+
+    @pytest.mark.parametrize("kind", ["pimom", "spimom"])
+    @pytest.mark.parametrize("family", ["gaussian", "logistic", "poisson"])
+    def test_alone(self, family, kind):
+        d = random_dataset(family, seed=1, n=40, p=2)
+        spec = NonlocalPriorSpec(kind=kind)
+        self.assert_exact(d, spec, score_models(d, blocks([ModelIndex()]), spec), 0)
+
+    @pytest.mark.parametrize("family", ["gaussian", "logistic", "poisson"])
+    def test_among_larger_blocks(self, family):
+        d = random_dataset(family, seed=2, n=60, p=3)
+        empty, singles, pairs = enumerate_strata(3, 2)
+        scores = score_models(d, [singles[:2], empty, pairs, singles[2:]], spimom())
+        self.assert_exact(d, spimom(), scores, 2)
+        assert scores.mle.shape[1] == 2 and np.isnan(scores.mle[2]).all()
+        # the other rows are scored as if the empty model were not there
+        others = score_models(d, [singles[:2], pairs, singles[2:]], spimom())
+        keep = np.arange(7) != 2
+        np.testing.assert_array_equal(scores.log_marginal[keep], others.log_marginal)
+        np.testing.assert_array_equal(scores.mode[keep], others.mode)
 
 
 def benchmark_gaussian_input(k=3):

@@ -199,10 +199,12 @@ class TestFitMle:
         assert abs(fit.beta_hat[0]) > 30.0
 
     def test_empty_model(self):
-        d = Dataset(y=[1.0, 2.0], X=[[1.0], [1.0]], family="poisson")
-        fit = fit_mle(d, ModelIndex(()))
-        assert fit.converged
-        assert fit.beta_hat.size == 0
+        # the Newton loop stops at iteration 0: the empty gradient passes
+        for family in FAMILY_NAMES:
+            d = Dataset(y=[0.0, 1.0], X=[[1.0], [1.0]], family=family)
+            fit = fit_mle(d, ModelIndex(()))
+            assert fit.converged and fit.iterations == 0 and not fit.separation
+            assert fit.beta_hat.size == 0
 
     def test_rank_deficient_raises(self):
         rng = np.random.default_rng(9)

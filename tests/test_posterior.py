@@ -120,11 +120,18 @@ class TestOrthantInvariants:
 
 class TestLaplace:
     def test_empty_model_is_exact_loglik(self):
-        d = Dataset(y=[0.0, 0.0], X=[[1.0], [1.0]], family="gaussian")
+        # log-likelihood at theta = 0 of y = (0, 1), written out per family
+        closed_form = {"gaussian": -0.5 - math.log(2 * math.pi),
+                       "logistic": -2.0 * math.log(2.0), "poisson": -2.0}
         empty = ModelIndex(())
-        pm = find_posterior_mode(d, empty, spimom(), fit_mle(d, empty))
-        lm = laplace_log_marginal(d, empty, pm)
-        assert lm == pytest.approx(-math.log(2 * math.pi), abs=1e-14)
+        for family, want in closed_form.items():
+            d = Dataset(y=[0.0, 1.0], X=[[1.0], [1.0]], family=family)
+            pm = find_posterior_mode(d, empty, spimom(), fit_mle(d, empty))
+            assert pm.converged and pm.iterations == 0
+            assert pm.neg_hessian_logpost.dim == 0
+            lm = laplace_log_marginal(d, empty, pm)
+            assert lm == log_likelihood(d, empty, [])
+            assert lm == pytest.approx(want, abs=1e-14)
 
     def test_one_dim_against_quadrature(self):
         spec = spimom()
