@@ -30,9 +30,9 @@ import numpy as np
 from .glm import FAMILIES, Dataset, log_likelihood, neg_hessian
 from .modelspace import (ModelIndex, enumerate_strata, greedy_search,
                          normalize_strata)
-from .numerics import RandomStream, derive_stream, make_stream, root_find
+from .numerics import RandomStream, derive_stream, make_stream
 from .posterior import ModelScores, score_models
-from .priors import NonlocalPriorSpec, log_prior_constant, spimom
+from .priors import NonlocalPriorSpec, coordinate_mode, log_prior_constant, spimom
 
 DESIGN_IID = "iid-normal"
 DESIGN_EQUICORRELATED = "equicorrelated"
@@ -96,6 +96,8 @@ class ExperimentConfig:
             raise ValueError("dispersion must be positive")
         if math.isinf(self.dispersion):
             raise ValueError("dispersion must be finite")
+        if not (math.isfinite(self.epsilon) and math.isfinite(self.nu)):
+            raise ValueError("epsilon and nu must be finite")
 
     def realized_beta0(self, n: int) -> np.ndarray:
         if self.beta0 is not None:
@@ -273,17 +275,13 @@ def _prior_label(spec: NonlocalPriorSpec) -> str:
 def scalar_null_mode(spec: NonlocalPriorSpec, n: float) -> float:
     """Positive mode coordinate when the MLE is zero, via the stationarity root.
 
-    With unit per-observation information, the coordinate solves
-    n b^(1+2*zeta) + (r+1) b^(2*zeta - 1) ... specialized per kind:
-    spiMOM: n b^3 + (r+1) b = 2 sqrt(lambda); piMOM: n b^4 + (r+1) b^2 = 2 tau.
-    No data involved; used as the exactness baseline for the full pipeline.
+    With unit per-observation information the coordinate solves, per kind,
+    spiMOM: n b^3 + (r+1) b = 2 sqrt(lambda); piMOM: n b^4 + (r+1) b^2 = 2 tau:
+    ``priors.coordinate_mode`` at b = 0 with curvature h = n, the rule that
+    starts every mode search.  No data involved; used as the exactness
+    baseline for the full pipeline.
     """
-    r, phi = spec.r, spec.scale
-    if spec.kind == "spimom":
-        f = lambda b: n * b**3 + (r + 1.0) * b - 2.0 * math.sqrt(phi)
-    else:
-        f = lambda b: n * b**4 + (r + 1.0) * b**2 - 2.0 * phi
-    return root_find(f, 0.0, 2.0 * spec.prior_mode, tol=1e-12)
+    return float(coordinate_mode(0.0, float(n), spec))
 
 
 def scalar_mode_rate_table(spec: NonlocalPriorSpec, n_grid: Sequence[int]) -> RateTable:

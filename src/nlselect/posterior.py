@@ -5,11 +5,14 @@ Nonlocal priors vanish on every coordinate plane, so the log posterior has
 one local maximum per orthant and the global mode shares the MLE's orthant.
 The mode finder therefore starts in the MLE's orthant and shortens any
 Newton step that would let a coordinate cross zero.  Each coordinate starts
-at least delta0 from zero, where delta0 is the scale of a null coordinate's
-mode: an MLE coordinate inside (-delta0, delta0) sits deep in the prior's
-barrier, where Newton steps grow it only slowly.  Exactly-zero coordinates
-start at +delta0 by convention, since the two orthant-restricted optima tie
-by symmetry there.
+at its own stationary point, ``priors.coordinate_mode``: the root, in the
+MLE coordinate b's orthant, of -h (beta - b) + d/dbeta log pi(beta) = 0, h
+the diagonal entry of the negative log-likelihood Hessian at the MLE.  That
+is the exact mode when the likelihood is quadratic and the coordinates are
+uncorrelated, so the search starts near where it ends, and a coordinate
+whose MLE sits deep in the prior's barrier starts outside it.  Exactly-zero
+coordinates start on the + side by convention, since the two
+orthant-restricted optima tie by symmetry there.
 
 Two forms: :func:`score_models` scores many submodels in lockstep batches,
 and every command and study reads its marginals, MLEs and modes;
@@ -37,28 +40,28 @@ from .glm import (GRAD_TOL_PER_OBS, MAX_HALVINGS, MAX_NEWTON_ITER, SEPARATION_CA
 from .modelspace import ModelIndex
 from .numerics import (NotPositiveDefinite, SpdMatrix, batch_cho_solve,
                        batch_cholesky, factor_logdet)
-from .priors import NonlocalPriorSpec, log_prior, log_prior_grad, log_prior_neg_hessian
+from .priors import (NonlocalPriorSpec, coordinate_mode, log_prior, log_prior_grad,
+                     log_prior_neg_hessian)
 
 MAX_MODE_ITER = 200
 MAX_RIDGE_TRIES = 60
-MIN_NUDGE = 1e-4
 
 
 @dataclass(frozen=True)
 class PriorFuncs:
     """Callable bundle the mode finder optimizes against.
 
-    ``mode_scale(n)`` is the asymptotic scale of a null coordinate's mode,
-    the least distance from zero at which the mode search starts each
-    coordinate.  ``barrier_at_origin`` disables that start rule and the
+    ``barrier_at_origin`` is True only for the bundle of a
+    :class:`NonlocalPriorSpec`, whose spec then gives the search start
+    (``priors.coordinate_mode``).  False disables that start rule and the
     orthant step-shortening for priors that are finite at zero (the Gaussian
-    reference prior used to validate the Laplace plumbing).
+    reference prior used to validate the Laplace plumbing); the search then
+    starts at the MLE.
     """
 
     log_density: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     neg_hessian_diag: Callable[[np.ndarray], np.ndarray]
-    mode_scale: Callable[[int], float]
     barrier_at_origin: bool = True
 
 
@@ -69,21 +72,8 @@ def _as_prior_funcs(spec: Union[NonlocalPriorSpec, PriorFuncs]) -> PriorFuncs:
         log_density=lambda b: log_prior(b, spec),
         grad=lambda b: log_prior_grad(b, spec),
         neg_hessian_diag=lambda b: log_prior_neg_hessian(b, spec),
-        mode_scale=lambda n: _mode_scale(spec, n),
         barrier_at_origin=True,
     )
-
-
-def _mode_scale(spec: NonlocalPriorSpec, n: int) -> float:
-    return (spec.scale / n) ** (1.0 / (2.0 + 2.0 * spec.zeta))
-
-
-def _search_start(mle: np.ndarray, mode_scale: float) -> np.ndarray:
-    """Start of the mode search under a nonlocal prior: each coordinate at
-    sign(b) max(|b|, delta0), with delta0 = max(mode_scale, MIN_NUDGE), and
-    exact zeros at +delta0.  Elementwise over a vector or a stack of rows."""
-    delta0 = max(mode_scale, MIN_NUDGE)
-    return np.where(mle < 0.0, np.minimum(mle, -delta0), np.maximum(mle, delta0))
 
 
 def _orthant_cap(beta: np.ndarray, step: np.ndarray) -> np.ndarray:
@@ -114,7 +104,6 @@ def gaussian_reference_prior(sigma2: float) -> PriorFuncs:
         log_density=logd,
         grad=lambda b: -np.asarray(b, dtype=float) / sigma2,
         neg_hessian_diag=lambda b: np.full(np.asarray(b).size, 1.0 / sigma2),
-        mode_scale=lambda n: MIN_NUDGE,
         barrier_at_origin=False,
     )
 
@@ -140,21 +129,22 @@ def find_posterior_mode(d: Dataset, J: ModelIndex,
     log-likelihood + log-prior, with up to ``MAX_RIDGE_TRIES`` ridge tries
     per step and at most ``MAX_MODE_ITER`` iterations.
 
-    Each coordinate starts at sign(b) max(|b|, delta0), where b is its MLE
-    and delta0 = max((scale/n)^(1/(2+2*zeta)), 1e-4) is the theoretical
-    scale of a null coordinate's mode; zero MLE coordinates start at
-    +delta0.  Any Newton step that would flip a coordinate's sign
-    is shortened so the coordinate stops halfway to zero, keeping the
-    iterates inside the starting orthant where the prior is smooth.
-    Non-convergence (the gradient test unmet at the returned iterate) is
-    flagged on the returned fit, never raised.
+    Under a nonlocal prior each coordinate starts at
+    ``priors.coordinate_mode(b, h, spec)``: the root, in the orthant of its
+    MLE b (+ for b = 0), of -h (beta - b) + d/dbeta log pi(beta) = 0, with h
+    the diagonal of the negative log-likelihood Hessian at the MLE.  Any
+    Newton step that would flip a coordinate's sign is shortened so the
+    coordinate stops halfway to zero, keeping the iterates inside the
+    starting orthant where the prior is smooth.  Non-convergence (the
+    gradient test unmet at the returned iterate) is flagged on the returned
+    fit, never raised.
     """
     funcs = _as_prior_funcs(spec)
+    batch = model_batch(d, J.cols[None, :])
     beta = np.array(mle.beta_hat, dtype=float)
     if funcs.barrier_at_origin:
-        beta = _search_start(beta, funcs.mode_scale(d.n))
-
-    batch = model_batch(d, J.cols[None, :])
+        h = batch_score_hessian(batch, beta[None])[1][0]
+        beta = coordinate_mode(beta, np.diagonal(h), spec)
 
     def objective(b: np.ndarray) -> float:
         return float(batch_log_likelihood(batch, b[None])[0]) + funcs.log_density(b)
@@ -290,10 +280,11 @@ def _score_batch(batch: ModelBatch, spec: NonlocalPriorSpec, out: ModelScores,
                   MAX_NEWTON_ITER, ridge_tries=1)
     out.mle_converged[rows] = mle.converged
     out.excluded[rows] = mle.singular  # a rank-deficient design
-    beta = mle.beta
+    beta, h_diag = mle.beta, np.diagonal(mle.h, axis1=-2, axis2=-1)
     if mle.singular.any():
         full_rank = ~mle.singular
-        batch, beta, rows = batch.take(full_rank), beta[full_rank], rows[full_rank]
+        batch, beta, h_diag, rows = (batch.take(full_rank), beta[full_rank],
+                                     h_diag[full_rank], rows[full_rank])
         if not rows.size:
             return
     out.mle[rows, :k] = beta
@@ -309,9 +300,8 @@ def _score_batch(batch: ModelBatch, spec: NonlocalPriorSpec, out: ModelScores,
         h[:, diag, diag] += log_prior_neg_hessian(b, spec)
         return g + log_prior_grad(b, spec), h
 
-    mode = _newton(batch, objective, derivatives,
-                   _search_start(beta, _mode_scale(spec, batch.d.n)), MAX_MODE_ITER,
-                   ridge_tries=MAX_RIDGE_TRIES, step_cap=_orthant_cap)
+    mode = _newton(batch, objective, derivatives, coordinate_mode(beta, h_diag, spec),
+                   MAX_MODE_ITER, ridge_tries=MAX_RIDGE_TRIES, step_cap=_orthant_cap)
     out.mode[rows, :k] = mode.beta
     factor, ok = batch_cholesky(mode.h)
     logdet = 2.0 * np.log(np.diagonal(factor, axis1=-2, axis2=-1)).sum(axis=-1)

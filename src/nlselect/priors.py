@@ -13,7 +13,8 @@ printed variant of the closed form (which integrates to one half).  The
 choice cancels between models of equal size but not across sizes, so it is
 kept explicit.  ``spimom_mixture_quad`` adjudicates: it evaluates the mixture
 integral directly by adaptive quadrature and is the ground truth the closed
-form is tested against.
+form is tested against.  ``coordinate_mode`` gives one coordinate's posterior
+mode under a quadratic log-likelihood, where every mode search starts.
 """
 
 from __future__ import annotations
@@ -160,6 +161,63 @@ def log_prior_neg_hessian(beta, spec: NonlocalPriorSpec) -> np.ndarray:
     if spec.kind == "pimom":
         return 6.0 * spec.scale / beta**4 - (spec.r + 1.0) / beta**2
     return 4.0 * math.sqrt(spec.scale) / np.abs(beta)**3 - (spec.r + 1.0) / beta**2
+
+
+# =============================================================================
+# One coordinate's posterior mode under a quadratic log-likelihood
+# =============================================================================
+
+# Safeguarded Newton: a coordinate is solved once a step moves it by at most
+# this share of its value, since the next Newton step would reach rounding
+# error; a bisection step moves it by half its bracket, so the same test
+# ends a bisection.  MODE_SOLVE_STEPS bounds the loop.
+MODE_SOLVE_RTOL = 2.0**-26
+MODE_SOLVE_STEPS = 100
+
+
+def coordinate_mode(b, h, spec: NonlocalPriorSpec) -> np.ndarray:
+    """Elementwise root, in b's orthant (+ for b = 0), of the stationarity
+    equation -h (beta - b) + d/dbeta log pi(beta) = 0, for curvatures h >= 0.
+
+    That is the mode of log pi(beta) - h/2 (beta - b)^2: one coordinate's
+    posterior mode when the log-likelihood is quadratic with maximum at b
+    and curvature h.  With u = |beta|, a = |b|, it is the positive root of
+
+        spiMOM:  h u^3 - h a u^2 + (r+1) u   - 2 sqrt(lambda) = 0,
+        piMOM:   h u^4 - h a u^3 + (r+1) u^2 - 2 tau          = 0.
+
+    The left side is negative at u = 0 and nonnegative at
+    U = min(max(a, prior_mode), a + (c/h)^(1/(2+2 zeta))), c the constant
+    term, so a root lies in (0, U].  Newton steps start from U; a step that
+    would leave the bracket of the last negative and nonnegative points
+    bisects it instead.  ``b`` and ``h`` broadcast against each other.
+    """
+    b = np.asarray(b, dtype=float)
+    h = np.asarray(h, dtype=float)
+    a = np.abs(b)
+    e = 2 if spec.kind == "pimom" else 1  # u^e multiplies (r+1)
+    c = 2.0 * spec.scale if spec.kind == "pimom" else 2.0 * math.sqrt(spec.scale)
+    r1 = spec.r + 1.0
+    with np.errstate(divide="ignore"):
+        tail = (c / h) ** (1.0 / (e + 2))
+    hi = np.minimum(np.maximum(a, spec.prior_mode), a + tail)
+    lo = np.zeros_like(hi)
+    u = hi
+    for _ in range(MODE_SOLVE_STEPS):
+        ue = u**e
+        f = h * ue * u * (u - a) + r1 * ue - c
+        df = h * ue * ((e + 2) * u - (e + 1) * a) + e * r1 * u ** (e - 1)
+        below = f < 0.0
+        lo = np.where(below, u, lo)
+        hi = np.where(below, hi, u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = u - f / df
+        x = np.where((x >= lo) & (x <= hi), x, 0.5 * (lo + hi))
+        done = np.all(np.abs(x - u) <= MODE_SOLVE_RTOL * x)
+        u = x
+        if done:
+            break
+    return np.where(b < 0.0, -u, u)
 
 
 # =============================================================================

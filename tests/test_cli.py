@@ -374,7 +374,8 @@ class TestNonFiniteValues:
         "fit --lambda nan", "fit --lambda inf", "fit --r nan",
         "fit --prior pimom --tau nan", "fit --sigma2 nan", "fit --sigma2 inf",
         "density --lambda nan", "study --study mle-rate --sigma2 inf",
-        "simulate --p 5 --n 100 --sigma2 inf"])
+        "simulate --p 5 --n 100 --sigma2 inf",
+        "study --study logm-ratio --epsilon nan", "study --study logm-ratio --nu inf"])
     def test_exits_3_and_writes_nothing(self, tmp_path, capsys, flags):
         data = tmp_path / "d.csv"
         assert run(["simulate", "--out", data, "--p", 5, "--n", 100]) == 0

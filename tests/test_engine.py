@@ -3,7 +3,9 @@ reference ``fit_model``, ``fit_mle`` and ``find_posterior_mode``: property
 tests of the marginals, MLEs, modes and log det H* over random designs in
 all three families and both priors, degenerate designs, and greedy search
 with and without a per-model scorer.  Also the mode search's start rule:
-the mode stays in the MLE's orthant and improves on its start point."""
+the mode stays in the MLE's orthant and improves on its start point, and
+the searches' deterministic iteration totals on benchmark inputs stay
+within their bounds."""
 
 import math
 
@@ -254,13 +256,27 @@ def benchmark_gaussian_input(k=3):
     return Dataset(y=y, X=X, family="gaussian")
 
 
+def benchmark_glm_input(family):
+    """p = 15, n = 1600 logistic or Poisson data with the truth on columns 1
+    and 2: input 0 of the ``fit-enum-glm`` benchmark workload at run seed 0."""
+    rng = np.random.default_rng([0, {"logistic": 2, "poisson": 3}[family], 0])
+    X = rng.normal(size=(1600, 15))
+    X = (X - X.mean(axis=0)) / X.std(axis=0)
+    if family == "logistic":
+        theta = X[:, :2] @ np.array([1.0, -0.8])
+        y = (rng.uniform(size=1600) < 1.0 / (1.0 + np.exp(-theta))).astype(float)
+    else:
+        y = rng.poisson(np.exp(X[:, :2] @ np.array([0.5, -0.4]))).astype(float)
+    return Dataset(y=y, X=X, family=family)
+
+
 class TestStalledSearch:
-    # On input 4, model {7,8,19} stops short of the 1e-8 n gradient
-    # tolerance after 6 iterations: from there step-halving accepts only
+    # On input 4, model {7,20,23} stops short of the 1e-8 n gradient
+    # tolerance after 4 iterations: from there step-halving accepts only
     # candidates equal to beta.  Without the stall stop the search spins to
     # the 200-iteration cap with beta frozen; its log marginal is this value.
-    MODEL = ModelIndex((7, 8, 19))
-    LOG_MARGINAL_AT_CAP = -1796.7787702118192
+    MODEL = ModelIndex((7, 20, 23))
+    LOG_MARGINAL_AT_CAP = -1791.785637310164
 
     def test_scalar_search_stops_at_resolution(self):
         fit = fit_model(benchmark_gaussian_input(4), self.MODEL, spimom())
@@ -302,6 +318,15 @@ class TestSearchStart:
         # the MLE start took 40,072 iterations on these 4,526 models.
         scores = score_models(benchmark_gaussian_input(), enumerate_strata(30, 3), spimom())
         assert scores.iterations.sum() <= 22_000
+
+    @pytest.mark.parametrize("family, bound", [("logistic", 1_350), ("poisson", 1_390)])
+    def test_stationary_point_start_iterations(self, family, bound):
+        # Mode iterations over these 576 models, a deterministic count: the
+        # per-coordinate stationary-point start takes 1,313 (logistic) and
+        # 1,346 (Poisson); the start at sign(b) max(|b|, delta0) took 3,056
+        # and 2,294.  The bound leaves a 3% margin for rounding.
+        scores = score_models(benchmark_glm_input(family), enumerate_strata(15, 3), spimom())
+        assert scores.iterations.sum() <= bound
 
 
 class TestGreedySearch:

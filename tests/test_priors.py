@@ -1,18 +1,22 @@
 """Nonlocal prior densities: closed forms against quadrature and
-finite-difference oracles, plus the mixture-representation cross-check."""
+finite-difference oracles, plus the mixture-representation cross-check, and
+the per-coordinate stationary point that starts every mode search."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 from scipy.stats import invgamma
 
-from nlselect.numerics import adaptive_quad
-from nlselect.priors import (AtOrigin, NonlocalPriorSpec, lambda_for_origin_mass,
-                             log_density_1d, log_prior, log_prior_constant,
-                             log_prior_grad, log_prior_neg_hessian, origin_mass,
-                             pimom, spimom, spimom_mixture_quad)
+from nlselect.experiments import scalar_null_mode
+from nlselect.numerics import adaptive_quad, root_find
+from nlselect.priors import (AtOrigin, NonlocalPriorSpec, coordinate_mode,
+                             lambda_for_origin_mass, log_density_1d, log_prior,
+                             log_prior_constant, log_prior_grad, log_prior_neg_hessian,
+                             origin_mass, pimom, spimom, spimom_mixture_quad)
 
 
 def normalization(spec, tol=1e-8):
@@ -223,3 +227,45 @@ class TestOriginMassRule:
     def test_mass_decreasing_in_lambda(self):
         masses = [origin_mass(0.3, spimom(lam=l)) for l in (0.1, 1.0, 10.0)]
         assert masses[0] > masses[1] > masses[2]
+
+
+# Fixed examples keep the suite deterministic from run to run.
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+# Bound on the stationarity equation's residual at the returned root, relative
+# to the sum of its four terms' magnitudes: rounding error, not a loose root.
+RESIDUAL_RTOL = 1e-12
+
+prior_specs = st.builds(NonlocalPriorSpec, kind=st.sampled_from(["pimom", "spimom"]),
+                        r=st.floats(0.1, 10.0), scale=st.floats(1e-3, 1e3))
+# (MLE coordinate b, curvature h) pairs; b = 0 exactly is a case of its own
+coordinates = st.tuples(st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
+                        st.floats(1e-6, 1e8))
+
+
+class TestCoordinateMode:
+    @PROPERTY
+    @given(st.lists(coordinates, min_size=1, max_size=8), prior_specs)
+    def test_root_in_orthant(self, pairs, spec):
+        # one call solves all coordinates in lockstep, as the engine does
+        b, h = np.array(pairs).T
+        beta = coordinate_mode(b, h, spec)
+        assert beta.shape == b.shape and np.all(beta != 0.0)
+        assert np.all(np.where(b < 0.0, beta < 0.0, beta > 0.0))
+        # h u^(e+2) - h a u^(e+1) + (r+1) u^e - c = 0, e = 2 zeta
+        u, a, e = np.abs(beta), np.abs(b), round(2.0 * spec.zeta)
+        c = 2.0 * spec.scale if spec.kind == "pimom" else 2.0 * math.sqrt(spec.scale)
+        terms = [h * u**(e + 2), -h * a * u**(e + 1), (spec.r + 1.0) * u**e, np.full_like(u, -c)]
+        residual = np.abs(sum(terms)) / sum(np.abs(t) for t in terms)
+        assert residual.max() <= RESIDUAL_RTOL, (b, h, beta, residual)
+
+    @PROPERTY
+    @given(prior_specs, st.integers(2, 10**7))
+    def test_null_coordinate_is_scalar_null_mode(self, spec, n):
+        beta = float(coordinate_mode(0.0, float(n), spec))
+        assert beta == scalar_null_mode(spec, n)
+        # an independent bisection oracle on the same equation
+        e = round(2.0 * spec.zeta)
+        c = 2.0 * spec.scale if spec.kind == "pimom" else 2.0 * math.sqrt(spec.scale)
+        oracle = root_find(lambda u: n * u**(e + 2) + (spec.r + 1.0) * u**e - c,
+                           0.0, 2.0 * spec.prior_mode, tol=1e-12)
+        assert beta == pytest.approx(oracle, abs=1e-10)
