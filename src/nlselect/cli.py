@@ -107,23 +107,33 @@ def to_json(obj, indent: int = 0) -> str:
 def _models_json(post: ModelPosterior, indent: int) -> str:
     """What ``to_json`` writes for the list of {"indices", "log_marginal",
     "probability"} dicts of a posterior's models, filled into one row
-    template per model size instead of walked value by value."""
+    template per model size instead of walked value by value.  All floats are
+    formatted in one call, then each stratum in one call."""
     row_pad, field_pad = " " * (indent + 2), " " * (indent + 4)
-    log_marginal = post.log_marginal.tolist()
-    probability = post.probability.tolist()
+    values = np.concatenate([post.log_marginal, post.probability])
+    cells = (",".join(["%.17g"] * values.size) % tuple(values.tolist())).split(",")
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        cells[i] = _format_float(values[i])
+    models = post.log_marginal.size
     out = []
     start = 0
     for k, rows in enumerate(post.strata):
+        count = rows.shape[0]
+        if not count:
+            continue
         indices = ("[\n" + ",\n".join([" " * (indent + 6) + "%d"] * k) + "\n"
                    + field_pad + "]") if k else "[]"
         template = (row_pad + "{\n" + field_pad + '"indices": ' + indices + ",\n"
                     + field_pad + '"log_marginal": %s,\n'
                     + field_pad + '"probability": %s\n' + row_pad + "}")
-        stop = start + rows.shape[0]
-        for row, lm, prob in zip(rows.tolist(), log_marginal[start:stop],
-                                 probability[start:stop]):
-            out.append(template % (*row, _format_float(lm), _format_float(prob)))
-        start = stop
+        # row-major (indices..., log_marginal, probability), filled by column
+        fields = [None] * (count * (k + 2))
+        for j in range(k):
+            fields[j::k + 2] = rows[:, j].tolist()
+        fields[k::k + 2] = cells[start:start + count]
+        fields[k + 1::k + 2] = cells[models + start:models + start + count]
+        out.append(",\n".join([template] * count) % tuple(fields))
+        start += count
     return "[\n" + ",\n".join(out) + "\n" + " " * indent + "]"
 
 
@@ -173,40 +183,58 @@ def rows_to_csv(rows: Sequence[dict]) -> str:
 
 
 def dataset_to_csv(d: Dataset) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"x{j}" for j in range(1, d.p + 1)] + ["y"])
-    for i in range(d.n):
-        writer.writerow([_csv_cell(v) for v in d.X[i]] + [_csv_cell(d.y[i])])
-    return buf.getvalue()
+    header = ",".join([f"x{j}" for j in range(1, d.p + 1)] + ["y"]) + "\n"
+    row = ",".join(["%.17g"] * (d.p + 1)) + "\n"
+    return header + (row * d.n) % tuple(np.column_stack([d.X, d.y]).ravel().tolist())
+
+
+def _parse_rows(path: str, lines: list[str], width: int) -> np.ndarray:
+    """The data rows cell by cell, raising InputError at the first bad row."""
+    rows = []
+    for lineno, row in enumerate(csv.reader(lines), start=2):
+        if len(row) != width:
+            raise InputError(f"{path}:{lineno}: expected {width} cells")
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: non-numeric cell") from None
+    return np.asarray(rows, dtype=float)
 
 
 def read_dataset_csv(path: str, family: str, dispersion: float) -> Dataset:
     """Parse the documented CSV format: header row, response column ``y``,
-    every other column a numeric predictor in left-to-right model order."""
+    every other column a numeric predictor in left-to-right model order.
+
+    The body is parsed in one ``np.loadtxt`` call.  A file it rejects, or
+    reads to another shape (it skips blank lines), is parsed again by
+    ``_parse_rows``, which either names the first bad row or accepts what
+    only Python's ``float`` reads (quoted cells, ``1_000``, non-ASCII
+    digits)."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise InputError(f"{path}: empty file") from None
-            if "y" not in header:
-                raise InputError(f"{path}: no column named 'y'")
-            y_pos = header.index("y")
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise InputError(f"{path}:{lineno}: expected {len(header)} cells")
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError:
-                    raise InputError(f"{path}:{lineno}: non-numeric cell") from None
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from None
-    if not rows:
+    remaining = iter(lines)
+    try:
+        header = next(csv.reader(remaining))  # reads only the header's lines
+    except StopIteration:
+        raise InputError(f"{path}: empty file") from None
+    if "y" not in header:
+        raise InputError(f"{path}: no column named 'y'")
+    y_pos = header.index("y")
+    body = list(remaining)
+    if not body:
         raise InputError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
+    data = None
+    # loadtxt warns when every line is blank; a leading blank line fails anyway
+    if body[0].strip():
+        try:
+            data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2, dtype=float)
+        except ValueError:
+            pass
+    if data is None or data.shape != (len(body), len(header)):
+        data = _parse_rows(path, body, len(header))
     y = data[:, y_pos]
     X = np.delete(data, y_pos, axis=1)
     try:

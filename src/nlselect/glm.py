@@ -49,10 +49,11 @@ class FamilySupport(ValueError):
 
 def _sigmoid(theta: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-theta) for theta >= 0, e^theta / (1 + e^theta) below, so
-    # the exponential never overflows; in place, as batches pass large arrays
+    # the exponential never overflows; in place, as batches pass large arrays.
+    # The numerator is 1 where theta >= 0, else e: as e <= 1, their maximum.
     e = np.abs(theta)
     np.exp(np.negative(e, out=e), out=e)
-    out = np.where(theta >= 0, 1.0, e)
+    out = np.maximum(e, theta >= 0)
     e += 1.0
     out /= e
     return out

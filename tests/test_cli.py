@@ -1,15 +1,20 @@
 """Command-line behavior: exit codes, file formats, reproducibility, and the
 documented end-to-end selection examples."""
 
+import csv
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nlselect import cli
 from nlselect.cli import dataset_to_csv, main, read_dataset_csv, rows_to_csv, to_json
 from nlselect.glm import Dataset
 from nlselect.modelspace import ModelIndex, posterior_probs
@@ -491,3 +496,133 @@ class TestOneScoringPath:
             want = hessian_diagnostics(d, top, mle.beta_hat, [mle.beta_hat, pm.beta_pm])
             for key, value in want._asdict().items():
                 assert doc["diagnostics"][key] == pytest.approx(value, rel=1e-8, abs=0.0)
+
+
+def row_loop_reader(path, family="gaussian", dispersion=1.0):
+    """The reader as it was before the one-call parse: every cell through
+    ``float`` in a ``csv.reader`` loop.  The reference for ``read_dataset_csv``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise cli.InputError(f"{path}: empty file") from None
+        if "y" not in header:
+            raise cli.InputError(f"{path}: no column named 'y'")
+        y_pos = header.index("y")
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise cli.InputError(f"{path}:{lineno}: expected {len(header)} cells")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError:
+                raise cli.InputError(f"{path}:{lineno}: non-numeric cell") from None
+    if not rows:
+        raise cli.InputError(f"{path}: no data rows")
+    data = np.asarray(rows, dtype=float)
+    try:
+        return Dataset(y=data[:, y_pos], X=np.delete(data, y_pos, axis=1),
+                       family=family, dispersion=dispersion)
+    except ValueError as exc:
+        raise cli.ConfigError(str(exc)) from None
+
+
+def assert_bitwise_equal(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestReadCsv:
+    """``read_dataset_csv`` parses in one ``np.loadtxt`` call and falls back
+    to its row loop; either way it must read what the row loop alone read."""
+
+    @pytest.mark.parametrize("text", [
+        "x1,y\n1,2\n\n3,4\n",               # blank line in the middle
+        "x1,y\n1,2\n3,4\n\n",               # blank line at the end
+        "x1,y\r\n1,2\r\n\r\n3,4\r\n",       # blank CRLF line
+        "x1,y\r\n1.5,2\r\n3,4\r\n",         # CRLF line endings
+        "x1,y\n1.5,2\n3,4",                 # no trailing newline
+        'x1,y\n"1.5",2\n3,4\n',             # quoted cell
+        "x1,y\n#,2\n3,4\n",                 # a comment character is a cell
+        "x1,y\n1_000,2\n3,4\n",             # underscores: only float() reads them
+        "x1,y\n١.5,2\n3,4\n",          # a non-ASCII digit
+        "x1,y\n 1.5 ,2\n3,\t4\n",           # padded cells
+        "x1,y\n,2\n3,4\n",                  # empty cell
+        "x1,x2,y\n1,2,3\n4,5\n",            # ragged row
+        "x1,y\n1,2,\n3,4,\n",               # trailing comma on every row
+        "x1,y\n1,2\n3,4\noops,5\n",         # bad row after good ones
+        "x1,y\n1,nan\n3,4\n",               # non-finite cells exit 3
+        "x1,y\n1,2\n-inf,4\n",
+        "x1,y\n1,nan\n3,4\n\n",             # a blank line comes before the nan check
+        "x1,y,x2\n1,2,3\n4,5,6\n7,8,9\n",   # y in a middle column
+        "x1,y\n1,2\n",                      # one data row
+        "x1,y\n",                           # header only
+        "x1,y\n\n\n",                       # only blank lines after the header
+        "",                                 # empty file
+        "x1,x2\n1,2\n",                     # no y column
+        "y\n1\n2\n",                        # no predictor (exit 3)
+    ])
+    def test_same_result_as_the_row_loop(self, tmp_path, capsys, text):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            want = row_loop_reader(str(path))
+        except (cli.InputError, cli.ConfigError) as exc:
+            code = 2 if isinstance(exc, cli.InputError) else 3
+            assert run(["fit", "--input", path, "--q", 1]) == code
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: {exc}\n"
+            return
+        got = read_dataset_csv(str(path), "gaussian", 1.0)
+        assert_bitwise_equal(got.X, want.X)
+        assert_bitwise_equal(got.y, want.y)
+
+    @pytest.mark.parametrize("text", ["y,x1\n2,1\n4,3\n", "x1,y\n1,2\n3,4\n"])
+    def test_byte_order_mark_is_ignored(self, tmp_path, text):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        d = read_dataset_csv(str(path), "gaussian", 1.0)
+        np.testing.assert_array_equal(d.X, [[1.0], [3.0]])
+        np.testing.assert_array_equal(d.y, [2.0, 4.0])
+        assert run(["fit", "--input", path, "--q", 1, "--out", tmp_path / "f.json"]) == 0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 6), st.integers(1, 4), st.data())
+    def test_round_trip_is_bitwise(self, n, p, data):
+        cell = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e300, -1e-300]))
+        values = np.array(data.draw(st.lists(cell, min_size=n * (p + 1),
+                                             max_size=n * (p + 1))))
+        d = Dataset(y=values[:n], X=values[n:].reshape(n, p))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.csv")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(dataset_to_csv(d))
+            got = read_dataset_csv(path, "gaussian", 1.0)
+        assert_bitwise_equal(got.X, d.X)
+        assert_bitwise_equal(got.y, d.y)
+
+    def test_written_files_take_the_one_call_parse(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(8)
+        d = Dataset(y=rng.normal(size=30), X=rng.normal(size=(30, 4)) * 1e-3)
+        path = tmp_path / "d.csv"
+        path.write_text(dataset_to_csv(d), encoding="utf-8")
+
+        def no_row_loop(*args, **kwargs):
+            raise AssertionError("the row loop ran on a well-formed file")
+
+        monkeypatch.setattr(cli, "_parse_rows", no_row_loop)
+        got = read_dataset_csv(str(path), "gaussian", 1.0)
+        assert_bitwise_equal(got.X, d.X)
+        assert_bitwise_equal(got.y, d.y)
+
+
+class TestModelsJson:
+    def test_missing_model_size_writes_no_empty_row(self):
+        # no model of size 1: its stratum is a (0, 1) array
+        post = posterior_probs([(ModelIndex(()), -2.0), (ModelIndex((1, 3)), math.nan),
+                                (ModelIndex((2, 3)), -0.5)])
+        assert post.strata[1].shape == (0, 1)
+        rows = [{"indices": m, "log_marginal": lm, "probability": prob}
+                for m, lm, prob in post.entries]
+        assert to_json({"models": post}) == to_json({"models": rows})

@@ -310,3 +310,23 @@ class TestBatchKernels:
         assert batch_rows(gauss, 3) == BATCH_FLOATS // 9
         assert batch_rows(logit, 3) == BATCH_FLOATS // 1600
         assert batch_rows(random_instance("poisson", rng, n=10**6, p=1), 1) == 1
+
+
+class TestSigmoid:
+    def test_maximum_numerator_is_bitwise_the_where_form(self):
+        # the numerator is max(e, theta >= 0), which equals
+        # np.where(theta >= 0, 1.0, e) because e = exp(-|theta|) <= 1
+        from nlselect.glm import _sigmoid
+
+        def where_form(theta):
+            e = np.exp(-np.abs(theta))
+            return np.where(theta >= 0, 1.0, e) / (1.0 + e)
+
+        edges = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 745.2, -745.2,
+                 1e308, -1e308, math.nan]
+        theta = np.concatenate([edges, np.random.default_rng(33).normal(scale=30.0,
+                                                                        size=100_000)])
+        for arr in (theta, theta[:100_010].reshape(10, -1)):
+            got, want = _sigmoid(arr.copy()), where_form(arr)
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
