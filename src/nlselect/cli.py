@@ -1,9 +1,10 @@
 """Command-line front door: selection runs, simulation, prior density grids,
 and the rate/consistency studies, all seeded and machine-readable.
 
-Exit codes: 0 success, 2 malformed input (CSV or command line) or an
-unwritable output path, 3 invalid configuration (a non-finite value
-included), 4 model space over the enumeration cap without --search.
+Exit codes: 0 success, 2 malformed input (CSV or command line, a CSV that
+is not UTF-8) or an unwritable output path, 3 invalid configuration (a
+non-finite value included), 4 model space over the enumeration cap without
+--search.
 JSON output serializes numbers with 17 significant digits and sorted keys,
 so rerunning an echoed configuration reproduces files byte-for-byte;
 non-finite values appear as the strings "inf", "-inf", "nan".  Output files
@@ -215,6 +216,8 @@ def read_dataset_csv(path: str, family: str, dispersion: float) -> Dataset:
             lines = fh.readlines()
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text") from None
     remaining = iter(lines)
     try:
         header = next(csv.reader(remaining))  # reads only the header's lines

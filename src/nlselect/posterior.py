@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -47,35 +47,6 @@ MAX_MODE_ITER = 200
 MAX_RIDGE_TRIES = 60
 
 
-@dataclass(frozen=True)
-class PriorFuncs:
-    """Callable bundle the mode finder optimizes against.
-
-    ``barrier_at_origin`` is True only for the bundle of a
-    :class:`NonlocalPriorSpec`, whose spec then gives the search start
-    (``priors.coordinate_mode``).  False disables that start rule and the
-    orthant step-shortening for priors that are finite at zero (the Gaussian
-    reference prior used to validate the Laplace plumbing); the search then
-    starts at the MLE.
-    """
-
-    log_density: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
-    neg_hessian_diag: Callable[[np.ndarray], np.ndarray]
-    barrier_at_origin: bool = True
-
-
-def _as_prior_funcs(spec: Union[NonlocalPriorSpec, PriorFuncs]) -> PriorFuncs:
-    if isinstance(spec, PriorFuncs):
-        return spec
-    return PriorFuncs(
-        log_density=lambda b: log_prior(b, spec),
-        grad=lambda b: log_prior_grad(b, spec),
-        neg_hessian_diag=lambda b: log_prior_neg_hessian(b, spec),
-        barrier_at_origin=True,
-    )
-
-
 def _orthant_cap(beta: np.ndarray, step: np.ndarray) -> np.ndarray:
     """The largest step fraction (at most 1) that stops every sign-flipping
     coordinate halfway to zero, for a vector or per row of a stack."""
@@ -83,29 +54,6 @@ def _orthant_cap(beta: np.ndarray, step: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         caps = np.where(flips, np.abs(beta) / (2.0 * np.abs(step)), np.inf)
     return np.minimum(1.0, caps.min(axis=-1, initial=np.inf))
-
-
-def gaussian_reference_prior(sigma2: float) -> PriorFuncs:
-    """Mean-zero Gaussian prior, for which Laplace is exact.
-
-    Test-only plumbing hook: substituting it for a nonlocal prior makes the
-    log posterior quadratic in the Gaussian family, so the Laplace marginal
-    must match the conjugate closed form to rounding error.
-    """
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-
-    def logd(b: np.ndarray) -> float:
-        b = np.asarray(b, dtype=float)
-        return float(-0.5 * b.size * math.log(2 * math.pi * sigma2)
-                     - 0.5 * (b @ b) / sigma2)
-
-    return PriorFuncs(
-        log_density=logd,
-        grad=lambda b: -np.asarray(b, dtype=float) / sigma2,
-        neg_hessian_diag=lambda b: np.full(np.asarray(b).size, 1.0 / sigma2),
-        barrier_at_origin=False,
-    )
 
 
 @dataclass
@@ -122,40 +70,36 @@ class PosteriorFit:
     saddle: bool = False
 
 
-def find_posterior_mode(d: Dataset, J: ModelIndex,
-                        spec: Union[NonlocalPriorSpec, PriorFuncs],
+def find_posterior_mode(d: Dataset, J: ModelIndex, spec: NonlocalPriorSpec,
                         mle: GlmFit) -> PosteriorFit:
     """Posterior mode in the MLE's orthant: :func:`glm.newton_ascent` of
     log-likelihood + log-prior, with up to ``MAX_RIDGE_TRIES`` ridge tries
     per step and at most ``MAX_MODE_ITER`` iterations.
 
-    Under a nonlocal prior each coordinate starts at
-    ``priors.coordinate_mode(b, h, spec)``: the root, in the orthant of its
-    MLE b (+ for b = 0), of -h (beta - b) + d/dbeta log pi(beta) = 0, with h
-    the diagonal of the negative log-likelihood Hessian at the MLE.  Any
-    Newton step that would flip a coordinate's sign is shortened so the
-    coordinate stops halfway to zero, keeping the iterates inside the
-    starting orthant where the prior is smooth.  Non-convergence (the
-    gradient test unmet at the returned iterate) is flagged on the returned
-    fit, never raised.
+    Each coordinate starts at ``priors.coordinate_mode(b, h, spec)``: the
+    root, in the orthant of its MLE b (+ for b = 0), of
+    -h (beta - b) + d/dbeta log pi(beta) = 0, with h the diagonal of the
+    negative log-likelihood Hessian at the MLE.  Any Newton step that would
+    flip a coordinate's sign is shortened so the coordinate stops halfway to
+    zero, keeping the iterates inside the starting orthant where the prior
+    is smooth.  Non-convergence (the gradient test unmet at the returned
+    iterate) is flagged on the returned fit, never raised.
     """
-    funcs = _as_prior_funcs(spec)
     batch = model_batch(d, J.cols[None, :])
     beta = np.array(mle.beta_hat, dtype=float)
-    if funcs.barrier_at_origin:
-        h = batch_score_hessian(batch, beta[None])[1][0]
-        beta = coordinate_mode(beta, np.diagonal(h), spec)
+    h = batch_score_hessian(batch, beta[None])[1][0]
+    beta = coordinate_mode(beta, np.diagonal(h), spec)
 
     def objective(b: np.ndarray) -> float:
-        return float(batch_log_likelihood(batch, b[None])[0]) + funcs.log_density(b)
+        return float(batch_log_likelihood(batch, b[None])[0]) + log_prior(b, spec)
 
     def derivatives(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         g, h = batch_score_hessian(batch, b[None])
-        return g[0] + funcs.grad(b), h[0] + np.diag(funcs.neg_hessian_diag(b))
+        return (g[0] + log_prior_grad(b, spec),
+                h[0] + np.diag(log_prior_neg_hessian(b, spec)))
 
     fit = newton_ascent(objective, derivatives, beta, d.n, MAX_MODE_ITER,
-                        ridge_tries=MAX_RIDGE_TRIES,
-                        step_cap=_orthant_cap if funcs.barrier_at_origin else None)
+                        ridge_tries=MAX_RIDGE_TRIES, step_cap=_orthant_cap)
     return PosteriorFit(beta_pm=fit.beta, log_post_unnorm=fit.value,
                         neg_hessian_logpost=SpdMatrix(fit.h),
                         converged=fit.converged, iterations=fit.iterations)
@@ -180,8 +124,7 @@ def laplace_log_marginal(d: Dataset, J: ModelIndex, pm: PosteriorFit) -> float:
             + pm.log_post_unnorm)
 
 
-def fit_model(d: Dataset, J: ModelIndex,
-              spec: Union[NonlocalPriorSpec, PriorFuncs]) -> PosteriorFit:
+def fit_model(d: Dataset, J: ModelIndex, spec: NonlocalPriorSpec) -> PosteriorFit:
     """MLE, posterior mode, and Laplace marginal for one submodel.
 
     Degenerate models (rank-deficient design, saddle curvature at the mode)

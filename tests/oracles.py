@@ -2,15 +2,18 @@
 
 These deliberately avoid the code paths they adjudicate: marginals come from
 direct quadrature of the unnormalized posterior, never from the Laplace
-formula under test.
+formula under test, and the Gaussian-prior mode is searched outside the
+nonlocal-prior mode finder.
 """
 
 import math
 
 import numpy as np
 
-from nlselect.glm import log_likelihood
-from nlselect.numerics import adaptive_quad
+from nlselect.glm import (batch_log_likelihood, batch_score_hessian, fit_mle,
+                          log_likelihood, model_batch, newton_ascent)
+from nlselect.numerics import SpdMatrix, adaptive_quad
+from nlselect.posterior import MAX_MODE_ITER, MAX_RIDGE_TRIES, PosteriorFit
 from nlselect.priors import log_density_1d, log_prior
 
 
@@ -50,6 +53,31 @@ def tensor_grid_log_marginal(d, J, spec, shift, lo=-5.0, hi=5.0, step=2.5e-3):
                 + const - shift)
         total += float(np.exp(expo).sum())
     return shift + math.log(total * step * step)
+
+
+def gaussian_prior_mode(d, J, prior_var):
+    """Posterior mode under a N(0, prior_var I) prior, for which the log
+    posterior is quadratic in the Gaussian family and Laplace is exact.
+
+    One ``glm.newton_ascent`` of log-likelihood + log-prior from the MLE,
+    without the orthant cap: the prior is finite at zero.
+    """
+    batch = model_batch(d, J.cols[None, :])
+
+    def objective(b):
+        log_prior_value = float(-0.5 * b.size * math.log(2 * math.pi * prior_var)
+                                - 0.5 * (b @ b) / prior_var)
+        return float(batch_log_likelihood(batch, b[None])[0]) + log_prior_value
+
+    def derivatives(b):
+        g, h = batch_score_hessian(batch, b[None])
+        return g[0] - b / prior_var, h[0] + np.eye(b.size) / prior_var
+
+    fit = newton_ascent(objective, derivatives, np.array(fit_mle(d, J).beta_hat, dtype=float),
+                        d.n, MAX_MODE_ITER, ridge_tries=MAX_RIDGE_TRIES)
+    return PosteriorFit(beta_pm=fit.beta, log_post_unnorm=fit.value,
+                        neg_hessian_logpost=SpdMatrix(fit.h),
+                        converged=fit.converged, iterations=fit.iterations)
 
 
 def fd_gradient(f, beta, h=1e-5):

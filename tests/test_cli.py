@@ -586,6 +586,16 @@ class TestReadCsv:
         np.testing.assert_array_equal(d.y, [2.0, 4.0])
         assert run(["fit", "--input", path, "--q", 1, "--out", tmp_path / "f.json"]) == 0
 
+    @pytest.mark.parametrize("data", [b"x1,y\n1,2\n\xff,3\n",   # bad byte in the body
+                                      b"x\xff,y\n1,2\n3,4\n"])  # bad byte in the header
+    def test_not_utf8_exits_2(self, tmp_path, capsys, data):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        assert run(["fit", "--input", path, "--q", 1]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}: not UTF-8 text\n"
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(1, 6), st.integers(1, 4), st.data())
     def test_round_trip_is_bitwise(self, n, p, data):

@@ -198,12 +198,6 @@ class TestAgainstScalarReference:
         for j, i in enumerate(shuffled):
             assert same_logm(whole.log_marginal[i], part.log_marginal[j])
 
-    def test_empty_model_is_exact_loglik(self):
-        d = random_dataset("gaussian", seed=1, n=40, p=2)
-        scores = score_models(d, blocks([ModelIndex()]), spimom())
-        assert scores.log_marginal[0] == fit_model(d, ModelIndex(), spimom()).log_marginal
-        assert scores.converged[0] and scores.iterations[0] == 0
-
     def test_columns_beyond_p_rejected(self):
         d = random_dataset("gaussian", seed=1, n=40, p=2)
         with pytest.raises(ValueError):

@@ -9,8 +9,7 @@ import pytest
 from nlselect.glm import Dataset, fit_mle, log_likelihood
 from nlselect.modelspace import ModelIndex
 from nlselect.numerics import adaptive_quad, root_find
-from nlselect.posterior import (find_posterior_mode, fit_model,
-                                gaussian_reference_prior, laplace_log_marginal)
+from nlselect.posterior import find_posterior_mode, fit_model, laplace_log_marginal
 from nlselect.priors import log_prior, pimom, spimom
 
 J1 = ModelIndex((1,))
@@ -28,6 +27,10 @@ def simulated_gaussian(seed, n, p, beta_true):
     X = (X - X.mean(axis=0)) / X.std(axis=0)
     y = X @ np.asarray(beta_true) + rng.normal(size=n)
     return Dataset(y=y, X=X, family="gaussian")
+
+
+# (seed, p) of the Gaussian-prior Laplace check
+GAUSSIAN_PRIOR_CASES = ((0, 1), (1, 2))
 
 
 class TestNullCoordinateMode:
@@ -161,13 +164,12 @@ class TestLaplace:
 
     def test_gaussian_prior_makes_laplace_exact(self):
         # quadratic log posterior: Laplace equals the conjugate closed form
+        from oracles import gaussian_prior_mode
         prior_var = 2.5
-        for seed, p in ((0, 1), (1, 2)):
+        for seed, p in GAUSSIAN_PRIOR_CASES:
             d = simulated_gaussian(seed, 120, p, [0.8] * p)
             J = ModelIndex(tuple(range(1, p + 1)))
-            hook = gaussian_reference_prior(prior_var)
-            mle = fit_mle(d, J)
-            pm = find_posterior_mode(d, J, hook, mle)
+            pm = gaussian_prior_mode(d, J, prior_var)
             lm = laplace_log_marginal(d, J, pm)
             # closed form: y ~ N(0, sigma2 I + prior_var X X') marginally
             cov = np.eye(d.n) + prior_var * d.X @ d.X.T
@@ -175,6 +177,19 @@ class TestLaplace:
             ref = (-0.5 * d.n * math.log(2 * math.pi) - 0.5 * logdet
                    - 0.5 * d.y @ np.linalg.solve(cov, d.y))
             assert lm == pytest.approx(ref, abs=1e-8)
+
+    def test_gaussian_prior_mode_is_the_ridge_solution(self):
+        # the oracle's own closed form: (X'X / sigma2 + I / prior_var)^-1 X'y / sigma2
+        from oracles import gaussian_prior_mode
+        prior_var = 2.5
+        for seed, p in GAUSSIAN_PRIOR_CASES:
+            d = simulated_gaussian(seed, 120, p, [0.8] * p)
+            J = ModelIndex(tuple(range(1, p + 1)))
+            pm = gaussian_prior_mode(d, J, prior_var)
+            precision = d.X.T @ d.X / d.dispersion + np.eye(p) / prior_var
+            want = np.linalg.solve(precision, d.X.T @ d.y / d.dispersion)
+            assert pm.converged
+            np.testing.assert_allclose(pm.beta_pm, want, rtol=1e-10, atol=0.0)
 
     def test_saddle_maps_to_minus_inf(self):
         rng = np.random.default_rng(5)
