@@ -3,8 +3,8 @@ and the rate/consistency studies, all seeded and machine-readable.
 
 Exit codes: 0 success, 2 malformed input (CSV or command line, a CSV that
 is not UTF-8) or an unwritable output path, 3 invalid configuration (a
-non-finite value included), 4 model space over the enumeration cap without
---search.
+non-finite value included) or a failed ``density --verify`` quadrature, 4
+model space over the enumeration cap without --search.
 JSON output serializes numbers with 17 significant digits and sorted keys,
 so rerunning an echoed configuration reproduces files byte-for-byte;
 non-finite values appear as the strings "inf", "-inf", "nan".  Output files
@@ -29,7 +29,7 @@ from .experiments import ExperimentConfig, hessian_diagnostics
 from .glm import FAMILIES, Dataset
 from .modelspace import (ModelIndex, ModelPosterior, TooManyModels,
                          enumerate_strata, greedy_search, normalize_strata)
-from .numerics import NoBracket, adaptive_quad, make_stream
+from .numerics import NoConvergence, adaptive_quad, make_stream
 from .priors import NonlocalPriorSpec, lambda_for_origin_mass, log_density_1d
 
 EXIT_OK = 0
@@ -291,20 +291,23 @@ def _prior_from_args(args) -> NonlocalPriorSpec:
         raise ConfigError("--lambda applies to spimom only")
     if kind == "spimom" and args.tau is not None:
         raise ConfigError("--tau applies to pimom only")
+    if kind == "pimom" and args.effect_floor is not None:
+        raise ConfigError("--effect-floor applies to spimom only")
+    if args.lam is not None and args.effect_floor is not None:
+        raise ConfigError("give either --lambda or --effect-floor, not both")
     if args.r <= 0:
         raise ConfigError("--r must be positive")
     if kind == "pimom":
         scale = args.tau if args.tau is not None else 1.0
+    elif args.effect_floor is not None:
+        try:
+            scale = lambda_for_origin_mass(args.effect_floor, r=args.r)
+        except ValueError as exc:
+            raise ConfigError(f"--effect-floor {args.effect_floor} gives no "
+                              f"spimom scale: {exc}") from None
     else:
-        scale = args.lam
-        if scale is None:
-            floor = getattr(args, "effect_floor", None)
-            try:
-                scale = 1.0 if floor is None else lambda_for_origin_mass(floor, r=args.r)
-            except (ValueError, NoBracket) as exc:
-                raise ConfigError(
-                    f"--effect-floor {floor} gives no spimom scale: {exc}") from None
-    if scale is None or scale <= 0:
+        scale = args.lam if args.lam is not None else 1.0
+    if scale <= 0:
         raise ConfigError("prior scale must be positive")
     if args.paper_constant and kind != "spimom":
         raise ConfigError("--paper-constant applies to spimom only")
@@ -413,6 +416,17 @@ def cmd_density(args) -> int:
         raise ConfigError(f"cannot parse grid {args.grid!r}") from None
     if not (lo < hi and count >= 2):
         raise ConfigError("grid needs lo < hi and count >= 2")
+    if args.verify:
+        # in units of the prior mode m, b = m s, so the far tail of a large
+        # scale still falls on the quadrature's nodes
+        m = spec.prior_mode
+        try:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                integral = adaptive_quad(
+                    lambda s: m * np.exp(log_density_1d(m * s, spec)),
+                    -math.inf, math.inf, tol=1e-8)
+        except (ValueError, NoConvergence) as exc:
+            raise ConfigError(f"--verify: no normalization integral: {exc}") from None
     grid = np.linspace(lo, hi, count)
     dens = np.exp(log_density_1d(grid, spec))
     rows = [{"beta": b, "density": v} for b, v in zip(grid, dens)]
@@ -422,8 +436,6 @@ def cmd_density(args) -> int:
     else:
         sys.stdout.write(text)
     if args.verify:
-        integral = adaptive_quad(lambda b: np.exp(log_density_1d(b, spec)),
-                                 -math.inf, math.inf, tol=1e-8)
         print(f"normalization integral: {integral:.6f}")
     return EXIT_OK
 
@@ -540,11 +552,11 @@ def _add_prior_flags(sub) -> None:
     sub.add_argument("--tau", type=float, default=None,
                      help="pimom scale (default 1)")
     sub.add_argument("--lambda", dest="lam", type=float, default=None,
-                     help="spimom scale (default 1, or solved from --effect-floor)")
+                     help="spimom scale (default 1, or set by --effect-floor)")
     sub.add_argument("--effect-floor", dest="effect_floor", type=float,
                      default=None,
-                     help="solve the spimom scale so 1%% of prior mass falls "
-                          "inside (-floor, floor)")
+                     help="set the spimom scale so 1%% of prior mass falls "
+                          "inside (-floor, floor); spimom only, not with --lambda")
     sub.add_argument("--paper-constant", action="store_true",
                      help="use the halved printed spimom constant instead of "
                           "the exact mixture constant")

@@ -409,11 +409,12 @@ def logm_ratio_study(cfg: ExperimentConfig, supersets_per_size: int = 20
 
     Every row carries the likelihood-ratio part, the dominant prior-ratio
     part sum_J (phi/beta^2)^zeta - sum_J0 (.), and the exact-decomposition
-    remainder; the three pieces must rebuild the total to 1e-10, which is
-    asserted per replication.  The first-term prediction with the
-    configured (epsilon, nu) knobs is reported for reference only; the
-    proportionality constant is unknown, so only sign and monotonicity are
-    meaningful checks.
+    remainder; the three pieces must rebuild the total to 1e-10.  The
+    largest gap over all replications is reported as ``max_identity_gap``,
+    not checked here; tests/test_experiments.py holds it to 1e-10.  The
+    first-term prediction with the configured (epsilon, nu) knobs is
+    reported for reference only; the proportionality constant is unknown,
+    so only sign and monotonicity are meaningful checks.
     """
     spec = cfg.priors[0]
     truth = cfg.true_support

@@ -187,9 +187,9 @@ class Dataset:
         return self.X.shape[1]
 
     @cached_property
-    def _gram(self) -> tuple[np.ndarray, np.ndarray, float]:
-        # sufficient statistics for the Gaussian fast path
-        return self.X.T @ self.X, self.X.T @ self.y, float(self.y @ self.y)
+    def _gram(self) -> tuple[np.ndarray, np.ndarray]:
+        # sufficient statistics for the Gaussian fast path: X'X and X'y
+        return self.X.T @ self.X, self.X.T @ self.y
 
 
 @dataclass
@@ -373,7 +373,7 @@ def model_batch(d: Dataset, cols: np.ndarray) -> ModelBatch:
         raise ValueError(f"|J| = {cols.shape[1]} exceeds n = {d.n}")
     base = FAMILIES[d.family].log_base(d.y, d.dispersion)
     if d.family == "gaussian":
-        xtx, xty, _ = d._gram
+        xtx, xty = d._gram
         return ModelBatch(d=d, cols=cols, base=base,
                           xtx=xtx[cols[:, :, None], cols[:, None, :]], xty=xty[cols])
     return ModelBatch(d=d, cols=cols, base=base, xs=d.X.T[cols])

@@ -161,30 +161,31 @@ def _sum_in_order(x: np.ndarray) -> float:
     return float(np.cumsum(x)[-1]) if x.size else 0.0
 
 
-def enumerate_strata(p: int, q: int, cap: int = ENUMERATION_CAP) -> list[np.ndarray]:
+def enumerate_strata(p: int, q: int) -> list[np.ndarray]:
     """All submodels of {1..p} of size 0..q as strata: entry k is the
     (C(p, k), k) array of the size-k models in lexicographic order.
 
     Raises
     ------
     TooManyModels
-        If sum_{k<=q} C(p, k) exceeds ``cap``.
+        If sum_{k<=q} C(p, k) exceeds ``ENUMERATION_CAP``.
     """
     if not (0 <= q <= p):
         raise ValueError(f"need 0 <= q <= p, got q={q}, p={p}")
     counts = [math.comb(p, k) for k in range(q + 1)]
-    if sum(counts) > cap:
-        raise TooManyModels(f"{sum(counts)} models exceeds the cap of {cap}")
+    if sum(counts) > ENUMERATION_CAP:
+        raise TooManyModels(
+            f"{sum(counts)} models exceeds the cap of {ENUMERATION_CAP}")
     return [np.fromiter(itertools.chain.from_iterable(
                 itertools.combinations(range(1, p + 1), k)), dtype=int,
                 count=m * k).reshape(m, k)
             for k, m in enumerate(counts)]
 
 
-def enumerate_models(p: int, q: int, cap: int = ENUMERATION_CAP) -> list[ModelIndex]:
+def enumerate_models(p: int, q: int) -> list[ModelIndex]:
     """:func:`enumerate_strata` as one ModelIndex per model, size-major then
     lexicographic."""
-    return [ModelIndex(row) for rows in enumerate_strata(p, q, cap)
+    return [ModelIndex(row) for rows in enumerate_strata(p, q)
             for row in rows.tolist()]
 
 

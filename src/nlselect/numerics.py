@@ -3,8 +3,8 @@
 Dense symmetric factorization (one Cholesky kernel that works on a single
 matrix or on a stack of small ones, with a status per matrix), adaptive
 Gauss-Kronrod quadrature (with a documented change of variable for
-semi-infinite ranges), safeguarded scalar root finding, and seeded random
-streams with reproducible substream derivation.
+semi-infinite ranges), and seeded random streams with reproducible substream
+derivation.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ class NotPositiveDefinite(Exception):
 
 class NoConvergence(Exception):
     """An iterative routine exhausted its budget before reaching tolerance."""
-
-
-class NoBracket(Exception):
-    """Root finder called on an interval without a sign change."""
 
 
 # =============================================================================
@@ -229,55 +225,6 @@ def adaptive_quad(f: Callable, lo: float, hi: float, tol: float = 1e-8,
             return f(hi - u / w) / (w * w)
         return _adaptive_finite(g, 0.0, 1.0, tol, max_panels)
     return _adaptive_finite(f, lo, hi, tol, max_panels)
-
-
-# =============================================================================
-# Scalar root finding
-# =============================================================================
-
-
-def root_find(f: Callable[[float], float], lo: float, hi: float,
-              tol: float = 1e-10, max_iter: int = 500) -> float:
-    """Root of scalar ``f`` on [lo, hi]: bisection sharpened by secant steps.
-
-    Requires a sign change over the interval and returns x with
-    ``|f(x)| <= tol``.  A secant proposal is accepted only if it lands
-    strictly inside the current bracket and the bracket has been shrinking;
-    otherwise the step falls back to bisection, so convergence is guaranteed.
-
-    Raises
-    ------
-    NoBracket
-        If f(lo) and f(hi) have the same (nonzero) sign.
-    """
-    a, b = float(lo), float(hi)
-    fa, fb = float(f(a)), float(f(b))
-    if abs(fa) <= tol:
-        return a
-    if abs(fb) <= tol:
-        return b
-    if fa * fb > 0:
-        raise NoBracket(f"f({a}) = {fa:.6g} and f({b}) = {fb:.6g} have the same sign")
-    widths = [abs(b - a)]
-    for _ in range(max_iter):
-        width = abs(b - a)
-        widths.append(width)
-        x = 0.5 * (a + b)
-        # secant through the bracket endpoints, safeguarded: keep it interior
-        # and insist the bracket halved over the previous two iterations,
-        # otherwise bisect, so convergence is never slower than bisection
-        if fb != fa and width <= 0.5 * widths[max(0, len(widths) - 3)]:
-            s = b - fb * (b - a) / (fb - fa)
-            if a + 0.01 * width < s < b - 0.01 * width:
-                x = s
-        fx = float(f(x))
-        if abs(fx) <= tol:
-            return x
-        if fa * fx < 0:
-            b, fb = x, fx
-        else:
-            a, fa = x, fx
-    raise NoConvergence(f"no root to |f| <= {tol} within {max_iter} iterations")
 
 
 # =============================================================================

@@ -23,8 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammainccinv
 
-from .numerics import adaptive_quad, root_find
+from .numerics import adaptive_quad
 
 
 class AtOrigin(ValueError):
@@ -262,25 +263,22 @@ def spimom_mixture_quad(b: float, r: float, lam: float,
     return math.exp(shift) * value
 
 
-def origin_mass(delta: float, spec: NonlocalPriorSpec, tol: float = 1e-10) -> float:
-    """Prior probability of (-delta, delta) by quadrature of the density."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    f = lambda b: np.exp(log_density_1d(b, spec))
-    return 2.0 * adaptive_quad(f, 0.0, float(delta), tol=tol / 2)
-
-
-def lambda_for_origin_mass(delta: float, r: float = 1.0, mass: float = 0.01,
-                           tol: float = 1e-6) -> float:
+def lambda_for_origin_mass(delta: float, r: float = 1.0, mass: float = 0.01) -> float:
     """Default spiMOM scale rule: the lambda placing ``mass`` inside (-delta, delta).
 
-    The origin mass is strictly decreasing in lambda, so the equation is
-    solved by bisection on the quadrature CDF over a wide bracket.
+    Substituting t = 2 sqrt(lambda) / |b| turns the spiMOM density of |b|
+    into the Gamma(r) density of t, so the origin mass is the regularized
+    upper incomplete gamma Q(r, 2 sqrt(lambda) / delta).  Inverting it gives
+
+        lambda = (delta Q^-1(r, mass) / 2)^2,
+
+    with Q^-1 = ``scipy.special.gammainccinv``.
     """
     if not 0.0 < mass < 1.0:
         raise ValueError("mass must be in (0, 1)")
-
-    def gap(lam: float) -> float:
-        return origin_mass(delta, spimom(r=r, lam=lam)) - mass
-
-    return root_find(gap, 1e-8, 1e8, tol=tol)
+    if not delta > 0.0:
+        raise ValueError("delta must be positive")
+    lam = float(0.5 * delta * gammainccinv(r, mass)) ** 2
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lambda = {lam} is not finite and positive")
+    return lam

@@ -97,6 +97,18 @@ class TestFit:
             "budget", "family", "input", "prior", "q", "search", "seed",
             "sigma2", "subcommand"]
 
+    def test_large_effect_floor_echoes_its_scale(self, tmp_path):
+        # r = 1: the origin mass is exp(-2 sqrt(lambda) / delta), so 1% of
+        # it inside (-1e6, 1e6) puts lambda at (5e5 ln 100)^2
+        from nlselect.priors import lambda_for_origin_mass
+        data = self.make_data(tmp_path)
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--input", data, "--q", 1, "--effect-floor", "1e6",
+                    "--out", out]) == 0
+        scale = load_json(out)["config"]["prior"]["scale"]
+        assert scale == lambda_for_origin_mass(1e6, r=1.0)
+        assert scale == pytest.approx((5e5 * math.log(100.0)) ** 2, rel=1e-12)
+
     def test_unknown_family_exits_3(self, tmp_path, capsys):
         data = self.make_data(tmp_path)
         assert run(["fit", "--input", data, "--family", "bogus"]) == 3
@@ -245,12 +257,46 @@ class TestDensity:
     def test_tau_with_spimom_exits_3(self):
         assert run(["density", "--prior", "spimom", "--tau", 2.0]) == 3
 
-    @pytest.mark.parametrize("floor", ["-1", "0", "1e6"])
+    @pytest.mark.parametrize("flags, message", [
+        ("--prior pimom --effect-floor 0.3", "--effect-floor applies to spimom only"),
+        ("--lambda 2 --effect-floor 0.3",
+         "give either --lambda or --effect-floor, not both")])
+    def test_effect_floor_conflicts_exit_3(self, tmp_path, capsys, flags, message):
+        assert run(["density", *flags.split(), "--verify"]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        data = tmp_path / "d.csv"
+        assert run(["simulate", "--out", data, "--p", 3, "--n", 50]) == 0
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--input", data, *flags.split(), "--out", out]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("floor", ["-1", "0", "inf", "nan"])
     def test_effect_floor_without_scale_exits_3(self, floor, capsys):
-        # not positive: origin_mass rejects it; 1e6: no lambda in the bracket
+        # not positive (nan included) or infinite: no finite positive lambda
         assert run(["density", f"--effect-floor={floor}"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: --effect-floor") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", ["--r 0.2", "--r 0.4", "--prior pimom --r 0.2"])
+    def test_verify_failure_exits_3_and_writes_nothing(self, tmp_path, capsys, flags):
+        # a tail too heavy for the quadrature to converge
+        out = tmp_path / "dens.csv"
+        code = run(["density", *flags.split(), "--out", out, "--verify"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error: --verify") and captured.err.count("\n") == 1
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("flags", [
+        "--lambda 5.3e12", "--effect-floor 1e6", "--prior pimom --tau 1e12",
+        "--r 3 --lambda 1e20", "--lambda 1e-12"])
+    def test_verify_far_scales_print_unit_integral(self, tmp_path, capsys, flags):
+        # the mass sits far beyond the tail nodes in units of b, not of the mode
+        out = tmp_path / "dens.csv"
+        assert run(["density", *flags.split(), "--out", out, "--verify"]) == 0
+        value = float(capsys.readouterr().out.split(":")[1])
+        assert value == pytest.approx(1.0, abs=1e-6)
 
 
 class TestStudyCommand:

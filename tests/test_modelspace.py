@@ -49,7 +49,7 @@ class TestEnumerateModels:
 
     def test_cap(self):
         with pytest.raises(TooManyModels):
-            enumerate_models(40, 10, cap=10_000)
+            enumerate_models(40, 10)
 
     def test_monotone_in_q(self):
         counts = [len(enumerate_models(8, q)) for q in range(9)]

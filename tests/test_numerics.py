@@ -8,10 +8,9 @@ import pytest
 from nlselect.experiments import hessian_diagnostics
 from nlselect.glm import Dataset, fit_mle
 from nlselect.modelspace import ModelIndex
-from nlselect.numerics import (NoBracket, NoConvergence, NotPositiveDefinite,
-                               SpdMatrix, adaptive_quad, batch_cho_solve,
-                               batch_cholesky, derive_stream, factor_logdet,
-                               make_stream, root_find)
+from nlselect.numerics import (NoConvergence, NotPositiveDefinite, SpdMatrix,
+                               adaptive_quad, batch_cho_solve, batch_cholesky,
+                               derive_stream, factor_logdet, make_stream)
 
 
 def cofactor_det(a: np.ndarray) -> float:
@@ -147,38 +146,6 @@ class TestAdaptiveQuad:
 
     def test_reversed_limits(self):
         assert adaptive_quad(lambda x: x, 1.0, 0.0, 1e-10) == pytest.approx(-0.5)
-
-
-class TestRootFind:
-    def test_quadratic(self):
-        assert root_find(lambda x: x * x - 4.0, 0.0, 3.0, 1e-12) == pytest.approx(2.0, abs=1e-10)
-
-    def test_cubic_mode_equation_vs_bisection_oracle(self):
-        f = lambda b: 1000.0 * b**3 + 2.0 * b - 2.0
-        lo, hi = 0.0, 1.0
-        for _ in range(200):  # plain-bisection oracle
-            mid = 0.5 * (lo + hi)
-            if f(lo) * f(mid) <= 0:
-                hi = mid
-            else:
-                lo = mid
-        oracle = 0.5 * (lo + hi)
-        assert oracle == pytest.approx(0.12070400939272902, abs=1e-12)
-        assert root_find(f, 0.0, 1.0, 1e-12) == pytest.approx(oracle, abs=1e-10)
-
-    def test_no_bracket(self):
-        with pytest.raises(NoBracket):
-            root_find(lambda x: x + 1.0, 0.0, 1.0)
-
-    def test_residual_within_tol(self):
-        cases = [
-            (lambda x: math.cos(x), 0.0, 3.0),
-            (lambda x: x**5 - 0.3, 0.0, 1.0),
-            (lambda x: math.expm1(x) - 0.5, -1.0, 1.0),
-        ]
-        for f, lo, hi in cases:
-            root = root_find(f, lo, hi, tol=1e-11)
-            assert abs(f(root)) <= 1e-11
 
 
 class TestExtremalEigenvalues:

@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from nlselect.glm import Dataset, fit_mle, log_likelihood
 from nlselect.modelspace import ModelIndex
-from nlselect.numerics import adaptive_quad, root_find
+from nlselect.numerics import adaptive_quad
 from nlselect.posterior import find_posterior_mode, fit_model, laplace_log_marginal
 from nlselect.priors import log_prior, pimom, spimom
 
@@ -40,7 +41,7 @@ class TestNullCoordinateMode:
         assert mle.beta_hat[0] == 0.0
         pm = find_posterior_mode(d, J1, spimom(), mle)
         # oracle: positive root of n b^3 + (r+1) b - 2 sqrt(lam) = 0
-        oracle = root_find(lambda b: 1000 * b**3 + 2 * b - 2, 0.0, 1.0, 1e-13)
+        oracle = brentq(lambda b: 1000 * b**3 + 2 * b - 2, 0.0, 1.0, xtol=1e-15)
         assert pm.converged
         assert pm.beta_pm[0] == pytest.approx(oracle, abs=1e-8)
 

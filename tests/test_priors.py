@@ -9,19 +9,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
+from scipy.optimize import brentq
 from scipy.stats import invgamma
 
 from nlselect.experiments import scalar_null_mode
-from nlselect.numerics import adaptive_quad, root_find
+from nlselect.numerics import adaptive_quad
 from nlselect.priors import (AtOrigin, NonlocalPriorSpec, coordinate_mode,
                              lambda_for_origin_mass, log_density_1d, log_prior,
                              log_prior_constant, log_prior_grad, log_prior_neg_hessian,
-                             origin_mass, pimom, spimom, spimom_mixture_quad)
+                             pimom, spimom, spimom_mixture_quad)
 
 
 def normalization(spec, tol=1e-8):
     f = lambda b: np.exp(log_density_1d(b, spec))
     return adaptive_quad(f, -math.inf, math.inf, tol=tol)
+
+
+def origin_mass(delta, spec, tol=1e-10):
+    """Prior probability of (-delta, delta) by quadrature of the density:
+    the oracle for the closed-form scale rule."""
+    f = lambda b: np.exp(log_density_1d(b, spec))
+    return 2.0 * adaptive_quad(f, 0.0, float(delta), tol=tol / 2)
 
 
 class TestClosedForms:
@@ -222,11 +230,26 @@ class TestOriginMassRule:
     def test_solved_lambda_hits_target_mass(self):
         lam = lambda_for_origin_mass(delta=0.3, r=1.0, mass=0.01)
         achieved = origin_mass(0.3, spimom(r=1.0, lam=lam))
-        assert achieved == pytest.approx(0.01, abs=2e-6)
+        assert achieved == pytest.approx(0.01, abs=1e-9)
 
     def test_mass_decreasing_in_lambda(self):
         masses = [origin_mass(0.3, spimom(lam=l)) for l in (0.1, 1.0, 10.0)]
         assert masses[0] > masses[1] > masses[2]
+
+    @pytest.mark.parametrize("mass", [0.001, 0.01, 0.05])
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 3.5])
+    @pytest.mark.parametrize("delta", [0.05, 0.3, 1.0, 3.0])
+    def test_closed_form_against_quadrature(self, delta, r, mass):
+        lam = lambda_for_origin_mass(delta, r=r, mass=mass)
+        assert origin_mass(delta, spimom(r=r, lam=lam)) == pytest.approx(mass, abs=1e-9)
+
+    @pytest.mark.parametrize("delta, mass, message", [
+        (0.0, 0.01, "delta"), (-1.0, 0.01, "delta"), (math.nan, 0.01, "delta"),
+        (math.inf, 0.01, "not finite"),
+        (0.3, 0.0, "mass"), (0.3, 1.0, "mass"), (0.3, math.nan, "mass")])
+    def test_rejects_values_without_a_scale(self, delta, mass, message):
+        with pytest.raises(ValueError, match=message):
+            lambda_for_origin_mass(delta, mass=mass)
 
 
 # Fixed examples keep the suite deterministic from run to run.
@@ -263,9 +286,9 @@ class TestCoordinateMode:
     def test_null_coordinate_is_scalar_null_mode(self, spec, n):
         beta = float(coordinate_mode(0.0, float(n), spec))
         assert beta == scalar_null_mode(spec, n)
-        # an independent bisection oracle on the same equation
+        # an independent root-finder oracle (Brent) on the same equation
         e = round(2.0 * spec.zeta)
         c = 2.0 * spec.scale if spec.kind == "pimom" else 2.0 * math.sqrt(spec.scale)
-        oracle = root_find(lambda u: n * u**(e + 2) + (spec.r + 1.0) * u**e - c,
-                           0.0, 2.0 * spec.prior_mode, tol=1e-12)
+        oracle = brentq(lambda u: n * u**(e + 2) + (spec.r + 1.0) * u**e - c,
+                        0.0, 2.0 * spec.prior_mode, xtol=1e-15)
         assert beta == pytest.approx(oracle, abs=1e-10)
