@@ -295,8 +295,8 @@ def _prior_from_args(args) -> NonlocalPriorSpec:
         raise ConfigError("--effect-floor applies to spimom only")
     if args.lam is not None and args.effect_floor is not None:
         raise ConfigError("give either --lambda or --effect-floor, not both")
-    if args.r <= 0:
-        raise ConfigError("--r must be positive")
+    if not (math.isfinite(args.r) and args.r > 0):
+        raise ConfigError("--r must be positive and finite")
     if kind == "pimom":
         scale = args.tau if args.tau is not None else 1.0
     elif args.effect_floor is not None:
@@ -486,9 +486,13 @@ def _study_config(args, n_grid: tuple[int, ...],
 def cmd_study(args) -> int:
     if args.study not in STUDIES:
         raise ConfigError(f"unknown study {args.study!r}; choose from {tuple(STUDIES)}")
+    if args.search and args.study != "consistency":
+        raise ConfigError("--search applies to the consistency study only")
+    if args.scalar and args.study != "mode-rate":
+        raise ConfigError("--scalar applies to the mode-rate study only")
     if args.n_grid is not None:
         n_grid = _parse_int_list(args.n_grid, "n-grid")
-    elif args.study == "mode-rate" and args.scalar:
+    elif args.scalar:
         n_grid = SCALAR_N_GRID
     elif args.study == "consistency":
         n_grid = CONSISTENCY_N_GRID
@@ -511,7 +515,7 @@ def cmd_study(args) -> int:
     }
 
     try:
-        if args.study == "mode-rate" and args.scalar:
+        if args.scalar:
             table = experiments.scalar_mode_rate_table(spec, n_grid)
             rows = [{"prior": experiments._prior_label(spec), "n": n, "mode": m}
                     for n, m, _ in table.rows]

@@ -15,6 +15,10 @@ same kernels on a one-row batch.
 :func:`fit_mle` runs it on the log-likelihood, and
 ``posterior.find_posterior_mode`` on the log posterior.  The batched engine
 has its own lockstep loop in ``posterior``; neither calls the other's.
+
+``scipy.special`` is loaded only by the Poisson family's log-likelihood
+constant (``log Gamma(y + 1)``), at its first call, so Gaussian and logistic
+runs never import scipy.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .modelspace import ModelIndex
 from .numerics import NotPositiveDefinite, SpdMatrix, batch_cho_solve, batch_cholesky
@@ -131,6 +134,8 @@ class _Poisson:
         return 1.0
 
     def log_base(self, y, dispersion):
+        from scipy.special import gammaln  # only Poisson fits load scipy.special
+
         return float(-gammaln(y + 1.0).sum())
 
     def check_support(self, y):

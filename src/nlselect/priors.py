@@ -15,6 +15,9 @@ kept explicit.  ``spimom_mixture_quad`` adjudicates: it evaluates the mixture
 integral directly by adaptive quadrature and is the ground truth the closed
 form is tested against.  ``coordinate_mode`` gives one coordinate's posterior
 mode under a quadratic log-likelihood, where every mode search starts.
+
+``scipy.special`` is loaded only by ``lambda_for_origin_mass``, at its first
+call, so code that never sets a scale from an effect floor never imports scipy.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainccinv
 
 from .numerics import adaptive_quad
 
@@ -278,6 +280,8 @@ def lambda_for_origin_mass(delta: float, r: float = 1.0, mass: float = 0.01) -> 
         raise ValueError("mass must be in (0, 1)")
     if not delta > 0.0:
         raise ValueError("delta must be positive")
+    from scipy.special import gammainccinv  # only the effect-floor rule loads scipy.special
+
     lam = float(0.5 * delta * gammainccinv(r, mass)) ** 2
     if not 0.0 < lam < math.inf:
         raise ValueError(f"lambda = {lam} is not finite and positive")

@@ -271,6 +271,18 @@ class TestDensity:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("floor", [[], ["--effect-floor", "0.3"]])
+    @pytest.mark.parametrize("r", ["nan", "inf", "-1"])
+    def test_bad_r_exits_3_before_effect_floor(self, tmp_path, capsys, r, floor):
+        # the floor's scale rule needs a valid r, so r is checked first
+        data = tmp_path / "d.csv"
+        assert run(["simulate", "--out", data, "--p", 3, "--n", 50]) == 0
+        for argv in (["density", "--out", tmp_path / "dens.csv"],
+                     ["fit", "--input", data, "--out", tmp_path / "fit.json"]):
+            assert run([*argv, f"--r={r}", *floor]) == 3
+            assert capsys.readouterr().err == "error: --r must be positive and finite\n"
+        assert sorted(os.listdir(tmp_path)) == ["d.csv", "d.csv.truth.json"]
+
     @pytest.mark.parametrize("floor", ["-1", "0", "inf", "nan"])
     def test_effect_floor_without_scale_exits_3(self, floor, capsys):
         # not positive (nan included) or infinite: no finite positive lambda
@@ -375,6 +387,16 @@ class TestStudyCommand:
         assert run(["study", "--study", "consistency", "--p", 4, "--q", 2, "--reps", 1,
                     "--n-grid", "100,200", "--out", tmp_path / "c"]) == 0
         assert ran == [1]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--study", "mle-rate", "--search", "--p", 3, "--n-grid", "100,200,400", "--reps", 2],
+         "--search applies to the consistency study only"),
+        (["--study", "logm-ratio", "--scalar", "--p", 4, "--q", 3, "--n-grid", "100,200",
+          "--reps", 1], "--scalar applies to the mode-rate study only")])
+    def test_flag_of_another_study_exits_3(self, tmp_path, capsys, argv, message):
+        assert run(["study", *argv, "--out", tmp_path / "x"]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not os.listdir(tmp_path)
 
     def test_unknown_study_exits_3(self, tmp_path):
         assert run(["study", "--study", "nope", "--out", tmp_path / "x"]) == 3
