@@ -283,6 +283,15 @@ def _check_family(name: str) -> str:
     return name
 
 
+def _search_budget(args) -> int:
+    if args.budget is not None and not args.search:
+        raise ConfigError("--budget applies to --search only")
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
+    if budget < 0:
+        raise ConfigError("--budget must be nonnegative")
+    return budget
+
+
 def _prior_from_args(args) -> NonlocalPriorSpec:
     kind = args.prior
     if kind not in ("pimom", "spimom"):
@@ -335,25 +344,22 @@ def cmd_fit(args) -> int:
         raise ConfigError("--q must be nonnegative")
     if args.sigma2 <= 0:
         raise ConfigError("--sigma2 must be positive")
-    if args.budget < 0:
-        raise ConfigError("--budget must be nonnegative")
+    budget = _search_budget(args)
     d = read_dataset_csv(args.input, family, args.sigma2)
     q = min(args.q, d.p)
     config_echo = {
         "subcommand": "fit", "input": args.input, "family": family,
         "sigma2": args.sigma2, "prior": _prior_echo(spec), "q": q,
-        "search": bool(args.search), "budget": args.budget, "seed": args.seed,
+        "search": bool(args.search), "budget": budget, "seed": args.seed,
     }
-    saddle_count = 0
     if args.search:
-        post, top = greedy_search(d, spec, q, args.budget, make_stream(args.seed))
-        scores, row = posterior.score_models(d, [[top.indices]], spec), 0
+        post, _ = greedy_search(d, spec, q, budget, make_stream(args.seed))
     else:
         strata = enumerate_strata(d.p, q)
         scores = posterior.score_models(d, strata, spec)
         post = normalize_strata(strata, scores.log_marginal, q)
-        row, top = post.top_row, post.top
-        saddle_count = int(scores.excluded.sum())
+        post.scores = scores
+    scores, row, top = post.scores, post.top_row, post.top
     mle, mode = scores.mle[row, :top.size], scores.mode[row, :top.size]
     diag = hessian_diagnostics(d, top, mle, [mle, mode])
     result = {
@@ -367,7 +373,7 @@ def cmd_fit(args) -> int:
             "top_mle_converged": scores.mle_converged[row],
             "top_mle_separation": scores.separation[row],
             "top_mode_converged": scores.converged[row],
-            "saddle_count": saddle_count,
+            "saddle_count": int(scores.excluded.sum()),
         },
     }
     text = to_json(result) + "\n"
@@ -500,8 +506,7 @@ def cmd_study(args) -> int:
         n_grid = PIPELINE_N_GRID
     if not n_grid:
         raise ConfigError("empty n-grid")
-    if args.budget < 0:
-        raise ConfigError("--budget must be nonnegative")
+    budget = _search_budget(args)
     spec = _prior_from_args(args)
 
     config_echo = {
@@ -511,7 +516,7 @@ def cmd_study(args) -> int:
         "reps": args.reps, "seed": args.seed, "prior": _prior_echo(spec),
         "design": args.design, "rho": args.rho, "sigma2": args.sigma2,
         "epsilon": args.epsilon, "nu": args.nu, "scalar": bool(args.scalar),
-        "search": bool(args.search), "budget": args.budget,
+        "search": bool(args.search), "budget": budget,
     }
 
     try:
@@ -526,8 +531,7 @@ def cmd_study(args) -> int:
                        "per_n": [{"n": n, "mode": m} for n, m, _ in table.rows]}
         else:
             cfg = _study_config(args, n_grid, spec)
-            budget = args.budget if args.search else None
-            extra = {"search_budget": budget} if args.study == "consistency" else {}
+            extra = {"search_budget": budget} if args.search else {}
             res = getattr(experiments, STUDIES[args.study])(cfg, **extra)
             rows = res.rows
             summary = res.summary()
@@ -588,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--q", type=int, default=DEFAULT_Q, help="model size bound")
     fit.add_argument("--search", action="store_true",
                      help="greedy search instead of enumeration")
-    fit.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    fit.add_argument("--budget", type=int, default=None,
                      help="search score budget")
     fit.add_argument("--seed", type=int, default=0)
     _add_prior_flags(fit)
@@ -634,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--nu", type=float, default=0.1)
     study.add_argument("--search", action="store_true",
                        help="consistency only: greedy search instead of enumeration")
-    study.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    study.add_argument("--budget", type=int, default=None)
     study.add_argument("--out", default=None, help="output path prefix")
     _add_prior_flags(study)
     _add_design_flags(study)

@@ -7,7 +7,7 @@ integer array whose rows are the 1-based column indices of the size-k
 models, strictly increasing along each row and lexicographic down the
 array.  The enumerator, the normalizer and the search work on strata and
 arrays of log marginals.  :class:`ModelIndex` is the one-model form used at
-the edges: a truth, a top model, a per-model scorer.
+the edges: a truth, a top model.
 """
 
 from __future__ import annotations
@@ -17,11 +17,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .numerics import RandomStream, derive_stream
+
+if TYPE_CHECKING:  # posterior imports this module
+    from .posterior import ModelScores
 
 ENUMERATION_CAP = 1_000_000
 
@@ -79,7 +82,8 @@ class ModelPosterior:
     exactly the models present.  When a reference ``truth`` is set,
     ``mass_a`` collects the probability of its strict supersets and
     ``mass_b`` the probability of models missing at least one of its
-    indices, so prob(truth) + mass_a + mass_b = 1.
+    indices, so prob(truth) + mass_a + mass_b = 1.  ``scores``, when set,
+    holds each model's ``posterior.ModelScores`` row in strata order.
     """
 
     strata: list[np.ndarray]
@@ -89,6 +93,7 @@ class ModelPosterior:
     truth: Optional[ModelIndex] = None
     mass_a: Optional[float] = None
     mass_b: Optional[float] = None
+    scores: Optional[ModelScores] = None
 
     @property
     def entries(self) -> "_Entries":
@@ -259,7 +264,7 @@ def _neighbors(current: tuple[int, ...], p: int, q: int) -> list[tuple[int, ...]
 
 
 def greedy_search(d, spec, q: int, budget: int, stream: RandomStream,
-                  score_fn: Optional[Callable[[ModelIndex], float]] = None,
+                  score_fn: Optional[Callable[..., ModelScores]] = None,
                   ) -> tuple[ModelPosterior, ModelIndex]:
     """Stochastic greedy walk over the bounded model space.
 
@@ -274,10 +279,10 @@ def greedy_search(d, spec, q: int, budget: int, stream: RandomStream,
     budget runs out mid-step, the step scores the first unseen neighbors in
     that order.
 
-    By default a step's unseen neighbors are scored together by
-    ``posterior.score_models``; a per-model ``score_fn`` replaces that
-    scorer and is called in neighbor order (the walk is the same, so tests
-    can substitute a fake).
+    A step's unseen neighbors get their ``ModelScores`` rows from one call
+    ``score_fn(d, blocks, spec)`` (``posterior.score_models`` by default, a
+    fake in tests): the runs of equal size in neighbor order, then an empty
+    (0, q) block so that every step's rows have width q.
 
     Stopping rule (fixed here, deterministic): the walk ends when the score
     budget runs out, when no neighbor beat the current model for 3
@@ -285,25 +290,24 @@ def greedy_search(d, spec, q: int, budget: int, stream: RandomStream,
     saturation clause is what terminates a walk cycling inside an already
     fully cached neighborhood.
 
-    Returns the posterior normalized over the visited (scored) set and the
-    best visited model; both are bit-reproducible from (inputs, stream).
+    Returns the posterior over the visited (scored) set, their rows as its
+    ``scores``, and the best visited model, bit-reproducible from (inputs, stream).
     """
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    if score_fn is None:
-        # local import: posterior depends on glm which depends on this module
-        from .posterior import score_models
+    # local import: posterior depends on glm which depends on this module
+    from .posterior import ModelScores, score_models
+    score_fn = score_fn or score_models
+    parts: list[ModelScores] = []
+    cache: dict[tuple[int, ...], float] = {}  # in the row order of parts
 
-        def score(models: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], float]]:
-            models = sorted(models, key=_size_major)
-            scores = score_models(d, _as_strata(models), spec)
-            return list(zip(models, scores.log_marginal.tolist()))
-    else:
-        def score(models: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], float]]:
-            return [(m, score_fn(ModelIndex(m))) for m in models]
+    def score(models: list[tuple[int, ...]]) -> None:
+        runs = (np.array(list(g), dtype=int) for _, g in itertools.groupby(models, key=len))
+        parts.append(score_fn(d, [*runs, np.empty((0, q), dtype=int)], spec))
+        cache.update(zip(models, parts[-1].log_marginal.tolist()))
     p = d.X.shape[1]
     current: tuple[int, ...] = ()
-    cache: dict[tuple[int, ...], float] = dict(score([current]))
+    score([current])
     evals = 0
     stalls = 0
     saturated = 0
@@ -312,7 +316,7 @@ def greedy_search(d, spec, q: int, budget: int, stream: RandomStream,
         neighbors = _neighbors(current, p, q)
         fresh = [nb for nb in neighbors if nb not in cache][:budget - evals]
         if fresh:
-            cache.update(score(fresh))
+            score(fresh)
         evals += len(fresh)
         saturated = 0 if fresh else saturated + 1
         scored = [nb for nb in neighbors if nb in cache]
@@ -328,5 +332,7 @@ def greedy_search(d, spec, q: int, budget: int, stream: RandomStream,
             current = scored[int(rng.integers(len(scored)))]
         step += 1
     models = sorted(cache, key=_size_major)
+    row = {m: i for i, m in enumerate(cache)}
     post = normalize_strata(_as_strata(models), [cache[m] for m in models], q)
+    post.scores = ModelScores.gather(parts, [row[m] for m in models])
     return post, post.top

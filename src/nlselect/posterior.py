@@ -28,7 +28,7 @@ iterate, whichever rule stopped the loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -174,6 +174,12 @@ class ModelScores:
     mode: np.ndarray
     mle_converged: np.ndarray
     logdet: np.ndarray
+
+    @classmethod
+    def gather(cls, parts: Sequence[ModelScores], rows: Sequence[int]) -> ModelScores:
+        """The given ``rows`` of ``parts`` stacked in order (all of one width)."""
+        return cls(**{f.name: np.concatenate([getattr(s, f.name) for s in parts])[rows]
+                      for f in fields(cls)})
 
 
 def score_models(d: Dataset, models: Sequence[np.ndarray],

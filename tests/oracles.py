@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they adjudicate: marginals come from
 direct quadrature of the unnormalized posterior, never from the Laplace
 formula under test, and the Gaussian-prior mode is searched outside the
-nonlocal-prior mode finder.
+nonlocal-prior mode finder.  ``per_model_scorer`` turns a one-model score
+function into the batch scorer that ``greedy_search`` takes.
 """
 
 import math
@@ -12,8 +13,9 @@ import numpy as np
 
 from nlselect.glm import (batch_log_likelihood, batch_score_hessian, fit_mle,
                           log_likelihood, model_batch, newton_ascent)
+from nlselect.modelspace import ModelIndex
 from nlselect.numerics import SpdMatrix, adaptive_quad
-from nlselect.posterior import MAX_MODE_ITER, MAX_RIDGE_TRIES, PosteriorFit
+from nlselect.posterior import MAX_MODE_ITER, MAX_RIDGE_TRIES, ModelScores, PosteriorFit
 from nlselect.priors import log_density_1d, log_prior
 
 
@@ -100,3 +102,22 @@ def fd_jacobian(g, beta, h=1e-5):
         dn[i] -= h
         cols.append((g(up) - g(dn)) / (2.0 * h))
     return np.column_stack(cols)
+
+
+def per_model_scorer(fn):
+    """A ``greedy_search`` scorer ``(d, blocks, spec) -> ModelScores`` that
+    calls ``fn(ModelIndex) -> float`` on each row, block by block in order.
+    The rows carry ``fn``'s log marginal, ``excluded`` where it is -inf, and
+    NaN MLEs and modes as wide as the widest block."""
+
+    def score(d, blocks, spec):
+        logm = np.array([fn(ModelIndex(row)) for b in blocks for row in b.tolist()],
+                        dtype=float)
+        m, w = logm.size, max(b.shape[1] for b in blocks)
+        return ModelScores(log_marginal=logm, excluded=logm == -math.inf,
+                           converged=np.ones(m, dtype=bool), iterations=np.zeros(m, dtype=int),
+                           separation=np.zeros(m, dtype=bool), mle=np.full((m, w), math.nan),
+                           mode=np.full((m, w), math.nan), mle_converged=np.ones(m, dtype=bool),
+                           logdet=np.full(m, math.nan))
+
+    return score

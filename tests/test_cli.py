@@ -163,11 +163,12 @@ class TestFit:
         assert json.loads(proc.stdout)["n_models_scored"] == 7
 
     def test_fit_reproducible(self, tmp_path):
-        data = self.make_data(tmp_path, seed=9)
+        data = self.make_data(tmp_path, p=6, seed=9)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        for out in (a, b):
-            assert run(["fit", "--input", data, "--q", 2, "--out", out]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        for flags in ([], ["--search", "--budget", 20]):
+            for out in (a, b):
+                assert run(["fit", "--input", data, "--q", 2, "--out", out] + flags) == 0
+            assert a.read_bytes() == b.read_bytes()
 
     def test_simulate_then_fit_recovers_truth(self, tmp_path):
         data = tmp_path / "sim.csv"
@@ -196,6 +197,13 @@ class TestFit:
         out = tmp_path / "fit.json"
         assert run(["fit", "--input", data, "--search", "--budget", 0, "--out", out]) == 0
         assert load_json(out)["n_models_scored"] == 1
+
+    def test_budget_without_search_exits_3(self, tmp_path, capsys):
+        data = self.make_data(tmp_path)
+        assert run(["fit", "--input", data, "--q", 1, "--budget", 3,
+                    "--out", tmp_path / "fit.json"]) == 3
+        assert capsys.readouterr().err == "error: --budget applies to --search only\n"
+        assert not (tmp_path / "fit.json").exists()
 
     def test_enumeration_builds_few_model_objects(self, tmp_path, monkeypatch):
         # the 4,526 models live in column arrays, not one ModelIndex each
@@ -392,7 +400,9 @@ class TestStudyCommand:
         (["--study", "mle-rate", "--search", "--p", 3, "--n-grid", "100,200,400", "--reps", 2],
          "--search applies to the consistency study only"),
         (["--study", "logm-ratio", "--scalar", "--p", 4, "--q", 3, "--n-grid", "100,200",
-          "--reps", 1], "--scalar applies to the mode-rate study only")])
+          "--reps", 1], "--scalar applies to the mode-rate study only"),
+        (["--study", "consistency", "--budget", 3, "--p", 4, "--q", 2, "--n-grid", "100,200",
+          "--reps", 1], "--budget applies to --search only")])
     def test_flag_of_another_study_exits_3(self, tmp_path, capsys, argv, message):
         assert run(["study", *argv, "--out", tmp_path / "x"]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -513,6 +523,8 @@ class TestModelRows:
         doc = json.loads(text)
         assert to_json(doc) + "\n" == text
         assert doc["models"][0]["indices"] == []
+        assert doc["diagnostics"]["saddle_count"] == sum(m["log_marginal"] == "-inf"
+                                                         for m in doc["models"])
         if flags[1] == 2:
             excluded = [m for m in doc["models"]
                         if m["indices"][:1] == [1] and 3 in m["indices"]]
@@ -564,6 +576,23 @@ class TestOneScoringPath:
             want = hessian_diagnostics(d, top, mle.beta_hat, [mle.beta_hat, pm.beta_pm])
             for key, value in want._asdict().items():
                 assert doc["diagnostics"][key] == pytest.approx(value, rel=1e-8, abs=0.0)
+
+    def test_search_scores_only_the_walk(self, tmp_path, monkeypatch):
+        from nlselect import posterior
+
+        data = tmp_path / "d.csv"
+        assert run(["simulate", "--out", data, "--p", 6, "--n", 150, "--seed", 2]) == 0
+        score_models, rows = posterior.score_models, []
+
+        def counting(d, models, spec):
+            rows.extend(len(block) for block in models)
+            return score_models(d, models, spec)
+
+        monkeypatch.setattr(posterior, "score_models", counting)
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--input", data, "--q", 3, "--search", "--budget", 12,
+                    "--out", out]) == 0
+        assert sum(rows) == load_json(out)["n_models_scored"]
 
 
 def row_loop_reader(path, family="gaussian", dispersion=1.0):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import per_model_scorer
 
 from nlselect.glm import Dataset, fit_mle, log_likelihood
 from nlselect.modelspace import (ModelIndex, enumerate_models, enumerate_strata,
@@ -333,7 +334,7 @@ class TestGreedySearch:
         batched, top = greedy_search(d, spec, q=3, budget=80, stream=make_stream(seed))
         single, single_top = greedy_search(
             d, spec, q=3, budget=80, stream=make_stream(seed),
-            score_fn=lambda J: fit_model(d, J, spec).log_marginal)
+            score_fn=per_model_scorer(lambda J: fit_model(d, J, spec).log_marginal))
         assert [m for m, _, _ in batched.entries] == [m for m, _, _ in single.entries]
         assert top == single_top
         for (_, a, _), (_, b, _) in zip(batched.entries, single.entries):

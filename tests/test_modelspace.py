@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import per_model_scorer
 
 from nlselect.glm import Dataset
 from nlselect.modelspace import (ModelIndex, TooManyModels, enumerate_models,
@@ -223,7 +224,7 @@ class TestGreedySearch:
             return fit_model(d, J, spimom()).log_marginal
 
         greedy_search(d, spimom(), q=3, budget=80, stream=make_stream(3),
-                      score_fn=counting_score)
+                      score_fn=per_model_scorer(counting_score))
         assert len(seen) == len(set(seen))
 
     def test_budget_caps_evaluations(self):
@@ -235,8 +236,20 @@ class TestGreedySearch:
             return fit_model(d, J, spimom()).log_marginal
 
         greedy_search(d, spimom(), q=3, budget=10, stream=make_stream(4),
-                      score_fn=counting_score)
+                      score_fn=per_model_scorer(counting_score))
         assert len(calls) <= 11  # start model plus the budget
+
+    def test_keeps_each_scored_row_in_strata_order(self):
+        d = strong_signal_dataset(5)
+        post, _ = greedy_search(d, spimom(), q=3, budget=40, stream=make_stream(2))
+        scores = post.scores
+        assert scores.log_marginal.tobytes() == post.log_marginal.tobytes()
+        assert scores.mode.shape == (len(post.entries), 3)
+        for i, (m, _, _) in enumerate(post.entries):
+            alone = fit_model(d, m, spimom())
+            np.testing.assert_allclose(scores.mode[i, :m.size], alone.beta_pm,
+                                       rtol=1e-6, atol=1e-9)
+            assert np.isnan(scores.mode[i, m.size:]).all()
 
     def test_matches_enumeration_on_strong_signals(self):
         hits = 0
@@ -279,7 +292,7 @@ class TestWalkOrder:
             return float(sum(J.indices) % 3 + (J.size == 2))
 
         post, top = greedy_search(d, spimom(), q=4, budget=32, stream=make_stream(4),
-                                  score_fn=tied_score)
+                                  score_fn=per_model_scorer(tied_score))
         assert seen == self.VISITS
         assert top == M((1, 4))
         assert sorted(m.indices for m, _, _ in post.entries) == sorted(self.VISITS)
