@@ -465,8 +465,8 @@ def _summary_rows(summary: dict, label: str = "summary") -> list[dict]:
     return rows
 
 
-def _study_config(args, n_grid: tuple[int, ...],
-                  spec: NonlocalPriorSpec) -> ExperimentConfig:
+def _study_config(args, n_grid: tuple[int, ...], spec: NonlocalPriorSpec,
+                  search_budget: Optional[int]) -> ExperimentConfig:
     family = _check_family(args.family)
     j0 = _parse_support(args.j0)
     beta0 = None
@@ -483,8 +483,9 @@ def _study_config(args, n_grid: tuple[int, ...],
             family=family, p=args.p, q=args.q, true_support=j0,
             n_grid=n_grid, replications=args.reps, seed=args.seed,
             beta0=beta0, decay_c=decay_c, decay_m=decay_m,
-            priors=(spec,), design=args.design, rho=args.rho,
-            dispersion=args.sigma2, epsilon=args.epsilon, nu=args.nu)
+            prior=spec, design=args.design, rho=args.rho,
+            dispersion=args.sigma2, epsilon=args.epsilon, nu=args.nu,
+            search_budget=search_budget)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -508,6 +509,7 @@ def cmd_study(args) -> int:
         raise ConfigError("empty n-grid")
     budget = _search_budget(args)
     spec = _prior_from_args(args)
+    cfg = _study_config(args, n_grid, spec, budget if args.search else None)
 
     config_echo = {
         "subcommand": "study", "study": args.study, "family": args.family,
@@ -519,28 +521,16 @@ def cmd_study(args) -> int:
         "search": bool(args.search), "budget": budget,
     }
 
+    name = "scalar_mode_rate_study" if args.scalar else STUDIES[args.study]
     try:
-        if args.scalar:
-            table = experiments.scalar_mode_rate_table(spec, n_grid)
-            rows = [{"prior": experiments._prior_label(spec), "n": n, "mode": m}
-                    for n, m, _ in table.rows]
-            summary = {"study": "mode-rate-scalar",
-                       "prior": experiments._prior_label(spec),
-                       "slope": table.slope, "slope_se": table.slope_se,
-                       "note": table.note,
-                       "per_n": [{"n": n, "mode": m} for n, m, _ in table.rows]}
-        else:
-            cfg = _study_config(args, n_grid, spec)
-            extra = {"search_budget": budget} if args.search else {}
-            res = getattr(experiments, STUDIES[args.study])(cfg, **extra)
-            rows = res.rows
-            summary = res.summary()
-            if len(n_grid) < 2 and not summary.get("note"):
-                summary["note"] = "no trend computable"
+        res = getattr(experiments, name)(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    summary = res.summary
+    if len(n_grid) < 2 and not summary.get("note"):
+        summary["note"] = "no trend computable"
 
-    csv_rows = [{"row_type": "replication", **r} for r in rows]
+    csv_rows = [{"row_type": "replication", **r} for r in res.rows]
     csv_rows.extend(_summary_rows(summary))
     out_prefix = args.out if args.out else args.study
     write_atomic({out_prefix + ".csv": rows_to_csv(csv_rows),

@@ -1,12 +1,15 @@
 """Simulation harness: desk-scale empirical checks of the asymptotic claims.
 
-Four studies, each one pass over the same replication loop
-(``_replications``), so all are bit-reproducible from (config, seed):
+Five studies, each a function of one ``ExperimentConfig`` that returns a
+``StudyResult``.  The four that draw data are each one pass over the same
+replication loop (``_replications``), so all are bit-reproducible from the
+config, seed included:
 
 * ``mle_rate_study``      -- l2 error of the MLE on the true support.
 * ``mode_rate_study``     -- distance between posterior mode and MLE on a
-                             null coordinate, plus a data-free scalar variant
-                             that solves the stationarity equation exactly.
+                             null coordinate, alongside the scalar variant.
+* ``scalar_mode_rate_study`` -- the data-free null-coordinate mode that solves
+                             the stationarity equation exactly.
 * ``logm_ratio_study``    -- log marginal ratios of strict supersets against
                              the true model, decomposed into likelihood and
                              prior-kernel parts.
@@ -40,7 +43,9 @@ DESIGN_EQUICORRELATED = "equicorrelated"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a study needs to be rerun bit-identically.
+    """Everything a study needs to be rerun bit-identically: the truth, the
+    n-grid, the prior, and the greedy-search budget of the consistency study
+    (``None`` scores the full model space by enumeration).
 
     The true coefficients are either the fixed vector ``beta0`` or the
     decaying rule value = decay_c * n^(-decay_m) applied to every supported
@@ -60,12 +65,13 @@ class ExperimentConfig:
     beta0: Optional[tuple[float, ...]] = None
     decay_c: Optional[float] = None
     decay_m: Optional[float] = None
-    priors: tuple[NonlocalPriorSpec, ...] = (spimom(),)
+    prior: NonlocalPriorSpec = spimom()
     design: str = DESIGN_IID
     rho: float = 0.0
     dispersion: float = 1.0
     epsilon: float = 0.1
     nu: float = 0.1
+    search_budget: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -98,6 +104,8 @@ class ExperimentConfig:
             raise ValueError("dispersion must be finite")
         if not (math.isfinite(self.epsilon) and math.isfinite(self.nu)):
             raise ValueError("epsilon and nu must be finite")
+        if self.search_budget is not None and self.search_budget < 0:
+            raise ValueError("search_budget must be nonnegative")
 
     def realized_beta0(self, n: int) -> np.ndarray:
         if self.beta0 is not None:
@@ -149,6 +157,13 @@ def _replications(cfg: ExperimentConfig
             stream = derive_stream(derive_stream(root, ni), rep)
             d, beta0 = simulate_dataset(cfg, n, stream)
             yield n, rep, stream, d, beta0
+
+
+class StudyResult(NamedTuple):
+    """A study's replication rows and the summary its JSON reports."""
+
+    rows: list[dict]
+    summary: dict
 
 
 # =============================================================================
@@ -226,25 +241,7 @@ def _growth_exponents(cfg: ExperimentConfig) -> dict:
 # =============================================================================
 
 
-@dataclass
-class MleRateResult:
-    table: RateTable
-    scaled_medians: list[tuple[int, float]]  # (n, n^(1/3) * median)
-    rows: list[dict]
-
-    @property
-    def excluded(self) -> int:
-        return sum(not r["converged"] for r in self.rows)
-
-    def summary(self) -> dict:
-        return {
-            "study": "mle-rate", **self.table.summary(),
-            "scaled_medians": [{"n": n, "value": v} for n, v in self.scaled_medians],
-            "excluded_replications": self.excluded,
-        }
-
-
-def mle_rate_study(cfg: ExperimentConfig) -> MleRateResult:
+def mle_rate_study(cfg: ExperimentConfig) -> StudyResult:
     """Median l2 distance of the true-support MLE from the truth, per n.
 
     Replications whose Newton fit did not converge are excluded from the
@@ -253,14 +250,18 @@ def mle_rate_study(cfg: ExperimentConfig) -> MleRateResult:
     """
     rows: list[dict] = []
     for n, rep, _, d, beta0 in _replications(cfg):
-        scores = score_models(d, [[cfg.true_support.indices]], cfg.priors[0])
+        scores = score_models(d, [[cfg.true_support.indices]], cfg.prior)
         rows.append({"n": n, "rep": rep,
                      "l2_error": float(np.linalg.norm(scores.mle[0] - beta0)),
                      "converged": bool(scores.mle_converged[0])})
     table = _rate_table("l2 error of MLE on true support", cfg.n_grid,
                         [(r["n"], r["l2_error"]) for r in rows if r["converged"]])
-    scaled = [(n, n ** (1.0 / 3.0) * med) for n, med, _ in table.rows]
-    return MleRateResult(table=table, scaled_medians=scaled, rows=rows)
+    return StudyResult(rows, {
+        "study": "mle-rate", **table.summary(),
+        "scaled_medians": [{"n": n, "value": n ** (1.0 / 3.0) * med}
+                           for n, med, _ in table.rows],
+        "excluded_replications": sum(not r["converged"] for r in rows),
+    })
 
 
 # =============================================================================
@@ -291,24 +292,22 @@ def scalar_mode_rate_table(spec: NonlocalPriorSpec, n_grid: Sequence[int]) -> Ra
                        [(n, scalar_null_mode(spec, n)) for n in n_grid])
 
 
-@dataclass
-class ModeRateResult:
-    tables: dict[str, RateTable]
-    scalar_tables: dict[str, RateTable]
-    null_index: int
-    rows: list[dict]
-
-    def summary(self) -> dict:
-        return {
-            "study": "mode-rate",
-            "null_index": self.null_index,
-            "pipeline": {k: t.summary() for k, t in self.tables.items()},
-            "scalar": {k: t.summary() for k, t in self.scalar_tables.items()},
-        }
+def scalar_mode_rate_study(cfg: ExperimentConfig) -> StudyResult:
+    """The scalar null-coordinate mode of the configured prior along the
+    n-grid, one row per n; it reads no data, so only the prior and the grid
+    of ``cfg`` matter."""
+    label = _prior_label(cfg.prior)
+    table = scalar_mode_rate_table(cfg.prior, cfg.n_grid)
+    per_n = [{"n": n, "mode": m} for n, m, _ in table.rows]
+    return StudyResult([{"prior": label, **r} for r in per_n], {
+        "study": "mode-rate-scalar", "prior": label, "slope": table.slope,
+        "slope_se": table.slope_se, "note": table.note, "per_n": per_n,
+    })
 
 
-def mode_rate_study(cfg: ExperimentConfig) -> ModeRateResult:
-    """|posterior mode - MLE| on a null coordinate, per prior spec and n.
+def mode_rate_study(cfg: ExperimentConfig) -> StudyResult:
+    """|posterior mode - MLE| on a null coordinate under the configured
+    prior, per n.
 
     Fits the model consisting of the true support plus the smallest index
     outside it, so exactly one fitted coordinate is null.  The scalar
@@ -319,30 +318,31 @@ def mode_rate_study(cfg: ExperimentConfig) -> ModeRateResult:
     null_index = min(set(range(1, cfg.p + 1)) - set(cfg.true_support.indices))
     model = sorted(cfg.true_support.indices + (null_index,))
     null_pos = model.index(null_index)
+    label = _prior_label(cfg.prior)
     rows: list[dict] = []
-    tables: dict[str, RateTable] = {}
-    for spec in cfg.priors:
-        label = _prior_label(spec)
-        start = len(rows)
-        for n, rep, _, d, _ in _replications(cfg):
-            scores = score_models(d, [[model]], spec)
-            ok = bool(scores.mle_converged[0] and scores.converged[0])
-            gap = (abs(float(scores.mode[0, null_pos] - scores.mle[0, null_pos]))
-                   if ok else float("nan"))
-            rows.append({"prior": label, "n": n, "rep": rep, "null_gap": gap,
-                         "converged": ok})
-        tables[label] = _rate_table(
-            f"null-coordinate |mode - MLE|, {label}", cfg.n_grid,
-            [(r["n"], r["null_gap"]) for r in rows[start:] if r["converged"]])
-    scalar_tables = {_prior_label(s): scalar_mode_rate_table(s, cfg.n_grid)
-                     for s in cfg.priors}
-    return ModeRateResult(tables=tables, scalar_tables=scalar_tables,
-                          null_index=null_index, rows=rows)
+    for n, rep, _, d, _ in _replications(cfg):
+        scores = score_models(d, [[model]], cfg.prior)
+        ok = bool(scores.mle_converged[0] and scores.converged[0])
+        gap = (abs(float(scores.mode[0, null_pos] - scores.mle[0, null_pos]))
+               if ok else float("nan"))
+        rows.append({"prior": label, "n": n, "rep": rep, "null_gap": gap,
+                     "converged": ok})
+    table = _rate_table(f"null-coordinate |mode - MLE|, {label}", cfg.n_grid,
+                        [(r["n"], r["null_gap"]) for r in rows if r["converged"]])
+    return StudyResult(rows, {
+        "study": "mode-rate", "null_index": null_index,
+        "pipeline": {label: table.summary()},
+        "scalar": {label: scalar_mode_rate_table(cfg.prior, cfg.n_grid).summary()},
+    })
 
 
 # =============================================================================
 # Log-marginal-ratio study
 # =============================================================================
+
+
+# strict supersets of the truth sampled per extra size and replication
+SUPERSETS_PER_SIZE = 20
 
 
 def _marginal_pieces(d: Dataset, J: ModelIndex, spec: NonlocalPriorSpec,
@@ -389,22 +389,7 @@ def _sample_supersets(truth: ModelIndex, p: int, q: int, per_size: int,
     return out
 
 
-@dataclass
-class LogmRatioResult:
-    rows: list[dict]
-    per_group: list[dict]  # medians per (n, extra size)
-    max_identity_gap: float
-
-    def summary(self) -> dict:
-        return {
-            "study": "logm-ratio",
-            "per_group": self.per_group,
-            "max_identity_gap": self.max_identity_gap,
-        }
-
-
-def logm_ratio_study(cfg: ExperimentConfig, supersets_per_size: int = 20
-                     ) -> LogmRatioResult:
+def logm_ratio_study(cfg: ExperimentConfig) -> StudyResult:
     """Median log(M_J / M_J0) over strict supersets J of the truth, per n.
 
     Every row carries the likelihood-ratio part, the dominant prior-ratio
@@ -416,13 +401,13 @@ def logm_ratio_study(cfg: ExperimentConfig, supersets_per_size: int = 20
     reported for reference only; the proportionality constant is unknown,
     so only sign and monotonicity are meaningful checks.
     """
-    spec = cfg.priors[0]
+    spec = cfg.prior
     truth = cfg.true_support
     rows: list[dict] = []
     max_gap = 0.0
     for n, rep, stream, d, _ in _replications(cfg):
         models = [truth] + _sample_supersets(truth, cfg.p, cfg.q,
-                                             supersets_per_size,
+                                             SUPERSETS_PER_SIZE,
                                              derive_stream(stream, 10**6))
         scores = score_models(d, [[J.indices] for J in models], spec)
         logm = scores.log_marginal.tolist()
@@ -460,8 +445,8 @@ def logm_ratio_study(cfg: ExperimentConfig, supersets_per_size: int = 20
                 "median_prior_part_dominant":
                     float(np.median([r["prior_part_dominant"] for r in grp])),
             })
-    return LogmRatioResult(rows=rows, per_group=per_group,
-                           max_identity_gap=max_gap)
+    return StudyResult(rows, {"study": "logm-ratio", "per_group": per_group,
+                              "max_identity_gap": max_gap})
 
 
 # =============================================================================
@@ -469,43 +454,27 @@ def logm_ratio_study(cfg: ExperimentConfig, supersets_per_size: int = 20
 # =============================================================================
 
 
-@dataclass
-class ConsistencyResult:
-    rows: list[dict]
-    per_n: list[dict]
-    growth: dict
-    lambda_window: list[dict]
-
-    def summary(self) -> dict:
-        return {
-            "study": "consistency",
-            "per_n": self.per_n,
-            "growth_exponents": self.growth,
-            "lambda_window": self.lambda_window,
-        }
-
-
-def consistency_study(cfg: ExperimentConfig,
-                      search_budget: Optional[int] = None) -> ConsistencyResult:
+def consistency_study(cfg: ExperimentConfig) -> StudyResult:
     """Posterior mass on and around the true model along the n-grid.
 
     Scores the full bounded model space by enumeration, or a greedy-search
-    subset when ``search_budget`` is given.  Reports, per n, the median
+    subset when ``cfg.search_budget`` is given.  Reports, per n, the median
     probability of the truth, the median nested and non-nested masses, and
     how often the top model is exactly the truth.  The scale-window
     comparison lambda^(1/6) versus n^(2/9) is reported without assertion;
     its constants are not quantified.
     """
-    spec = cfg.priors[0]
+    spec = cfg.prior
     truth = cfg.true_support
-    strata = None if search_budget is not None else enumerate_strata(cfg.p, cfg.q)
+    strata = (None if cfg.search_budget is not None
+              else enumerate_strata(cfg.p, cfg.q))
     rows: list[dict] = []
     for n, rep, stream, d, _ in _replications(cfg):
         if strata is not None:
             scores = score_models(d, strata, spec)
             post = normalize_strata(strata, scores.log_marginal, cfg.q)
         else:
-            post, _ = greedy_search(d, spec, cfg.q, search_budget,
+            post, _ = greedy_search(d, spec, cfg.q, cfg.search_budget,
                                     derive_stream(stream, 10**6))
         post.set_truth(truth)
         rows.append({
@@ -526,9 +495,9 @@ def consistency_study(cfg: ExperimentConfig,
         })
     window = [{"n": n, "lambda_sixth": spec.scale ** (1.0 / 6.0),
                "n_two_ninths": n ** (2.0 / 9.0)} for n in cfg.n_grid]
-    return ConsistencyResult(rows=rows, per_n=per_n,
-                             growth=_growth_exponents(cfg),
-                             lambda_window=window)
+    return StudyResult(rows, {"study": "consistency", "per_n": per_n,
+                              "growth_exponents": _growth_exponents(cfg),
+                              "lambda_window": window})
 
 
 # =============================================================================

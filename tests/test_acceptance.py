@@ -98,9 +98,9 @@ def test_criterion_4_full_pipeline_mode_rate():
     cfg = ExperimentConfig(
         family="gaussian", p=5, q=3, true_support=ModelIndex((1, 2)),
         n_grid=(200, 800, 3200, 12800), replications=50, seed=0,
-        beta0=(1.0, -0.8), priors=(spimom(),))  # frozen instance
+        beta0=(1.0, -0.8), prior=spimom())  # frozen instance
     res = mode_rate_study(cfg)
-    slope = res.tables["spimom(r=1,scale=1)"].slope
+    slope = res.summary["pipeline"]["spimom(r=1,scale=1)"]["slope"]
     elapsed = time.perf_counter() - t0
     report(4, "full-pipeline mode rate", abs(slope + 0.33) <= 0.05,
            f"slope = {slope:.4f} (target -0.33 +- 0.05)", elapsed, 120.0)
@@ -164,11 +164,11 @@ def test_criterion_7_consistency_direction():
     cfg = ExperimentConfig(
         family="gaussian", p=30, q=3, true_support=ModelIndex((1, 2)),
         n_grid=(100, 200, 400, 800), replications=20, seed=0,
-        beta0=(1.0, -0.8), priors=(spimom(),))
+        beta0=(1.0, -0.8), prior=spimom())
     res = consistency_study(cfg)
-    probs = [row["median_prob_truth"] for row in res.per_n]
-    mass_a = [row["median_mass_a"] for row in res.per_n]
-    mass_b = [row["median_mass_b"] for row in res.per_n]
+    probs = [row["median_prob_truth"] for row in res.summary["per_n"]]
+    mass_a = [row["median_mass_a"] for row in res.summary["per_n"]]
+    mass_b = [row["median_mass_b"] for row in res.summary["per_n"]]
     elapsed = time.perf_counter() - t0
     ok = (all(a <= b for a, b in zip(probs, probs[1:]))
           and all(a >= b for a, b in zip(mass_a, mass_a[1:]))
@@ -253,7 +253,7 @@ def test_criterion_10_mle_rate_envelope():
         n_grid=(200, 800, 3200, 12800), replications=50, seed=0,
         beta0=(1.0, -0.8, 0.6))  # frozen instance
     res = mle_rate_study(cfg)
-    scaled = [v for _, v in res.scaled_medians]
+    scaled = [row["value"] for row in res.summary["scaled_medians"]]
     elapsed = time.perf_counter() - t0
     ok = all(a > b for a, b in zip(scaled, scaled[1:]))
     report(10, "mle rate envelope", ok,

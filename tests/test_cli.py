@@ -370,6 +370,32 @@ class TestStudyCommand:
         assert err.startswith("error: n_grid") and err.count("\n") == 1
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--family", "bogus"], "unknown family 'bogus'"),
+        (["--p", 1], "need |J0| <= q <= p"),
+        (["--m", 0.5], "decay exponent must lie in [0, 1/3)"),
+        (["--rho", 2], "rho must lie in [0, 1)")])
+    def test_scalar_mode_rate_checks_study_flags(self, tmp_path, capsys, flags, message):
+        assert run(["study", "--study", "mode-rate", "--scalar", *flags,
+                    "--out", tmp_path / "s"]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("flags, label", [
+        ([], "spimom(r=1,scale=1)"),
+        (["--prior", "pimom", "--tau", 0.5], "pimom(r=1,scale=0.5)")])
+    def test_mode_rate_json_has_one_prior_label(self, tmp_path, flags, label):
+        prefix = tmp_path / "mode"
+        assert run(["study", "--study", "mode-rate", "--p", 4, "--reps", 2,
+                    "--n-grid", "50,100", *flags, "--out", prefix]) == 0
+        res = load_json(str(prefix) + ".json")
+        assert list(res["summary"]["pipeline"]) == [label]
+        assert list(res["summary"]["scalar"]) == [label]
+        rows = list(csv.DictReader((tmp_path / "mode.csv").read_text().splitlines()))
+        reps = [r for r in rows if r["row_type"] == "replication"]
+        assert len(reps) == 2 * 2
+        assert {r["prior"] for r in reps} == {label}
+
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         prefix = tmp_path / "missing" / "x"
         assert run(["study", "--study", "mode-rate", "--scalar", "--out", prefix]) == 2

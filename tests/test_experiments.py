@@ -1,6 +1,7 @@
 """Simulation harness: reproducibility, rate-table mechanics, decomposition
 identities, and the Hessian diagnostics against dense eigensolver oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from nlselect.priors import pimom, spimom
 def base_config(**overrides):
     defaults = dict(family="gaussian", p=5, q=3, true_support=ModelIndex((1, 2)),
                     n_grid=(100, 200), replications=3, seed=0,
-                    beta0=(1.0, -0.8), priors=(spimom(),))
+                    beta0=(1.0, -0.8), prior=spimom())
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
 
@@ -99,8 +100,8 @@ class TestMleRateStudy:
                           n_grid=(200, 800, 3200, 12800), replications=50,
                           seed=1)
         res = mle_rate_study(cfg)
-        assert res.table.slope == pytest.approx(-0.5, abs=0.05)
-        assert res.excluded == 0
+        assert res.summary["slope"] == pytest.approx(-0.5, abs=0.05)
+        assert res.summary["excluded_replications"] == 0
 
     def test_scaled_statistic_strictly_decreasing(self):
         cfg = base_config(true_support=ModelIndex((1, 2, 3)),
@@ -108,14 +109,14 @@ class TestMleRateStudy:
                           n_grid=(200, 800, 3200, 12800), replications=50,
                           seed=0)
         res = mle_rate_study(cfg)
-        vals = [v for _, v in res.scaled_medians]
+        vals = [row["value"] for row in res.summary["scaled_medians"]]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_single_point_grid_flagged(self):
         res = mle_rate_study(base_config(n_grid=(200,)))
-        assert len(res.table.rows) == 1
-        assert res.table.slope is None
-        assert "no slope" in res.table.note
+        assert len(res.summary["per_n"]) == 1
+        assert res.summary["slope"] is None
+        assert "no slope" in res.summary["note"]
 
 
 class TestModeRateStudy:
@@ -137,26 +138,26 @@ class TestModeRateStudy:
         cfg = base_config(n_grid=(200, 800, 3200), replications=20, seed=2)
         res = mode_rate_study(cfg)
         label = "spimom(r=1,scale=1)"
-        assert res.null_index == 3
-        assert res.tables[label].slope == pytest.approx(-1.0 / 3.0, abs=0.08)
-        assert res.scalar_tables[label].slope is not None
+        assert res.summary["null_index"] == 3
+        assert res.summary["pipeline"][label]["slope"] == pytest.approx(-1.0 / 3.0, abs=0.08)
+        assert res.summary["scalar"][label]["slope"] is not None
 
 
 class TestLogmRatioStudy:
     def test_decomposition_identity_and_direction(self):
         cfg = base_config(p=8, n_grid=(100, 400), replications=5, seed=3)
-        res = logm_ratio_study(cfg, supersets_per_size=6)
-        assert res.max_identity_gap <= 1e-10
+        res = logm_ratio_study(cfg)
+        assert res.summary["max_identity_gap"] <= 1e-10
         medians = {(g["n"], g["extra"]): g["median_log_ratio"]
-                   for g in res.per_group}
+                   for g in res.summary["per_group"]}
         assert all(v < 0 for v in medians.values())
         assert medians[(400, 1)] < medians[(100, 1)]  # decreasing in n
 
     def test_true_model_ratio_is_zero(self):
         cfg = base_config()
         d, _ = simulate_dataset(cfg, 150, make_stream(9))
-        a = fit_model(d, cfg.true_support, cfg.priors[0])
-        b = fit_model(d, cfg.true_support, cfg.priors[0])
+        a = fit_model(d, cfg.true_support, cfg.prior)
+        b = fit_model(d, cfg.true_support, cfg.prior)
         assert a.log_marginal - b.log_marginal == 0.0
 
 
@@ -168,7 +169,7 @@ class TestConsistencyStudy:
             total = row["prob_truth"] + row["mass_a"] + row["mass_b"]
             assert total == pytest.approx(1.0, abs=1e-12)
         assert {r["n"] for r in res.rows} == {100, 200}
-        for pn in res.per_n:
+        for pn in res.summary["per_n"]:
             assert 0.0 <= pn["median_prob_truth"] <= 1.0
             assert 0.0 <= pn["hit_rate"] <= 1.0
 
@@ -177,21 +178,21 @@ class TestConsistencyStudy:
                            replications=10, seed=5)
         strong = base_config(p=6, q=2, beta0=(2.5, -2.0), n_grid=(150,),
                              replications=10, seed=5)
-        hr_weak = consistency_study(weak).per_n[0]["hit_rate"]
-        hr_strong = consistency_study(strong).per_n[0]["hit_rate"]
+        hr_weak = consistency_study(weak).summary["per_n"][0]["hit_rate"]
+        hr_strong = consistency_study(strong).summary["per_n"][0]["hit_rate"]
         assert hr_strong >= hr_weak
 
     def test_greedy_backend(self):
         cfg = base_config(p=12, q=2, n_grid=(200,), replications=3, seed=6)
-        res = consistency_study(cfg, search_budget=60)
+        res = consistency_study(dataclasses.replace(cfg, search_budget=60))
         for row in res.rows:
             assert row["prob_truth"] >= 0.0
 
     def test_reports_scale_window(self):
         res = consistency_study(base_config(p=6, q=2, n_grid=(100,),
                                             replications=2, seed=7))
-        assert res.lambda_window[0]["lambda_sixth"] == pytest.approx(1.0)
-        assert res.growth["per_n"][0]["omega_realized"] > 0
+        assert res.summary["lambda_window"][0]["lambda_sixth"] == pytest.approx(1.0)
+        assert res.summary["growth_exponents"]["per_n"][0]["omega_realized"] > 0
 
 
 class TestHessianDiagnostics:
@@ -267,7 +268,7 @@ class TestHessianDiagnostics:
 
 
 STUDIES = [mle_rate_study, mode_rate_study, logm_ratio_study, consistency_study,
-           lambda cfg: consistency_study(cfg, search_budget=12)]
+           lambda cfg: consistency_study(dataclasses.replace(cfg, search_budget=12))]
 STUDY_IDS = ["mle-rate", "mode-rate", "logm-ratio", "consistency", "consistency-search"]
 
 
@@ -277,14 +278,14 @@ class TestReproducibility:
         a = mle_rate_study(cfg)
         b = mle_rate_study(cfg)
         assert a.rows == b.rows
-        assert a.table.rows == b.table.rows
+        assert a.summary == b.summary
 
     @pytest.mark.parametrize("study", STUDIES, ids=STUDY_IDS)
     def test_rows_and_summary_bit_identical(self, study):
         # compared as written, since a NaN row value never equals itself
         cfg = base_config(p=4, n_grid=(60, 120), replications=2, seed=8)
         a, b = study(cfg), study(cfg)
-        assert to_json([a.rows, a.summary()]) == to_json([b.rows, b.summary()])
+        assert to_json([a.rows, a.summary]) == to_json([b.rows, b.summary])
 
 
 class TestReplicationContract:
@@ -313,11 +314,3 @@ class TestReplicationContract:
         cfg = base_config(p=4, n_grid=(60, 90, 120), replications=2, seed=8)
         study(cfg)
         assert draws == self.expected(cfg)
-
-    def test_mode_rate_repeats_per_prior(self, draws):
-        cfg = base_config(p=4, n_grid=(60, 120), replications=2,
-                          priors=(spimom(), pimom()))
-        res = mode_rate_study(cfg)
-        assert draws == 2 * self.expected(cfg)
-        assert [r["prior"] for r in res.rows] == (
-            ["spimom(r=1,scale=1)"] * 4 + ["pimom(r=1,scale=1)"] * 4)
