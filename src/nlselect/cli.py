@@ -510,6 +510,12 @@ def cmd_study(args) -> int:
     budget = _search_budget(args)
     spec = _prior_from_args(args)
     cfg = _study_config(args, n_grid, spec, budget if args.search else None)
+    if args.scalar:  # the table reads no data, so each data flag must keep its default
+        defaults = build_parser().parse_args(["study", "--study", args.study])
+        for dest in ("family", "p", "q", "j0", "beta0", "m", "decay_c", "reps", "seed",
+                     "epsilon", "nu", "design", "rho", "sigma2"):
+            if getattr(args, dest) != getattr(defaults, dest):
+                raise ConfigError(f"--{dest.replace('_', '-')} does not apply to --scalar")
 
     config_echo = {
         "subcommand": "study", "study": args.study, "family": args.family,

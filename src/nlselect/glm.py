@@ -68,9 +68,6 @@ class _Gaussian:
     def mean(self, theta):
         return theta
 
-    def scale(self, dispersion):
-        return 1.0 / dispersion
-
     def log_base(self, y, dispersion):
         n = y.shape[0]
         return float(-0.5 * (y @ y) / dispersion - 0.5 * n * math.log(2 * math.pi * dispersion))
@@ -101,9 +98,6 @@ class _Logistic:
         var *= p
         return p, var
 
-    def scale(self, dispersion):
-        return 1.0
-
     def log_base(self, y, dispersion):
         return 0.0
 
@@ -129,9 +123,6 @@ class _Poisson:
     def mean_variance(self, theta):
         mu = self.mean(theta)
         return mu, mu
-
-    def scale(self, dispersion):
-        return 1.0
 
     def log_base(self, y, dispersion):
         from scipy.special import gammaln  # only Poisson fits load scipy.special
@@ -195,6 +186,11 @@ class Dataset:
     def _gram(self) -> tuple[np.ndarray, np.ndarray]:
         # sufficient statistics for the Gaussian fast path: X'X and X'y
         return self.X.T @ self.X, self.X.T @ self.y
+
+    @cached_property
+    def log_base(self) -> float:
+        """The family's constant log-likelihood term, free of the coefficients."""
+        return FAMILIES[self.family].log_base(self.y, self.dispersion)
 
 
 @dataclass
@@ -341,25 +337,20 @@ class ModelBatch:
     """Likelihood data of M models of one size k.
 
     ``cols`` holds the zero-based columns, shape (M, k).  Gaussian batches
-    carry their slices of the cached X'X and X'y, shapes (M, k, k) and
-    (M, k); the other families carry the models' columns of X, shape
-    (M, k, n).  ``base`` is the family's constant log-likelihood term.
+    carry their slices of the cached X'X and X'y, shapes (M, k, k) and (M, k);
+    the other families carry the models' columns of X, shape (M, k, n).
     """
 
     d: Dataset
     cols: np.ndarray
-    base: float
     xtx: Optional[np.ndarray] = None
     xty: Optional[np.ndarray] = None
     xs: Optional[np.ndarray] = None
 
     def take(self, rows) -> "ModelBatch":
         """The sub-batch of the given rows (an index array or a mask)."""
-        return ModelBatch(
-            d=self.d, cols=self.cols[rows], base=self.base,
-            xtx=None if self.xtx is None else self.xtx[rows],
-            xty=None if self.xty is None else self.xty[rows],
-            xs=None if self.xs is None else self.xs[rows])
+        arrays = (self.cols, self.xtx, self.xty, self.xs)
+        return ModelBatch(self.d, *(None if a is None else a[rows] for a in arrays))
 
 
 def batch_rows(d: Dataset, k: int) -> int:
@@ -376,12 +367,11 @@ def model_batch(d: Dataset, cols: np.ndarray) -> ModelBatch:
         raise ValueError(f"model columns must lie in 1..{d.p}")
     if cols.shape[1] > d.n:
         raise ValueError(f"|J| = {cols.shape[1]} exceeds n = {d.n}")
-    base = FAMILIES[d.family].log_base(d.y, d.dispersion)
     if d.family == "gaussian":
         xtx, xty = d._gram
-        return ModelBatch(d=d, cols=cols, base=base,
-                          xtx=xtx[cols[:, :, None], cols[:, None, :]], xty=xty[cols])
-    return ModelBatch(d=d, cols=cols, base=base, xs=d.X.T[cols])
+        return ModelBatch(d=d, cols=cols, xtx=xtx[cols[:, :, None], cols[:, None, :]],
+                          xty=xty[cols])
+    return ModelBatch(d=d, cols=cols, xs=d.X.T[cols])
 
 
 def _batch_theta(batch: ModelBatch, beta: np.ndarray) -> np.ndarray:
@@ -390,17 +380,18 @@ def _batch_theta(batch: ModelBatch, beta: np.ndarray) -> np.ndarray:
 
 
 def batch_log_likelihood(batch: ModelBatch, beta: np.ndarray) -> np.ndarray:
-    """Full log-likelihood of each model at its row of ``beta`` (M, k)."""
+    """Full log-likelihood of each model at its row of ``beta`` (M, k); every
+    sum runs within one row, so no model's value depends on its batch."""
     d = batch.d
-    fam = FAMILIES[d.family]
-    s = fam.scale(d.dispersion)
     if d.family == "gaussian":
         quad = (beta * (batch.xtx * beta[:, None, :]).sum(axis=-1)).sum(axis=-1)
-        kernel = (batch.xty * beta).sum(axis=-1) - 0.5 * quad
+        kernel = (1.0 / d.dispersion) * ((batch.xty * beta).sum(axis=-1) - 0.5 * quad)
     else:
         theta = _batch_theta(batch, beta)
-        kernel = theta @ d.y - fam.cumulant(theta).sum(axis=-1)
-    value = s * kernel + batch.base
+        # theta'y per row: one (M, n) @ (n,) product sums in blocks set by M
+        ty = np.matmul(theta[:, None, :], d.y[:, None])[:, 0, 0]
+        kernel = ty - FAMILIES[d.family].cumulant(theta).sum(axis=-1)
+    value = kernel + d.log_base
     return np.where(np.isfinite(value), value, -math.inf)
 
 
@@ -409,16 +400,15 @@ def batch_score_hessian(batch: ModelBatch, beta: np.ndarray
     """Scores (M, k) and negative log-likelihood Hessians (M, k, k) of each
     model at its row of ``beta``."""
     d = batch.d
-    fam = FAMILIES[d.family]
-    s = fam.scale(d.dispersion)
     if d.family == "gaussian":
+        s = 1.0 / d.dispersion
         return (s * (batch.xty - (batch.xtx * beta[:, None, :]).sum(axis=-1)),
                 s * batch.xtx)
-    mean, var = fam.mean_variance(_batch_theta(batch, beta))
+    mean, var = FAMILIES[d.family].mean_variance(_batch_theta(batch, beta))
     xs = batch.xs
     g = np.matmul(xs, (d.y - mean)[:, :, None])[:, :, 0]
     # one column of X_J' W X_J at a time keeps the temporaries at (M, n)
     h = np.empty(xs.shape[:2] + xs.shape[1:2])
     for j in range(xs.shape[1]):
         h[:, :, j] = np.matmul(xs, (xs[:, j, :] * var)[:, :, None])[:, :, 0]
-    return s * g, s * h
+    return g, h

@@ -195,9 +195,9 @@ def score_models(d: Dataset, models: Sequence[np.ndarray],
     Every per-model check of ``fit_mle`` and ``find_posterior_mode``
     applies row by row with the same constants, and a model leaves the
     batch's active set as soon as its own iteration stops; empty models stop
-    at iteration 0 and score their exact log-likelihood.  Results agree
-    with the scalar functions to rounding (the order of floating-point
-    operations differs).
+    at iteration 0 and score their exact log-likelihood.  Every field of a
+    row equals the scalar functions' result bit for bit, whatever the other
+    rows of its batch.
     """
     blocks = [np.asarray(b, dtype=int) for b in models]
     ends = np.cumsum([b.shape[0] for b in blocks], dtype=int)

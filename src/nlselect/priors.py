@@ -193,7 +193,8 @@ def coordinate_mode(b, h, spec: NonlocalPriorSpec) -> np.ndarray:
     U = min(max(a, prior_mode), a + (c/h)^(1/(2+2 zeta))), c the constant
     term, so a root lies in (0, U].  Newton steps start from U; a step that
     would leave the bracket of the last negative and nonnegative points
-    bisects it instead.  ``b`` and ``h`` broadcast against each other.
+    bisects it instead.  Each coordinate stops at the step that solves it, so
+    it equals its own one-element solve.  ``b`` and ``h`` broadcast.
     """
     b = np.asarray(b, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -206,6 +207,7 @@ def coordinate_mode(b, h, spec: NonlocalPriorSpec) -> np.ndarray:
     hi = np.minimum(np.maximum(a, spec.prior_mode), a + tail)
     lo = np.zeros_like(hi)
     u = hi
+    done = np.zeros(u.shape, dtype=bool)
     for _ in range(MODE_SOLVE_STEPS):
         ue = u**e
         f = h * ue * u * (u - a) + r1 * ue - c
@@ -216,9 +218,9 @@ def coordinate_mode(b, h, spec: NonlocalPriorSpec) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             x = u - f / df
         x = np.where((x >= lo) & (x <= hi), x, 0.5 * (lo + hi))
-        done = np.all(np.abs(x - u) <= MODE_SOLVE_RTOL * x)
-        u = x
-        if done:
+        # a coordinate takes the step that solves it, then stays put
+        u, done = np.where(done, u, x), done | (np.abs(x - u) <= MODE_SOLVE_RTOL * x)
+        if done.all():
             break
     return np.where(b < 0.0, -u, u)
 

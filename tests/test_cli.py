@@ -109,6 +109,24 @@ class TestFit:
         assert scale == lambda_for_origin_mass(1e6, r=1.0)
         assert scale == pytest.approx((5e5 * math.log(100.0)) ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("family, seed", [("logistic", 0), ("poisson", 1)])
+    def test_search_prints_the_enumerated_log_marginals(self, tmp_path, family, seed):
+        # every model a search visits has, to the last bit, the log marginal
+        # of its row in the enumeration of the same data
+        data = tmp_path / "d.csv"
+        assert run(["simulate", "--out", data, "--p", 12, "--n", 400, "--family", family,
+                    "--seed", seed]) == 0
+        logm = []
+        for flags in ([], ["--search", "--budget", 120]):
+            out = tmp_path / "fit.json"
+            assert run(["fit", "--input", data, "--family", family, "--q", 3,
+                        "--out", out] + flags) == 0
+            logm.append({tuple(m["indices"]): m["log_marginal"]
+                         for m in load_json(out)["models"]})
+        enumerated, searched = logm
+        assert len(enumerated) == 299 and 12 < len(searched) < 299
+        assert {J: enumerated[J] for J in searched} == searched
+
     def test_unknown_family_exits_3(self, tmp_path, capsys):
         data = self.make_data(tmp_path)
         assert run(["fit", "--input", data, "--family", "bogus"]) == 3
@@ -380,6 +398,25 @@ class TestStudyCommand:
                     "--out", tmp_path / "s"]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--family", "poisson"), ("--p", 99), ("--q", 2), ("--j0", "1,3"),
+        ("--beta0", "0.5,0.5"), ("--m", 0.1), ("--decay-c", 2), ("--reps", 3),
+        ("--seed", 7), ("--epsilon", 0.2), ("--nu", 0.2), ("--design", "equicorrelated"),
+        ("--rho", 0.5), ("--sigma2", 2)])
+    def test_scalar_mode_rate_rejects_data_flags(self, tmp_path, capsys, flag, value):
+        # the table reads no data, so a data flag away from its default is a mistake
+        argv = ["study", "--study", "mode-rate", "--scalar", "--n-grid", "1000,10000"]
+        assert run(argv + [flag, value, "--out", tmp_path / "s"]) == 3
+        assert capsys.readouterr().err == f"error: {flag} does not apply to --scalar\n"
+        assert not os.listdir(tmp_path)
+
+    def test_scalar_mode_rate_accepts_defaults_and_prior_flags(self, tmp_path):
+        assert run(["study", "--study", "mode-rate", "--scalar", "--n-grid", "1000,10000",
+                    "--family", "gaussian", "--p", 5, "--q", 3, "--j0", "1,2", "--reps", 50,
+                    "--seed", 0, "--rho", 0, "--sigma2", 1, "--prior", "pimom", "--tau", 2,
+                    "--r", 2, "--out", tmp_path / "s"]) == 0
+        assert load_json(tmp_path / "s.json")["summary"]["prior"] == "pimom(r=2,scale=2)"
 
     @pytest.mark.parametrize("flags, label", [
         ([], "spimom(r=1,scale=1)"),
