@@ -36,6 +36,12 @@ from .numerics import NotPositiveDefinite, SpdMatrix, batch_cho_solve, batch_cho
 
 # the gradient test of every Newton ascent: |g|_inf <= GRAD_TOL_PER_OBS * n
 GRAD_TOL_PER_OBS = 1e-8
+# the decrement test: a Newton step with g'H^-1 g <= DECREMENT_TOL *
+# max(1, |objective|) gains less than the objective resolves in floating
+# point.  Summing terms larger than the total, a log-likelihood rounds with a
+# standard deviation of up to about 20 eps |objective| (Poisson counts near
+# 150, whose log y! exceed it), so the bound is 64 eps, not a few eps.
+DECREMENT_TOL = 64.0 * float(np.finfo(float).eps)
 MAX_NEWTON_ITER = 100
 MAX_HALVINGS = 60
 SEPARATION_CAP = 30.0
@@ -245,20 +251,24 @@ def newton_ascent(objective: Callable[[np.ndarray], float],
     Hessian does not factor it retries with a ridge, doubling from
     1e-8 max(1, max|h|), up to ``ridge_tries`` tries in all.  The step starts
     at fraction ``step_cap(beta, step)`` (else 1) and is halved, at most
-    ``MAX_HALVINGS`` times, until the objective does not decrease.  The
-    ascent stops when the gradient's infinity-norm is at most
-    ``GRAD_TOL_PER_OBS * n``, when no Newton step factors (``singular``),
-    when no halving is accepted or the accepted step leaves beta unchanged
-    in floating point (the Newton decrement is below the objective's
-    resolution), or after ``max_iter`` steps.  Returns the final iterate,
-    the objective and the negative Hessian there, ``converged`` (the
-    gradient test at that iterate), the steps taken and ``singular``.
+    ``MAX_HALVINGS`` times, until the objective does not decrease.  A step
+    whose Newton decrement g'step is at most ``DECREMENT_TOL`` *
+    max(1, |objective|) gains less than the objective resolves: it gets one
+    trial, and if that is rejected the ascent stops at beta, certified at
+    resolution.  The ascent stops when the gradient's infinity-norm is at
+    most ``GRAD_TOL_PER_OBS * n``, when no Newton step factors
+    (``singular``), when the decrement certifies beta, when no halving is
+    accepted or the accepted step leaves beta unchanged in floating point,
+    or after ``max_iter`` steps.  Returns the final iterate, the objective
+    and the negative Hessian there, ``converged`` (the gradient test at
+    that iterate, or the decrement's certificate), the steps taken and
+    ``singular``.
     """
     tol = GRAD_TOL_PER_OBS * n
     value = objective(beta)
     eye = np.eye(beta.size)
     iterations = 0
-    singular = False
+    singular = certified = False
     for _ in range(max_iter):
         g, h = derivatives(beta)
         if float(np.abs(g).max(initial=0.0)) <= tol:
@@ -275,6 +285,7 @@ def newton_ascent(objective: Callable[[np.ndarray], float],
         if step is None:
             singular = True
             break
+        flat = (g * step).sum(axis=-1) <= DECREMENT_TOL * np.maximum(1.0, np.abs(value))
         t = 1.0 if step_cap is None else float(step_cap(beta, step))
         improved = False
         for _ in range(MAX_HALVINGS):
@@ -282,6 +293,9 @@ def newton_ascent(objective: Callable[[np.ndarray], float],
             cand_value = objective(cand)
             if cand_value >= value:
                 improved = True
+                break
+            if flat:
+                certified = True
                 break
             t *= 0.5
         if not improved or np.array_equal(cand, beta):
@@ -292,7 +306,7 @@ def newton_ascent(objective: Callable[[np.ndarray], float],
         g, h = derivatives(beta)
     # every break leaves beta where g and h were computed
     return NewtonAscent(beta=beta, value=value, h=h,
-                        converged=float(np.abs(g).max(initial=0.0)) <= tol,
+                        converged=certified or float(np.abs(g).max(initial=0.0)) <= tol,
                         iterations=iterations, singular=singular)
 
 

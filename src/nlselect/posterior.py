@@ -22,7 +22,10 @@ once for the MLE and once for the mode: the engine's lockstep ``_newton``
 here, and ``glm.newton_ascent`` for the reference.  The two share only
 ``glm``'s likelihood kernels.  In both, a fit is ``converged`` when the
 gradient test |g|_inf <= ``GRAD_TOL_PER_OBS`` * n holds at the returned
-iterate, whichever rule stopped the loop.
+iterate, whichever rule stopped the loop, or when the decrement test
+certified the last step as below resolution: a Newton step whose decrement
+g'H^-1 g is at most ``DECREMENT_TOL`` * max(1, |objective|) gets one trial,
+and if that trial is rejected the loop stops where it is.
 """
 
 from __future__ import annotations
@@ -33,10 +36,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .glm import (GRAD_TOL_PER_OBS, MAX_HALVINGS, MAX_NEWTON_ITER, SEPARATION_CAP,
-                  Dataset, GlmFit, ModelBatch, NewtonAscent, batch_log_likelihood,
-                  batch_rows, batch_score_hessian, fit_mle, model_batch,
-                  newton_ascent)
+from .glm import (DECREMENT_TOL, GRAD_TOL_PER_OBS, MAX_HALVINGS, MAX_NEWTON_ITER,
+                  SEPARATION_CAP, Dataset, GlmFit, ModelBatch, NewtonAscent,
+                  batch_log_likelihood, batch_rows, batch_score_hessian, fit_mle,
+                  model_batch, newton_ascent)
 from .modelspace import ModelIndex
 from .numerics import (NotPositiveDefinite, SpdMatrix, batch_cho_solve,
                        batch_cholesky, factor_logdet)
@@ -83,7 +86,8 @@ def find_posterior_mode(d: Dataset, J: ModelIndex, spec: NonlocalPriorSpec,
     flip a coordinate's sign is shortened so the coordinate stops halfway to
     zero, keeping the iterates inside the starting orthant where the prior
     is smooth.  Non-convergence (the gradient test unmet at the returned
-    iterate) is flagged on the returned fit, never raised.
+    iterate, and the last step not certified by the decrement test) is
+    flagged on the returned fit, never raised.
     """
     batch = model_batch(d, J.cols[None, :])
     beta = np.array(mle.beta_hat, dtype=float)
@@ -157,12 +161,13 @@ class ModelScores:
     marginal (``fit_model`` sets ``saddle`` on them).  ``mle`` and ``mode``
     are (M, w) arrays padded with NaN beyond each model's size, w the widest
     model; a rank-deficient design has neither, and its ``mle_converged``
-    is False.  ``mle_converged`` and ``converged`` are the gradient test at
-    the returned MLE and mode, whether the search stopped at the test, at
-    the stall stop or at its iteration cap; ``iterations`` counts the mode
-    search's Newton steps.  ``logdet`` is log det H* at
-    the mode, NaN where H* fails to factor.  ``separation`` is the logistic
-    MLE's flag (a coefficient beyond ``SEPARATION_CAP``).
+    is False.  ``mle_converged`` and ``converged`` say that the gradient
+    test holds at the returned MLE and mode, whether the search stopped at
+    the test, at the stall stop or at its iteration cap, or that the
+    decrement test certified the last step as below resolution;
+    ``iterations`` counts the mode search's Newton steps.  ``logdet`` is
+    log det H* at the mode, NaN where H* fails to factor.  ``separation``
+    is the logistic MLE's flag (a coefficient beyond ``SEPARATION_CAP``).
     """
 
     log_marginal: np.ndarray
@@ -272,7 +277,10 @@ def _newton(batch: ModelBatch, objective: Callable, derivatives: Callable,
     ``objective(sub, b)`` and ``derivatives(sub, b)`` evaluate the rows
     ``b`` of the sub-batch ``sub``; ``step_cap(b, step)`` gives each row's
     first step fraction.  A row leaves the active set as soon as its own
-    ascent stops, by the same rules and constants as the scalar loop.
+    ascent stops, by the same rules and constants as the scalar loop: a row
+    whose step is flat by the decrement test gets one trial, and if that is
+    rejected it stops, ``converged``, at the iterate where ``h_last`` was
+    taken.
     """
     tol = GRAD_TOL_PER_OBS * batch.d.n
     m, k = beta.shape
@@ -304,8 +312,10 @@ def _newton(batch: ModelBatch, objective: Callable, derivatives: Callable,
             ridge[pending] = np.maximum(2.0 * ridge[pending], floor[pending])
         singular[act[pending]] = True
         run[pending] = False
+        flat = (g * step).sum(axis=-1) <= DECREMENT_TOL * np.maximum(1.0, np.abs(v))
         # step-halving: each row with a step takes the first of b + t step,
-        # b + (t/2) step, ... whose objective is >= its value
+        # b + (t/2) step, ... whose objective is >= its value; a flat step
+        # gets one trial, and its rejection certifies the row at b
         t = np.ones(act.size) if step_cap is None else step_cap(b, step)
         cand, cand_value = b.copy(), v.copy()
         accepted = np.zeros(act.size, dtype=bool)
@@ -322,6 +332,8 @@ def _newton(batch: ModelBatch, objective: Callable, derivatives: Callable,
             cand_value[hit] = trial_value[ok]
             accepted[hit] = True
             pending = pending[~ok]
+            converged[act[pending[flat[pending]]]] = True
+            pending = pending[~flat[pending]]
             t[pending] *= 0.5
         # a row stops when no halving is accepted or the step leaves it unchanged
         moved = accepted & np.any(cand != b, axis=-1)

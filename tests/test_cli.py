@@ -433,6 +433,19 @@ class TestStudyCommand:
         assert len(reps) == 2 * 2
         assert {r["prior"] for r in reps} == {label}
 
+    def test_mode_rate_keeps_every_poisson_replication(self, tmp_path):
+        # n = 400, rep 0 stops where the Newton step gains less than the log
+        # posterior resolves; the decrement test certifies it, so its gap
+        # counts toward the median instead of being dropped.
+        prefix = tmp_path / "mode"
+        assert run(["study", "--study", "mode-rate", "--family", "poisson", "--p", 5,
+                    "--n-grid", "100,200,400", "--reps", 6, "--prior", "pimom",
+                    "--out", prefix]) == 0
+        assert load_json(str(prefix) + ".json")["summary"]["excluded_replications"] == 0
+        rows = list(csv.DictReader((tmp_path / "mode.csv").read_text().splitlines()))
+        reps = [r for r in rows if r["row_type"] == "replication"]
+        assert len(reps) == 18 and all(r["converged"] == "1" for r in reps)
+
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         prefix = tmp_path / "missing" / "x"
         assert run(["study", "--study", "mode-rate", "--scalar", "--out", prefix]) == 2

@@ -18,10 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import per_model_scorer
 
-from nlselect import glm
+from nlselect import glm, posterior
 from nlselect.glm import Dataset, fit_mle, log_likelihood
 from nlselect.modelspace import (ModelIndex, enumerate_models, enumerate_strata,
-                                 greedy_search)
+                                 greedy_search, normalize_strata)
 from nlselect.numerics import NotPositiveDefinite, factor_logdet, make_stream
 from nlselect.posterior import (MAX_MODE_ITER, ModelScores, find_posterior_mode, fit_model,
                                 score_models)
@@ -139,7 +139,6 @@ class TestAgainstScalarReference:
         # With one Newton step allowed, the score test runs at the iterate
         # that step reached: a Gaussian MLE is exact after one step, a
         # logistic one is not.
-        from nlselect import glm, posterior
         monkeypatch.setattr(glm, "MAX_NEWTON_ITER", 1)
         monkeypatch.setattr(posterior, "MAX_NEWTON_ITER", 1)
         for family, want in (("gaussian", True), ("logistic", False)):
@@ -154,7 +153,6 @@ class TestAgainstScalarReference:
         # With the cap at the uncapped search's iteration count j, the
         # gradient test runs at the iterate the j-th step reached, where the
         # uncapped search met it: both paths return that search unchanged.
-        from nlselect import posterior
         d = random_dataset(family, seed=4, n=80, p=3)
         J, spec = ModelIndex((1, 2, 3)), spimom()
         free, free_fit = score_models(d, blocks([J]), spec), fit_model(d, J, spec)
@@ -265,30 +263,80 @@ def benchmark_glm_input(family):
     return Dataset(y=y, X=X, family=family)
 
 
+def count_objective_calls(fn):
+    """``fn()`` and the number of ``batch_log_likelihood`` calls it made,
+    through the engine's and the reference's loops alike."""
+    calls, kernel = [], glm.batch_log_likelihood
+
+    def counted(*args):
+        calls.append(None)
+        return kernel(*args)
+
+    with mock.patch.object(posterior, "batch_log_likelihood", counted), \
+            mock.patch.object(glm, "batch_log_likelihood", counted):
+        return fn(), len(calls)
+
+
 class TestStalledSearch:
-    # On input 4, model {7,20,23} stops short of the 1e-8 n gradient
-    # tolerance after 4 iterations: from there step-halving accepts only
-    # candidates equal to beta.  Without the stall stop the search spins to
-    # the 200-iteration cap with beta frozen; its log marginal is this value.
+    # On input 4, model {7,20,23} reaches, after 2 iterations, an iterate
+    # whose Newton step gains less than the log posterior resolves (the
+    # decrement test) while the gradient is still above the 1e-8 n
+    # tolerance.  That step gets one trial; it is rejected, so the search
+    # stops there, certified at resolution.  Without the decrement test it
+    # spent up to 60 halvings per iteration (72 objective calls in all) and
+    # ended unconverged; without any stall stop it spun to the
+    # 200-iteration cap with beta frozen, at this log marginal.
     MODEL = ModelIndex((7, 20, 23))
     LOG_MARGINAL_AT_CAP = -1791.785637310164
 
     def test_scalar_search_stops_at_resolution(self):
-        fit = fit_model(benchmark_gaussian_input(4), self.MODEL, spimom())
-        assert not fit.converged
+        fit, calls = count_objective_calls(
+            lambda: fit_model(benchmark_gaussian_input(4), self.MODEL, spimom()))
+        assert fit.converged
         assert fit.iterations <= 12
         assert abs(fit.log_marginal - self.LOG_MARGINAL_AT_CAP) <= 1e-8
+        assert calls <= 8
 
     def test_engine_stops_at_resolution(self):
         d = benchmark_gaussian_input(4)
         models = enumerate_models(30, 3)
-        scores = score_models(d, enumerate_strata(30, 3), spimom())
+        scores, calls = count_objective_calls(
+            lambda: score_models(d, enumerate_strata(30, 3), spimom()))
         i = models.index(self.MODEL)
-        assert not scores.converged[i]
+        assert scores.converged[i]
         assert scores.iterations[i] <= 12
         assert abs(scores.log_marginal[i] - self.LOG_MARGINAL_AT_CAP) <= 1e-8
         # no row of the batch runs to the cap and holds the others' loop open
         assert scores.iterations.max() < MAX_MODE_ITER
+        assert not np.any(~scores.converged & ~scores.excluded)
+        # halving every flat step to the 60-halving cap took 160 calls here
+        assert calls <= 30
+
+
+class TestEveryFitHasAStatus:
+    def test_noisy_poisson_objective_certified(self):
+        # Counts up to 156, whose log y! terms exceed the log posterior:
+        # its rounding has a standard deviation of about 18 eps |objective|
+        # here, and the search stalls with g'H^-1 g at 13 eps |objective|.
+        # A bound of a few eps would leave this row unconverged.
+        d = random_dataset("poisson", seed=3008507012, n=27, p=3, duplicate=True)
+        spec = NonlocalPriorSpec(kind="pimom", r=2.0, scale=0.3)
+        scores, _ = assert_matches_scalar(d, [ModelIndex((1, 3))], spec)
+        assert scores.converged[0]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(datasets(), priors)
+    def test_converged_or_excluded(self, d, spec):
+        # Each row is certified (the gradient test, or the decrement test at
+        # resolution) or excluded, every kept marginal is finite, and the
+        # model posterior sums to 1.
+        q = min(3, d.p)
+        strata = enumerate_strata(d.p, q)
+        scores = score_models(d, strata, spec)
+        assert np.all(scores.converged | scores.excluded)
+        assert np.isfinite(scores.log_marginal[~scores.excluded]).all()
+        post = normalize_strata(strata, scores.log_marginal, q)
+        assert abs(post.probability.sum() - 1.0) <= 1e-9
 
 
 class TestSearchStart:
