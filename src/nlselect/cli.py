@@ -272,7 +272,7 @@ def _parse_support(text: str) -> ModelIndex:
     if text.strip().lower() in ("", "none"):
         return ModelIndex()
     try:
-        return ModelIndex.of(_parse_int_list(text, "index"))
+        return ModelIndex(_parse_int_list(text, "index"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -357,19 +357,18 @@ def cmd_fit(args) -> int:
     else:
         strata = enumerate_strata(d.p, q)
         scores = posterior.score_models(d, strata, spec)
-        post = normalize_strata(strata, scores.log_marginal, q)
+        post = normalize_strata(strata, scores.log_marginal)
         post.scores = scores
     scores, row, top = post.scores, post.top_row, post.top
     mle, mode = scores.mle[row, :top.size], scores.mode[row, :top.size]
-    diag = hessian_diagnostics(d, top, mle, [mle, mode])
+    diag = hessian_diagnostics(d, top, mle, mode)
     result = {
         "config": config_echo,
         "n": d.n, "p": d.p, "n_models_scored": len(post.entries),
         "models": post,
         "top": top,
         "diagnostics": {
-            "c_l_hat": diag.c_l_hat, "c_u_hat": diag.c_u_hat,
-            "c_d_hat": diag.c_d_hat, "c1_max": diag.c1_max,
+            **diag._asdict(),
             "top_mle_converged": scores.mle_converged[row],
             "top_mle_separation": scores.separation[row],
             "top_mode_converged": scores.converged[row],
@@ -446,8 +445,8 @@ def cmd_density(args) -> int:
     return EXIT_OK
 
 
-def _summary_rows(summary: dict, label: str = "summary") -> list[dict]:
-    """Flatten every list-of-dicts in a study summary into labeled CSV rows."""
+def _summary_rows(summary: dict) -> list[dict]:
+    """Flatten every list-of-dicts in a study summary into CSV rows labeled by path."""
     rows: list[dict] = []
 
     def walk(node, path):
@@ -461,7 +460,7 @@ def _summary_rows(summary: dict, label: str = "summary") -> list[dict]:
             for k, v in node.items():
                 walk(v, f"{path}.{k}")
 
-    walk(summary, label)
+    walk(summary, "summary")
     return rows
 
 

@@ -89,9 +89,13 @@ class ExperimentConfig:
             raise ValueError("give exactly one of beta0 or (decay_c, decay_m)")
         if has_fixed and len(self.beta0) != self.true_support.size:
             raise ValueError("beta0 length must match |J0|")
+        if has_fixed and not all(math.isfinite(b) for b in self.beta0):
+            raise ValueError("beta0 entries must be finite")
         if has_decay:
             if self.decay_c is None or self.decay_m is None:
                 raise ValueError("decaying rule needs both decay_c and decay_m")
+            if not math.isfinite(self.decay_c):
+                raise ValueError("decay_c must be finite")
             if not (0.0 <= self.decay_m < 1.0 / 3.0):
                 raise ValueError("decay exponent must lie in [0, 1/3)")
         if self.design not in (DESIGN_IID, DESIGN_EQUICORRELATED):
@@ -346,6 +350,8 @@ def mode_rate_study(cfg: ExperimentConfig) -> StudyResult:
 
 # strict supersets of the truth sampled per extra size and replication
 SUPERSETS_PER_SIZE = 20
+# substream of a replication's stream for the study's own draws, not its dataset's
+STUDY_SUBSTREAM = 10**6
 
 
 def _marginal_pieces(d: Dataset, J: ModelIndex, spec: NonlocalPriorSpec,
@@ -371,19 +377,19 @@ def _marginal_pieces(d: Dataset, J: ModelIndex, spec: NonlocalPriorSpec,
             "rest": rest, "total": ll + kernel + rest}
 
 
-def _sample_supersets(truth: ModelIndex, p: int, q: int, per_size: int,
+def _sample_supersets(truth: ModelIndex, p: int, q: int,
                       stream: RandomStream) -> list[ModelIndex]:
-    """Up to ``per_size`` strict supersets of the truth for each extra size."""
+    """Up to ``SUPERSETS_PER_SIZE`` strict supersets of the truth per extra size."""
     complement = sorted(set(range(1, p + 1)) - set(truth.indices))
     out: list[ModelIndex] = []
     for extra in range(1, q - truth.size + 1):
         total = math.comb(len(complement), extra)
-        if total <= per_size:
+        if total <= SUPERSETS_PER_SIZE:
             picks = list(itertools.combinations(complement, extra))
         else:
             rng = derive_stream(stream, extra).generator
             seen = set()
-            while len(seen) < per_size:
+            while len(seen) < SUPERSETS_PER_SIZE:
                 pick = tuple(sorted(rng.choice(complement, size=extra,
                                                replace=False).tolist()))
                 seen.add(pick)
@@ -409,9 +415,8 @@ def logm_ratio_study(cfg: ExperimentConfig) -> StudyResult:
     rows: list[dict] = []
     max_gap = 0.0
     for n, rep, stream, d, _ in _replications(cfg):
-        models = [truth] + _sample_supersets(truth, cfg.p, cfg.q,
-                                             SUPERSETS_PER_SIZE,
-                                             derive_stream(stream, 10**6))
+        models = [truth] + _sample_supersets(
+            truth, cfg.p, cfg.q, derive_stream(stream, STUDY_SUBSTREAM))
         scores = score_models(d, [[J.indices] for J in models], spec)
         logm = scores.log_marginal.tolist()
         pieces0 = _marginal_pieces(d, truth, spec, scores, 0)
@@ -475,10 +480,10 @@ def consistency_study(cfg: ExperimentConfig) -> StudyResult:
     for n, rep, stream, d, _ in _replications(cfg):
         if strata is not None:
             scores = score_models(d, strata, spec)
-            post = normalize_strata(strata, scores.log_marginal, cfg.q)
+            post = normalize_strata(strata, scores.log_marginal)
         else:
             post, _ = greedy_search(d, spec, cfg.q, cfg.search_budget,
-                                    derive_stream(stream, 10**6))
+                                    derive_stream(stream, STUDY_SUBSTREAM))
         post.set_truth(truth)
         rows.append({
             "n": n, "rep": rep,
@@ -516,36 +521,27 @@ class HessianDiagnostics(NamedTuple):
 
 
 def hessian_diagnostics(d: Dataset, J: ModelIndex, mle: np.ndarray,
-                        points: Sequence[np.ndarray]) -> HessianDiagnostics:
-    """Empirical identifiability constants of the model ``J`` over the
-    supplied points.
+                        mode: np.ndarray) -> HessianDiagnostics:
+    """Empirical identifiability constants of the model ``J`` at its MLE
+    ``mle`` and its posterior mode ``mode``.
 
-    c_l_hat / c_u_hat bound the spectrum of the scaled curvature n^-1 H over
-    the points; c_d_hat is the largest spectral-norm Lipschitz ratio between
-    point pairs; c1_max is the largest single-observation score contribution
-    |x_ij (y_i - mean_i)| at the caller's MLE vector ``mle``.  Reported as
-    estimates: no pass/fail threshold is claimed for c1_max.
+    c_l_hat / c_u_hat bound the spectrum of the scaled curvature n^-1 H at
+    the two points; c_d_hat is the spectral-norm Lipschitz ratio
+    ||H(mle) - H(mode)|| / (n ||mle - mode||) between them, 0 when they
+    coincide; c1_max is the largest single-observation score contribution
+    |x_ij (y_i - mean_i)| at ``mle``.  Reported as estimates: no pass/fail
+    threshold is claimed for c1_max.
     """
-    if not points:
-        raise ValueError("points must be nonempty")
     if J.size == 0:
         # eigvalsh of a 0 x 0 matrix is empty
         return HessianDiagnostics(c_l_hat=0.0, c_u_hat=0.0, c_d_hat=0.0, c1_max=0.0)
-    points = [np.asarray(b, dtype=float).reshape(-1) for b in points]
-    n = d.n
-    hessians = [neg_hessian(d, J, b).entries for b in points]
-    spectra = np.linalg.eigvalsh(np.array(hessians) / n)
-    c_d = 0.0
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            dist = float(np.linalg.norm(points[i] - points[j]))
-            if dist == 0.0:
-                continue
-            norm = float(np.abs(np.linalg.eigvalsh(hessians[i] - hessians[j])).max())
-            c_d = max(c_d, norm / (n * dist))
+    h = np.array([neg_hessian(d, J, b).entries for b in (mle, mode)])
+    spectra = np.linalg.eigvalsh(h / d.n)
+    dist = float(np.linalg.norm(mle - mode))
+    c_d = float(np.abs(np.linalg.eigvalsh(h[0] - h[1])).max()) / (d.n * dist) if dist else 0.0
     Xj = d.X[:, J.cols]
-    resid = d.y - FAMILIES[d.family].mean(Xj @ np.asarray(mle, dtype=float))
+    resid = d.y - FAMILIES[d.family].mean(Xj @ mle)
     c1 = float(np.abs(Xj * resid[:, None]).max())
     return HessianDiagnostics(c_l_hat=float(spectra[:, 0].min()),
                               c_u_hat=float(spectra[:, -1].max()),
-                              c_d_hat=float(c_d), c1_max=c1)
+                              c_d_hat=c_d, c1_max=c1)

@@ -79,18 +79,16 @@ class ModelPosterior:
     The models are ``strata`` (see the module docstring); ``log_marginal``
     and ``probability`` hold one value per model in strata order, which is
     size-major, then lexicographic.  Probabilities are normalized over
-    exactly the models present.  When a reference ``truth`` is set,
-    ``mass_a`` collects the probability of its strict supersets and
-    ``mass_b`` the probability of models missing at least one of its
-    indices, so prob(truth) + mass_a + mass_b = 1.  ``scores``, when set,
-    holds each model's ``posterior.ModelScores`` row in strata order.
+    exactly the models present.  :meth:`set_truth` fills ``mass_a``, the
+    probability of a reference model's strict supersets, and ``mass_b``, the
+    probability of models missing at least one of its indices, so
+    prob(truth) + mass_a + mass_b = 1.  ``scores``, when set, holds each
+    model's ``posterior.ModelScores`` row in strata order.
     """
 
     strata: list[np.ndarray]
     log_marginal: np.ndarray
     probability: np.ndarray
-    q: int
-    truth: Optional[ModelIndex] = None
     mass_a: Optional[float] = None
     mass_b: Optional[float] = None
     scores: Optional[ModelScores] = None
@@ -120,13 +118,12 @@ class ModelPosterior:
         return float(self.probability[self._starts[k] + hit[0]]) if hit.size else 0.0
 
     def set_truth(self, truth: ModelIndex) -> None:
-        """Set ``truth`` and its masses ``mass_a`` and ``mass_b``."""
+        """Set ``mass_a`` and ``mass_b`` around the reference model ``truth``."""
         t = np.asarray(truth.indices, dtype=int)
         contains = np.concatenate([(rows[:, :, None] == t).any(axis=1).all(axis=1)
                                    for rows in self.strata])
         size = np.concatenate([np.full(rows.shape[0], rows.shape[1])
                                for rows in self.strata])
-        self.truth = truth
         self.mass_a = _sum_in_order(self.probability[contains & (size > t.size)])
         self.mass_b = _sum_in_order(self.probability[~contains])
 
@@ -194,8 +191,8 @@ def enumerate_models(p: int, q: int) -> list[ModelIndex]:
             for row in rows.tolist()]
 
 
-def normalize_strata(strata: list[np.ndarray], log_marginal: np.ndarray,
-                     q: int) -> ModelPosterior:
+def normalize_strata(strata: list[np.ndarray], log_marginal: np.ndarray
+                     ) -> ModelPosterior:
     """Posterior probabilities of the models of ``strata``, whose log
     marginals are given in strata order.
 
@@ -215,7 +212,7 @@ def normalize_strata(strata: list[np.ndarray], log_marginal: np.ndarray,
     else:
         w = np.exp(logm - mx)
         probs = w / w.sum()
-    return ModelPosterior(strata=strata, log_marginal=logm, probability=probs, q=q)
+    return ModelPosterior(strata=strata, log_marginal=logm, probability=probs)
 
 
 def _size_major(model: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -231,11 +228,9 @@ def _as_strata(models: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
 
 
 def posterior_probs(entries: Sequence[tuple[ModelIndex, float]],
-                    truth: Optional[ModelIndex] = None,
-                    q: Optional[int] = None) -> ModelPosterior:
+                    truth: Optional[ModelIndex] = None) -> ModelPosterior:
     """:func:`normalize_strata` for (model, log_marginal) pairs in any order,
-    with the masses around ``truth`` when one is given.  ``q`` defaults to
-    the largest model size present."""
+    with the masses around ``truth`` when one is given."""
     if not entries:
         raise ValueError("entries must be nonempty")
     pairs = sorted(((m.indices, lm) for m, lm in entries),
@@ -243,8 +238,7 @@ def posterior_probs(entries: Sequence[tuple[ModelIndex, float]],
     models = [m for m, _ in pairs]
     if len(set(models)) != len(models):
         raise ValueError("duplicate model in entries")
-    post = normalize_strata(_as_strata(models), [lm for _, lm in pairs],
-                            q if q is not None else len(models[-1]))
+    post = normalize_strata(_as_strata(models), [lm for _, lm in pairs])
     if truth is not None:
         post.set_truth(truth)
     return post
@@ -333,6 +327,6 @@ def greedy_search(d, spec, q: int, budget: int, stream: RandomStream,
         step += 1
     models = sorted(cache, key=_size_major)
     row = {m: i for i, m in enumerate(cache)}
-    post = normalize_strata(_as_strata(models), [cache[m] for m in models], q)
+    post = normalize_strata(_as_strata(models), [cache[m] for m in models])
     post.scores = ModelScores.gather(parts, [row[m] for m in models])
     return post, post.top

@@ -195,8 +195,8 @@ def adaptive_quad(f: Callable, lo: float, hi: float, tol: float = 1e-8,
     """Integrate ``f`` over (lo, hi) to an estimated absolute error <= tol.
 
     ``f`` must accept a numpy array of abscissae and evaluate elementwise.
-    Infinite endpoints are handled by the substitution t = u / (1 - u)
-    mapping the tail onto (0, 1); a doubly infinite range is split at zero.
+    An upper tail (lo, inf) is mapped onto (0, 1) by t = lo + u / (1 - u), a
+    lower tail is its mirror image, and a doubly infinite range is split at 0.
     Quadrature nodes are interior, so the endpoints themselves (including a
     singular or undefined origin) are never evaluated.
 
@@ -209,21 +209,16 @@ def adaptive_quad(f: Callable, lo: float, hi: float, tol: float = 1e-8,
         raise ValueError("tol must be positive")
     if lo > hi:
         return -adaptive_quad(f, hi, lo, tol, max_panels)
-    lo_inf = math.isinf(lo)
-    hi_inf = math.isinf(hi)
-    if lo_inf and hi_inf:
+    if math.isinf(lo) and math.isinf(hi):
         return (adaptive_quad(f, lo, 0.0, tol / 2, max_panels)
                 + adaptive_quad(f, 0.0, hi, tol / 2, max_panels))
-    if hi_inf:
+    if math.isinf(hi):
         def g(u):
             w = 1.0 - u
             return f(lo + u / w) / (w * w)
         return _adaptive_finite(g, 0.0, 1.0, tol, max_panels)
-    if lo_inf:
-        def g(u):
-            w = 1.0 - u
-            return f(hi - u / w) / (w * w)
-        return _adaptive_finite(g, 0.0, 1.0, tol, max_panels)
+    if math.isinf(lo):
+        return adaptive_quad(lambda x: f(-x), -hi, math.inf, tol, max_panels)
     return _adaptive_finite(f, lo, hi, tol, max_panels)
 
 

@@ -230,8 +230,7 @@ def coordinate_mode(b, h, spec: NonlocalPriorSpec) -> np.ndarray:
 # =============================================================================
 
 
-def spimom_mixture_quad(b: float, r: float, lam: float,
-                        tol: float = 1e-10) -> float:
+def spimom_mixture_quad(b: float, r: float, lam: float) -> float:
     """spiMOM density at ``b`` via the mixing integral, not the closed form.
 
     Integrates piMOM(b; r, tau) against the inverse-gamma(shape (r+1)/2,
@@ -243,7 +242,7 @@ def spimom_mixture_quad(b: float, r: float, lam: float,
     before quadrature: for small |b| the integral underflows any fixed
     absolute tolerance, and the rescaling is an exact change of units that
     keeps the result accurate in relative terms while the absolute error
-    stays below ``tol``.
+    stays below 1e-10.
     """
     if b == 0.0:
         raise ValueError("b must be nonzero")
@@ -261,7 +260,7 @@ def spimom_mixture_quad(b: float, r: float, lam: float,
     shift = float(log_integrand(np.array([tau_peak]))[0])
     if math.isinf(shift):
         return 0.0
-    scaled_tol = tol * math.exp(-max(0.0, shift))
+    scaled_tol = 1e-10 * math.exp(-max(0.0, shift))
     value = adaptive_quad(lambda tau: np.exp(log_integrand(tau) - shift),
                           0.0, math.inf, tol=scaled_tol)
     return math.exp(shift) * value

@@ -141,7 +141,7 @@ def test_criterion_6_posterior_identity_and_partition():
         # numerically meaningful at relative 1e-10
         d = standardized_gaussian(seed, 80, 10, [0.7, -0.5])
         entries = [(J, fit_model(d, J, spec).log_marginal) for J in models]
-        post = posterior_probs(entries, truth=truth, q=3)
+        post = posterior_probs(entries, truth=truth)
         p_truth = post.probability_of(truth)
         lhs = 1.0 / p_truth - 1.0
         lm = dict((m, v) for m, v in entries)

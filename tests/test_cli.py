@@ -534,7 +534,11 @@ class TestNonFiniteValues:
         "fit --prior pimom --tau nan", "fit --sigma2 nan", "fit --sigma2 inf",
         "density --lambda nan", "study --study mle-rate --sigma2 inf",
         "simulate --p 5 --n 100 --sigma2 inf",
-        "study --study logm-ratio --epsilon nan", "study --study logm-ratio --nu inf"])
+        "study --study logm-ratio --epsilon nan", "study --study logm-ratio --nu inf",
+        "simulate --p 5 --n 100 --family logistic --beta0 nan,1",
+        "simulate --p 5 --n 100 --family logistic --beta0 inf,nan",
+        "study --study mle-rate --family logistic --p 4 --beta0 nan,1 --reps 1",
+        "study --study consistency --family logistic --p 4 --m 0.2 --decay-c inf --reps 1"])
     def test_exits_3_and_writes_nothing(self, tmp_path, capsys, flags):
         data = tmp_path / "d.csv"
         assert run(["simulate", "--out", data, "--p", 5, "--n", 100]) == 0
@@ -546,6 +550,22 @@ class TestNonFiniteValues:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.endswith("finite\n") and err.count("\n") == 1
         assert sorted(os.listdir(tmp_path)) == ["d.csv", "d.csv.truth.json"]
+
+
+class TestTrueSupport:
+    """--j0 is taken as typed: its order is the order of --beta0."""
+
+    @pytest.mark.parametrize("command", [
+        "simulate --p 3 --n 50",
+        "study --study mle-rate --p 4 --reps 1 --n-grid 100,200"])
+    @pytest.mark.parametrize("truth", ["--j0 2,1 --beta0 5,0", "--j0 1,1 --beta0 5"])
+    def test_unsorted_or_repeated_j0_exits_3(self, tmp_path, capsys, command, truth):
+        argv = [*command.split(), *truth.split(), "--out", tmp_path / "x"]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: indices must be strictly increasing")
+        assert err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
 
 
 class TestSerialization:
@@ -649,7 +669,7 @@ class TestOneScoringPath:
             top = ModelIndex(doc["top"])
             mle = glm.fit_mle(d, top)
             pm = posterior.find_posterior_mode(d, top, spimom(), mle)
-            want = hessian_diagnostics(d, top, mle.beta_hat, [mle.beta_hat, pm.beta_pm])
+            want = hessian_diagnostics(d, top, mle.beta_hat, pm.beta_pm)
             for key, value in want._asdict().items():
                 assert doc["diagnostics"][key] == pytest.approx(value, rel=1e-8, abs=0.0)
 

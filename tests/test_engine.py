@@ -335,7 +335,7 @@ class TestEveryFitHasAStatus:
         scores = score_models(d, strata, spec)
         assert np.all(scores.converged | scores.excluded)
         assert np.isfinite(scores.log_marginal[~scores.excluded]).all()
-        post = normalize_strata(strata, scores.log_marginal, q)
+        post = normalize_strata(strata, scores.log_marginal)
         assert abs(post.probability.sum() - 1.0) <= 1e-9
 
 

@@ -202,7 +202,7 @@ class TestHessianDiagnostics:
         d = Dataset(y=rng.normal(size=120), X=X, family="gaussian")
         J = ModelIndex((1, 2, 3))
         pts = [np.array([0.1, -0.2, 0.3]), np.array([1.0, 1.0, -1.0])]
-        diag = hessian_diagnostics(d, J, fit_mle(d, J).beta_hat, pts)
+        diag = hessian_diagnostics(d, J, *pts)
         ref = np.linalg.eigvalsh(X[:, :3].T @ X[:, :3] / 120.0)
         assert diag.c_l_hat == pytest.approx(ref[0], rel=1e-6)
         assert diag.c_u_hat == pytest.approx(ref[-1], rel=1e-6)
@@ -212,7 +212,7 @@ class TestHessianDiagnostics:
         n = 6
         d = Dataset(y=np.zeros(n), X=np.eye(n), family="gaussian")
         J = ModelIndex((1, 2))
-        diag = hessian_diagnostics(d, J, fit_mle(d, J).beta_hat, [np.zeros(2)])
+        diag = hessian_diagnostics(d, J, fit_mle(d, J).beta_hat, np.zeros(2))
         assert diag.c_l_hat == pytest.approx(1.0 / n)
         assert diag.c_u_hat == pytest.approx(1.0 / n)
 
@@ -222,8 +222,8 @@ class TestHessianDiagnostics:
         y = (rng.uniform(size=200) < 0.5).astype(float)
         d = Dataset(y=y, X=X, family="logistic")
         J = ModelIndex((1, 2, 3))
-        pts = [rng.normal(scale=0.5, size=3) for _ in range(3)]
-        diag = hessian_diagnostics(d, J, fit_mle(d, J).beta_hat, pts)
+        pts = [rng.normal(scale=0.5, size=3) for _ in range(2)]
+        diag = hessian_diagnostics(d, J, *pts)
         top = np.linalg.eigvalsh(0.25 * X.T @ X / 200.0)[-1]
         assert diag.c_l_hat > 0.0
         assert diag.c_u_hat <= top + 1e-8
@@ -236,7 +236,7 @@ class TestHessianDiagnostics:
         d = Dataset(y=y, X=X, family="logistic")
         J = ModelIndex((1, 2, 3))
         pts = [np.array([2.0, 0.0, 0.1]), np.array([0.0, 2.0, 0.1])]
-        diag = hessian_diagnostics(d, J, fit_mle(d, J).beta_hat, pts)
+        diag = hessian_diagnostics(d, J, *pts)
         def hessian(b):  # X' W X with W = mu (1 - mu), coded here independently
             mu = 1.0 / (1.0 + np.exp(-X @ b))
             return (X.T * (mu * (1.0 - mu))) @ X
@@ -252,7 +252,7 @@ class TestHessianDiagnostics:
 
     def test_empty_model(self):
         d = Dataset(y=np.arange(4.0), X=np.ones((4, 1)), family="gaussian")
-        diag = hessian_diagnostics(d, ModelIndex(()), np.zeros(0), [np.zeros(0), np.zeros(0)])
+        diag = hessian_diagnostics(d, ModelIndex(()), np.zeros(0), np.zeros(0))
         assert tuple(diag) == (0.0, 0.0, 0.0, 0.0)
 
     def test_c1_max_matches_direct_formula(self):
@@ -261,7 +261,7 @@ class TestHessianDiagnostics:
         y = X @ np.array([0.5, -0.5]) + rng.normal(size=50)
         d = Dataset(y=y, X=X, family="gaussian")
         J = ModelIndex((1, 2))
-        diag = hessian_diagnostics(d, J, fit_mle(d, J).beta_hat, [np.zeros(2)])
+        diag = hessian_diagnostics(d, J, fit_mle(d, J).beta_hat, np.zeros(2))
         bhat = fit_mle(d, J).beta_hat
         ref = np.abs(X * (y - X @ bhat)[:, None]).max()
         assert diag.c1_max == pytest.approx(ref, rel=1e-12)

@@ -141,7 +141,7 @@ class TestPosteriorProbs:
 
     def test_normalize_strata_needs_one_marginal_per_model(self):
         with pytest.raises(ValueError):
-            normalize_strata(enumerate_strata(3, 1), np.zeros(3), q=1)
+            normalize_strata(enumerate_strata(3, 1), np.zeros(3))
 
     def test_posterior_identity(self):
         # 1/prob(truth) - 1 == (sum_A M + sum_B M) / M_truth

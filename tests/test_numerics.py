@@ -113,6 +113,13 @@ class TestAdaptiveQuad:
                             -math.inf, math.inf, 1e-10)
         assert val == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("b", [-1.5, 0.3, 2.0])
+    def test_standard_normal_lower_tail(self, b):
+        # the (-inf, b) branch against the normal CDF, b off the origin
+        val = adaptive_quad(lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi),
+                            -math.inf, b, 1e-12)
+        assert val == pytest.approx(0.5 * math.erfc(-b / math.sqrt(2.0)), abs=1e-10)
+
     def test_bessel_type_semi_infinite(self):
         # integral_0^inf t^-3/2 exp(-t - 1/t) dt = sqrt(pi) e^-2  (frozen)
         val = adaptive_quad(lambda t: t**-1.5 * np.exp(-t - 1.0 / t),
@@ -160,7 +167,7 @@ class TestExtremalEigenvalues:
             X = math.sqrt(dim) * np.linalg.cholesky(a).T
             d = Dataset(y=rng.normal(size=dim), X=X, family="gaussian")
             J = ModelIndex(tuple(range(1, dim + 1)))
-            diag = hessian_diagnostics(d, J, fit_mle(d, J).beta_hat, [np.zeros(dim)])
+            diag = hessian_diagnostics(d, J, fit_mle(d, J).beta_hat, np.zeros(dim))
             ref = np.linalg.eigvalsh(a)
             assert diag.c_l_hat == pytest.approx(ref[0], rel=1e-9)
             assert diag.c_u_hat == pytest.approx(ref[-1], rel=1e-9)
@@ -179,7 +186,7 @@ class TestExtremalEigenvalues:
         d = Dataset(y=y, X=X, family="logistic")
         b1, b2 = np.array([0.0, 3.0, 1.0]), np.array([1.0, 0.0, 0.0])
         J = ModelIndex((1, 2, 3))
-        diag = hessian_diagnostics(d, J, fit_mle(d, J).beta_hat, [b1, b2])
+        diag = hessian_diagnostics(d, J, b1, b2)
         def v(t):
             return 1.0 / (4.0 * np.cosh(t / 2.0) ** 2)
 
