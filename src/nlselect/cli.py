@@ -274,7 +274,7 @@ def _parse_support(text: str) -> ModelIndex:
     try:
         return ModelIndex(_parse_int_list(text, "index"))
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"--j0: {exc}") from None
 
 
 def _check_family(name: str) -> str:

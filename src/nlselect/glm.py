@@ -16,9 +16,8 @@ same kernels on a one-row batch.
 ``posterior.find_posterior_mode`` on the log posterior.  The batched engine
 has its own lockstep loop in ``posterior``; neither calls the other's.
 
-``scipy.special`` is loaded only by the Poisson family's log-likelihood
-constant (``log Gamma(y + 1)``), at its first call, so Gaussian and logistic
-runs never import scipy.
+The Poisson family's log-likelihood constant, -sum log y_i!, is summed
+from ``math.lgamma`` over the distinct counts, so no family imports scipy.
 """
 
 from __future__ import annotations
@@ -37,10 +36,13 @@ from .numerics import NotPositiveDefinite, SpdMatrix, batch_cho_solve, batch_cho
 # the gradient test of every Newton ascent: |g|_inf <= GRAD_TOL_PER_OBS * n
 GRAD_TOL_PER_OBS = 1e-8
 # the decrement test: a Newton step with g'H^-1 g <= DECREMENT_TOL *
-# max(1, |objective|) gains less than the objective resolves in floating
-# point.  Summing terms larger than the total, a log-likelihood rounds with a
-# standard deviation of up to about 20 eps |objective| (Poisson counts near
-# 150, whose log y! exceed it), so the bound is 64 eps, not a few eps.
+# max(1, |objective|, |log_base|) gains less than the objective resolves in
+# floating point.  The objective is the kernel plus the constant log_base, so
+# it rounds at the scale of the larger of the two; with Poisson counts in the
+# thousands, |log_base| (the sum of log y!) far exceeds |objective|.  Summing
+# terms larger than the total, a log-likelihood rounds with a standard
+# deviation of up to about 20 eps |objective| (Poisson counts near 150), so
+# the bound is 64 eps, not a few eps.
 DECREMENT_TOL = 64.0 * float(np.finfo(float).eps)
 MAX_NEWTON_ITER = 100
 MAX_HALVINGS = 60
@@ -131,9 +133,10 @@ class _Poisson:
         return mu, mu
 
     def log_base(self, y, dispersion):
-        from scipy.special import gammaln  # only Poisson fits load scipy.special
-
-        return float(-gammaln(y + 1.0).sum())
+        # -sum log y_i!: one lgamma per distinct count v, times its multiplicity
+        counts, mult = np.unique(y, return_counts=True)
+        return -math.fsum(m * math.lgamma(v + 1.0)
+                          for v, m in zip(counts.tolist(), mult.tolist()))
 
     def check_support(self, y):
         if not np.all((y >= 0) & (y == np.floor(y))):
@@ -241,7 +244,7 @@ NewtonAscent = namedtuple("NewtonAscent", "beta value h converged iterations sin
 
 def newton_ascent(objective: Callable[[np.ndarray], float],
                   derivatives: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-                  beta: np.ndarray, n: int, max_iter: int, ridge_tries: int,
+                  beta: np.ndarray, d: Dataset, max_iter: int, ridge_tries: int,
                   step_cap: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
                   ) -> NewtonAscent:
     """Damped Newton ascent of ``objective`` from ``beta``, for one model.
@@ -253,18 +256,19 @@ def newton_ascent(objective: Callable[[np.ndarray], float],
     at fraction ``step_cap(beta, step)`` (else 1) and is halved, at most
     ``MAX_HALVINGS`` times, until the objective does not decrease.  A step
     whose Newton decrement g'step is at most ``DECREMENT_TOL`` *
-    max(1, |objective|) gains less than the objective resolves: it gets one
-    trial, and if that is rejected the ascent stops at beta, certified at
-    resolution.  The ascent stops when the gradient's infinity-norm is at
-    most ``GRAD_TOL_PER_OBS * n``, when no Newton step factors
-    (``singular``), when the decrement certifies beta, when no halving is
-    accepted or the accepted step leaves beta unchanged in floating point,
-    or after ``max_iter`` steps.  Returns the final iterate, the objective
-    and the negative Hessian there, ``converged`` (the gradient test at
-    that iterate, or the decrement's certificate), the steps taken and
-    ``singular``.
+    max(1, |objective|, |d.log_base|) gains less than the objective
+    resolves: it gets one trial, and if that is rejected the ascent stops at
+    beta, certified at resolution.  The ascent stops when the gradient's
+    infinity-norm is at most ``GRAD_TOL_PER_OBS * d.n``, when no Newton
+    step factors (``singular``), when the decrement certifies beta, when no
+    halving is accepted or the accepted step leaves beta unchanged in
+    floating point, or after ``max_iter`` steps.  Returns the final iterate,
+    the objective and the negative Hessian there, ``converged`` (the
+    gradient test at that iterate, or the decrement's certificate), the
+    steps taken and ``singular``.
     """
-    tol = GRAD_TOL_PER_OBS * n
+    tol = GRAD_TOL_PER_OBS * d.n
+    scale = max(1.0, abs(d.log_base))
     value = objective(beta)
     eye = np.eye(beta.size)
     iterations = 0
@@ -285,7 +289,7 @@ def newton_ascent(objective: Callable[[np.ndarray], float],
         if step is None:
             singular = True
             break
-        flat = (g * step).sum(axis=-1) <= DECREMENT_TOL * np.maximum(1.0, np.abs(value))
+        flat = (g * step).sum(axis=-1) <= DECREMENT_TOL * np.maximum(scale, np.abs(value))
         t = 1.0 if step_cap is None else float(step_cap(beta, step))
         improved = False
         for _ in range(MAX_HALVINGS):
@@ -332,7 +336,7 @@ def fit_mle(d: Dataset, J: ModelIndex) -> GlmFit:
         return g[0], h[0]
 
     fit = newton_ascent(lambda b: float(batch_log_likelihood(batch, b[None])[0]),
-                        derivatives, np.zeros(J.size), d.n, MAX_NEWTON_ITER, ridge_tries=1)
+                        derivatives, np.zeros(J.size), d, MAX_NEWTON_ITER, ridge_tries=1)
     if fit.singular:
         raise NotPositiveDefinite(f"rank-deficient design for model {J}")
     separation = (d.family == "logistic"

@@ -24,8 +24,8 @@ here, and ``glm.newton_ascent`` for the reference.  The two share only
 gradient test |g|_inf <= ``GRAD_TOL_PER_OBS`` * n holds at the returned
 iterate, whichever rule stopped the loop, or when the decrement test
 certified the last step as below resolution: a Newton step whose decrement
-g'H^-1 g is at most ``DECREMENT_TOL`` * max(1, |objective|) gets one trial,
-and if that trial is rejected the loop stops where it is.
+g'H^-1 g is at most ``DECREMENT_TOL`` * max(1, |objective|, |d.log_base|)
+gets one trial, and if that trial is rejected the loop stops where it is.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def find_posterior_mode(d: Dataset, J: ModelIndex, spec: NonlocalPriorSpec,
         return (g[0] + log_prior_grad(b, spec),
                 h[0] + np.diag(log_prior_neg_hessian(b, spec)))
 
-    fit = newton_ascent(objective, derivatives, beta, d.n, MAX_MODE_ITER,
+    fit = newton_ascent(objective, derivatives, beta, d, MAX_MODE_ITER,
                         ridge_tries=MAX_RIDGE_TRIES, step_cap=_orthant_cap)
     return PosteriorFit(beta_pm=fit.beta, log_post_unnorm=fit.value,
                         neg_hessian_logpost=SpdMatrix(fit.h),
@@ -283,6 +283,8 @@ def _newton(batch: ModelBatch, objective: Callable, derivatives: Callable,
     taken.
     """
     tol = GRAD_TOL_PER_OBS * batch.d.n
+    # the objective rounds at the scale of its constant term too
+    scale = max(1.0, abs(batch.d.log_base))
     m, k = beta.shape
     value = objective(batch, beta)
     h_last = np.empty((m, k, k))
@@ -312,7 +314,7 @@ def _newton(batch: ModelBatch, objective: Callable, derivatives: Callable,
             ridge[pending] = np.maximum(2.0 * ridge[pending], floor[pending])
         singular[act[pending]] = True
         run[pending] = False
-        flat = (g * step).sum(axis=-1) <= DECREMENT_TOL * np.maximum(1.0, np.abs(v))
+        flat = (g * step).sum(axis=-1) <= DECREMENT_TOL * np.maximum(scale, np.abs(v))
         # step-halving: each row with a step takes the first of b + t step,
         # b + (t/2) step, ... whose objective is >= its value; a flat step
         # gets one trial, and its rejection certifies the row at b

@@ -76,7 +76,7 @@ def gaussian_prior_mode(d, J, prior_var):
         return g[0] - b / prior_var, h[0] + np.eye(b.size) / prior_var
 
     fit = newton_ascent(objective, derivatives, np.array(fit_mle(d, J).beta_hat, dtype=float),
-                        d.n, MAX_MODE_ITER, ridge_tries=MAX_RIDGE_TRIES)
+                        d, MAX_MODE_ITER, ridge_tries=MAX_RIDGE_TRIES)
     return PosteriorFit(beta_pm=fit.beta, log_post_unnorm=fit.value,
                         neg_hessian_logpost=SpdMatrix(fit.h),
                         converged=fit.converged, iterations=fit.iterations)

@@ -555,16 +555,19 @@ class TestNonFiniteValues:
 class TestTrueSupport:
     """--j0 is taken as typed: its order is the order of --beta0."""
 
+    MESSAGES = {
+        "--j0 2,1 --beta0 5,0": "--j0: indices must be strictly increasing, got (2, 1)",
+        "--j0 1,1 --beta0 5": "--j0: indices must be strictly increasing, got (1, 1)",
+        "--j0 0 --beta0 5": "--j0: indices must be >= 1, got (0,)"}
+
     @pytest.mark.parametrize("command", [
         "simulate --p 3 --n 50",
         "study --study mle-rate --p 4 --reps 1 --n-grid 100,200"])
-    @pytest.mark.parametrize("truth", ["--j0 2,1 --beta0 5,0", "--j0 1,1 --beta0 5"])
+    @pytest.mark.parametrize("truth", list(MESSAGES))
     def test_unsorted_or_repeated_j0_exits_3(self, tmp_path, capsys, command, truth):
         argv = [*command.split(), *truth.split(), "--out", tmp_path / "x"]
         assert run(argv) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: indices must be strictly increasing")
-        assert err.count("\n") == 1
+        assert capsys.readouterr().err == f"error: {self.MESSAGES[truth]}\n"
         assert os.listdir(tmp_path) == []
 
 

@@ -31,14 +31,16 @@ from nlselect.priors import NonlocalPriorSpec, log_prior, spimom
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
 
-def random_dataset(family, seed, n, p, duplicate=False, separated=False):
+def random_dataset(family, seed, n, p, duplicate=False, separated=False,
+                   beta_scale=0.8, theta_clip=5.0):
     """Random design; ``duplicate`` copies column 1 into column 2, and
-    ``separated`` makes logistic responses a step function of column 1."""
+    ``separated`` makes logistic responses a step function of column 1.
+    Poisson means are e^theta with theta clipped at +-``theta_clip``."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, p))
     if duplicate:
         X[:, 1] = X[:, 0]
-    beta = rng.normal(scale=0.8, size=p) * (rng.uniform(size=p) < 0.5)
+    beta = rng.normal(scale=beta_scale, size=p) * (rng.uniform(size=p) < 0.5)
     theta = X @ beta
     dispersion = 1.0
     if family == "gaussian":
@@ -50,7 +52,7 @@ def random_dataset(family, seed, n, p, duplicate=False, separated=False):
         else:
             y = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-theta))).astype(float)
     else:
-        y = rng.poisson(np.exp(np.clip(theta, -5.0, 5.0))).astype(float)
+        y = rng.poisson(np.exp(np.clip(theta, -theta_clip, theta_clip))).astype(float)
     return Dataset(y=y, X=X, family=family, dispersion=dispersion)
 
 
@@ -62,6 +64,16 @@ def datasets(draw, p_range=(2, 5), duplicates=True):
         n=draw(st.integers(15, 120)), p=draw(st.integers(*p_range)),
         duplicate=duplicates and draw(st.booleans()),
         separated=family == "logistic" and draw(st.booleans()))
+
+
+@st.composite
+def large_count_poisson(draw):
+    """Poisson data with coefficients of scale 2 and theta clipped at 9:
+    counts reach the thousands, where |log_base| (the sum of log y!) far
+    exceeds the log-likelihood."""
+    return random_dataset(
+        "poisson", seed=draw(st.integers(0, 2**32 - 1)), n=draw(st.integers(15, 200)),
+        p=draw(st.integers(2, 5)), beta_scale=2.0, theta_clip=9.0)
 
 
 priors = st.builds(NonlocalPriorSpec, kind=st.sampled_from(["pimom", "spimom"]),
@@ -313,6 +325,19 @@ class TestStalledSearch:
         assert calls <= 30
 
 
+def assert_every_row_has_a_status(d, spec):
+    # Each row is certified (the gradient test, or the decrement test at
+    # resolution) or excluded, every kept marginal is finite, and the model
+    # posterior sums to 1.
+    q = min(3, d.p)
+    strata = enumerate_strata(d.p, q)
+    scores = score_models(d, strata, spec)
+    assert np.all(scores.converged | scores.excluded)
+    assert np.isfinite(scores.log_marginal[~scores.excluded]).all()
+    post = normalize_strata(strata, scores.log_marginal)
+    assert abs(post.probability.sum() - 1.0) <= 1e-9
+
+
 class TestEveryFitHasAStatus:
     def test_noisy_poisson_objective_certified(self):
         # Counts up to 156, whose log y! terms exceed the log posterior:
@@ -327,16 +352,33 @@ class TestEveryFitHasAStatus:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(datasets(), priors)
     def test_converged_or_excluded(self, d, spec):
-        # Each row is certified (the gradient test, or the decrement test at
-        # resolution) or excluded, every kept marginal is finite, and the
-        # model posterior sums to 1.
-        q = min(3, d.p)
-        strata = enumerate_strata(d.p, q)
-        scores = score_models(d, strata, spec)
+        assert_every_row_has_a_status(d, spec)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(large_count_poisson(), priors)
+    def test_large_counts_converged_or_excluded(self, d, spec):
+        assert_every_row_has_a_status(d, spec)
+
+    @pytest.mark.parametrize("kind", ["pimom", "spimom"])
+    @pytest.mark.parametrize("seed", [23, 102])
+    def test_large_counts_certified_at_the_constant_scale(self, seed, kind):
+        # Counts up to 8,149 (seed 23) and 8,072 (seed 102): the objective
+        # adds the kernel to log_base = -sum log y!, so it rounds at the scale
+        # of |log_base|, far above |objective|.  A decrement bound taken from
+        # |objective| alone left three of these rows unconverged.
+        rng = np.random.default_rng([seed, 77])
+        n, p = int(rng.integers(15, 201)), int(rng.integers(2, 6))
+        X = rng.normal(size=(n, p))
+        theta = np.minimum(X @ rng.normal(scale=2.0, size=p), 9.0)
+        d = Dataset(y=rng.poisson(np.exp(theta)).astype(float), X=X, family="poisson")
+        assert d.y.max() > 8000
+        spec = NonlocalPriorSpec(kind=kind, r=1.0, scale=1.0)
+        scores, _ = assert_matches_scalar(d, enumerate_models(p, p), spec)
         assert np.all(scores.converged | scores.excluded)
-        assert np.isfinite(scores.log_marginal[~scores.excluded]).all()
-        post = normalize_strata(strata, scores.log_marginal)
-        assert abs(post.probability.sum() - 1.0) <= 1e-9
+        # one-row blocks and the size strata give the same rows
+        batched = score_models(d, enumerate_strata(p, p), spec)
+        for f in fields(ModelScores):
+            np.testing.assert_array_equal(getattr(batched, f.name), getattr(scores, f.name))
 
 
 class TestSearchStart:

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import fd_gradient, fd_jacobian
 from scipy.special import gammaln
 
@@ -58,6 +60,19 @@ class TestLogLikelihood:
     def test_poisson_with_factorial(self):
         d = Dataset(y=[2.0], X=[[1.0]], family="poisson")
         assert log_likelihood(d, J1, [0.0]) == pytest.approx(-1.0 - math.log(2.0))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 2000), distinct=st.integers(1, 2000),
+           top=st.sampled_from([1, 40, 3000, 10**6, 10**9]), seed=st.integers(0, 2**32 - 1))
+    def test_poisson_constant_matches_gammaln(self, n, distinct, top, seed):
+        # n counts in 0..top, drawn from a pool of up to `distinct` values: a
+        # small pool gives many repeats, a pool of n large values many distinct
+        rng = np.random.default_rng(seed)
+        pool = rng.integers(0, top, size=min(distinct, n), endpoint=True)
+        y = rng.choice(pool, size=n).astype(float)
+        d = Dataset(y=y, X=np.ones((n, 1)), family="poisson")
+        expected = float(-gammaln(y + 1.0).sum())
+        assert abs(d.log_base - expected) <= 1e-13 * abs(expected)
 
     def test_gaussian_dispersion_scaling(self):
         d = Dataset(y=[1.0, -1.0], X=[[1.0], [1.0]], family="gaussian", dispersion=4.0)
