@@ -268,13 +268,16 @@ def _parse_beta0(text: str) -> tuple[float, ...]:
         raise ConfigError(f"cannot parse beta0 list {text!r}") from None
 
 
-def _parse_support(text: str) -> ModelIndex:
+def _parse_support(text: str, p: int) -> ModelIndex:
     if text.strip().lower() in ("", "none"):
         return ModelIndex()
     try:
-        return ModelIndex(_parse_int_list(text, "index"))
-    except ValueError as exc:
+        j0 = ModelIndex(_parse_int_list(text, "index"))
+    except (ValueError, ConfigError) as exc:
         raise ConfigError(f"--j0: {exc}") from None
+    if j0.size <= p < max(j0.indices, default=0):  # |J0| > p fails as "need |J0| <= q <= p"
+        raise ConfigError("--j0: true support indexes beyond p")
+    return j0
 
 
 def _check_family(name: str) -> str:
@@ -387,7 +390,7 @@ def cmd_simulate(args) -> int:
     family = _check_family(args.family)
     if args.p < 1 or args.n < 2:
         raise ConfigError("need --p >= 1 and --n >= 2")
-    j0 = _parse_support(args.j0)
+    j0 = _parse_support(args.j0, args.p)
     try:
         cfg = ExperimentConfig(
             family=family, p=args.p, q=max(j0.size, min(args.p, DEFAULT_Q)),
@@ -467,7 +470,7 @@ def _summary_rows(summary: dict) -> list[dict]:
 def _study_config(args, n_grid: tuple[int, ...], spec: NonlocalPriorSpec,
                   search_budget: Optional[int]) -> ExperimentConfig:
     family = _check_family(args.family)
-    j0 = _parse_support(args.j0)
+    j0 = _parse_support(args.j0, args.p)
     beta0 = None
     decay_c = decay_m = None
     if args.m is not None:

@@ -4,12 +4,12 @@ Families: Gaussian with known variance, binomial/logistic, Poisson.  All
 log-likelihoods keep their full normalizing constants so marginal
 likelihoods are comparable across models and against quadrature oracles.
 
-Each family's likelihood, score and Hessian are computed in one place, the
-batch kernels over a :class:`ModelBatch` (M models of one size k, as an
-(M, k) array of columns, with an (M, k) array of coefficients), which the
-batched scoring engine in ``posterior`` runs in lockstep.  The per-model
-functions take a :class:`ModelIndex` and a coefficient vector and run the
-same kernels on a one-row batch.
+Each family's likelihood, score and Hessian are computed together in one
+place, the kernel :func:`batch_evaluate` over a :class:`ModelBatch` (M models
+of one size k, as an (M, k) array of columns, with an (M, k) array of
+coefficients), which the batched scoring engine in ``posterior`` runs in
+lockstep; the logistic and Poisson kernel walks it in chunks of n-row
+temporaries.  The per-model functions run it on a one-row batch.
 
 :func:`newton_ascent` is the scalar reference's one damped Newton loop:
 :func:`fit_mle` runs it on the log-likelihood, and
@@ -47,10 +47,10 @@ DECREMENT_TOL = 64.0 * float(np.finfo(float).eps)
 MAX_NEWTON_ITER = 100
 MAX_HALVINGS = 60
 SEPARATION_CAP = 30.0
-# Floats per batch temporary: a batch holds BATCH_FLOATS // n models for the
-# GLM families (one row of X_J beta each) and BATCH_FLOATS // k^2 for the
-# Gaussian family (one Gram slice each), so its memory stays near 256 KB per
-# temporary at any n.
+# Floats per kernel temporary: a batch holds BATCH_FLOATS // k^2 models of
+# size k (one k x k Hessian each), and the logistic and Poisson kernels walk it
+# in chunks of BATCH_FLOATS // n models (one row of X_J beta each), so every
+# temporary stays near 256 KB at any n and k.
 BATCH_FLOATS = 1 << 15
 
 
@@ -90,21 +90,24 @@ class _Gaussian:
 class _Logistic:
     name = "logistic"
 
-    def cumulant(self, theta):
-        # log(1 + e^theta), written so the exponential never overflows
-        out = np.abs(theta)
-        np.log1p(np.exp(np.negative(out, out=out), out=out), out=out)
-        out += np.maximum(theta, 0.0)
-        return out
-
     def mean(self, theta):
         return _sigmoid(theta)
 
-    def mean_variance(self, theta):
-        p = _sigmoid(theta)
-        var = 1.0 - p
-        var *= p
-        return p, var
+    def cumulant_mean_variance(self, theta):
+        # log(1 + e^theta) summed per row, the mean and the variance, from the
+        # one e^-|theta|, which never overflows; in theta's and e's buffers
+        e = np.abs(theta)
+        np.exp(np.negative(e, out=e), out=e)
+        cumulant = np.log1p(e)
+        cumulant += np.maximum(theta, 0.0)
+        total = cumulant.sum(axis=-1)
+        del cumulant
+        mean = np.maximum(e, theta >= 0, out=theta)  # the numerator of _sigmoid
+        e += 1.0
+        mean /= e
+        var = np.subtract(1.0, mean, out=e)
+        var *= mean
+        return total, mean, var
 
     def log_base(self, y, dispersion):
         return 0.0
@@ -120,17 +123,15 @@ class _Logistic:
 class _Poisson:
     name = "poisson"
 
-    def cumulant(self, theta):
-        with np.errstate(over="ignore"):
-            return np.exp(theta)
-
     def mean(self, theta):
         with np.errstate(over="ignore"):
             return np.exp(theta)
 
-    def mean_variance(self, theta):
-        mu = self.mean(theta)
-        return mu, mu
+    def cumulant_mean_variance(self, theta):
+        # e^theta is the cumulant, the mean and the variance, in theta's buffer
+        with np.errstate(over="ignore"):
+            mu = np.exp(theta, out=theta)
+        return mu.sum(axis=-1), mu, mu
 
     def log_base(self, y, dispersion):
         # -sum log y_i!: one lgamma per distinct count v, times its multiplicity
@@ -197,6 +198,11 @@ class Dataset:
         return self.X.T @ self.X, self.X.T @ self.y
 
     @cached_property
+    def _xt(self) -> np.ndarray:
+        # X' with contiguous rows, from which the GLM kernel gathers columns
+        return np.ascontiguousarray(self.X.T)
+
+    @cached_property
     def log_base(self) -> float:
         """The family's constant log-likelihood term, free of the coefficients."""
         return FAMILIES[self.family].log_base(self.y, self.dispersion)
@@ -212,69 +218,65 @@ class GlmFit:
     separation: bool = False
 
 
-def _one_row(d: Dataset, J: ModelIndex, beta) -> tuple[ModelBatch, np.ndarray]:
-    # model J as a one-row batch, and beta as its (1, k) coefficient row
+def _one_row(d: Dataset, J: ModelIndex, beta) -> tuple:
+    # the value, score and negative Hessian of model J at beta (one-row kernel)
     beta = np.asarray(beta, dtype=float).reshape(-1)
     if beta.shape[0] != J.size:
         raise ValueError(f"beta has length {beta.shape[0]}, model has {J.size}")
-    return model_batch(d, J.cols[None, :]), beta[None, :]
+    value, g, h = batch_evaluate(model_batch(d, J.cols[None, :]), beta[None, :])
+    return float(value[0]), g[0], h[0]
 
 
 def log_likelihood(d: Dataset, J: ModelIndex, beta: np.ndarray) -> float:
     """Full log-likelihood of submodel ``J`` at ``beta``, constants included."""
-    batch, row = _one_row(d, J, beta)
-    return float(batch_log_likelihood(batch, row)[0])
+    return _one_row(d, J, beta)[0]
 
 
 def score(d: Dataset, J: ModelIndex, beta: np.ndarray) -> np.ndarray:
     """Gradient of the log-likelihood: X_J' (y - b'(X_J beta)), 1/sigma^2-scaled."""
-    batch, row = _one_row(d, J, beta)
-    return batch_score_hessian(batch, row)[0][0]
+    return _one_row(d, J, beta)[1]
 
 
 def neg_hessian(d: Dataset, J: ModelIndex, beta: np.ndarray) -> SpdMatrix:
     """Negative log-likelihood Hessian X_J' W X_J with W = diag(b''(theta))."""
-    batch, row = _one_row(d, J, beta)
-    return SpdMatrix(batch_score_hessian(batch, row)[1][0])
+    return SpdMatrix(_one_row(d, J, beta)[2])
 
 
 # Where a Newton ascent stopped; scalars for one model, per-row arrays for a batch
 NewtonAscent = namedtuple("NewtonAscent", "beta value h converged iterations singular")
 
 
-def newton_ascent(objective: Callable[[np.ndarray], float],
-                  derivatives: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+def newton_ascent(evaluate: Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray]],
                   beta: np.ndarray, d: Dataset, max_iter: int, ridge_tries: int,
                   step_cap: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
                   ) -> NewtonAscent:
-    """Damped Newton ascent of ``objective`` from ``beta``, for one model.
+    """Damped Newton ascent of an objective from ``beta``, for one model.
 
-    ``derivatives(b)`` returns the gradient and the negative Hessian.  Each
-    iteration solves for the Newton step by Cholesky; where the negative
-    Hessian does not factor it retries with a ridge, doubling from
-    1e-8 max(1, max|h|), up to ``ridge_tries`` tries in all.  The step starts
-    at fraction ``step_cap(beta, step)`` (else 1) and is halved, at most
-    ``MAX_HALVINGS`` times, until the objective does not decrease.  A step
-    whose Newton decrement g'step is at most ``DECREMENT_TOL`` *
-    max(1, |objective|, |d.log_base|) gains less than the objective
-    resolves: it gets one trial, and if that is rejected the ascent stops at
-    beta, certified at resolution.  The ascent stops when the gradient's
-    infinity-norm is at most ``GRAD_TOL_PER_OBS * d.n``, when no Newton
-    step factors (``singular``), when the decrement certifies beta, when no
-    halving is accepted or the accepted step leaves beta unchanged in
-    floating point, or after ``max_iter`` steps.  Returns the final iterate,
-    the objective and the negative Hessian there, ``converged`` (the
-    gradient test at that iterate, or the decrement's certificate), the
-    steps taken and ``singular``.
+    ``evaluate(b)`` returns the objective, gradient and negative Hessian at
+    ``b``, once per point.  Each iteration solves for the Newton step by
+    Cholesky; where the negative Hessian does not factor it retries with a
+    ridge, doubling from 1e-8 max(1, max|h|), up to ``ridge_tries`` tries.
+    The step starts at fraction ``step_cap(beta, step)`` (else 1) and is
+    halved, at most ``MAX_HALVINGS`` times, until the objective does not
+    decrease.  A step whose Newton decrement g'step is at most
+    ``DECREMENT_TOL`` * max(1, |objective|, |d.log_base|) gains less than
+    the objective resolves: it gets one trial, and if that is rejected the
+    ascent stops at beta, certified at resolution.  The ascent stops when
+    the gradient's infinity-norm is at most ``GRAD_TOL_PER_OBS * d.n``, when
+    no Newton step factors (``singular``), when the decrement certifies
+    beta, when no halving is accepted or the accepted step leaves beta
+    unchanged in floating point, or after ``max_iter`` steps.  Returns the
+    final iterate, the objective and the negative Hessian there,
+    ``converged`` (the gradient test at that iterate, or the decrement's
+    certificate), the steps taken and ``singular``.
     """
     tol = GRAD_TOL_PER_OBS * d.n
     scale = max(1.0, abs(d.log_base))
-    value = objective(beta)
+    value, g, h = evaluate(beta)
     eye = np.eye(beta.size)
     iterations = 0
     singular = certified = False
     for _ in range(max_iter):
-        g, h = derivatives(beta)
         if float(np.abs(g).max(initial=0.0)) <= tol:
             break
         step = None
@@ -291,24 +293,19 @@ def newton_ascent(objective: Callable[[np.ndarray], float],
             break
         flat = (g * step).sum(axis=-1) <= DECREMENT_TOL * np.maximum(scale, np.abs(value))
         t = 1.0 if step_cap is None else float(step_cap(beta, step))
-        improved = False
-        for _ in range(MAX_HALVINGS):
+        for _ in range(MAX_HALVINGS):  # a flat step gets one trial
             cand = beta + t * step
-            cand_value = objective(cand)
-            if cand_value >= value:
-                improved = True
-                break
-            if flat:
-                certified = True
+            trial = evaluate(cand)
+            if trial[0] >= value or flat:
                 break
             t *= 0.5
-        if not improved or np.array_equal(cand, beta):
+        rejected = trial[0] < value
+        if rejected or np.array_equal(cand, beta):
+            certified = rejected and flat
             break
-        beta, value = cand, cand_value
+        beta, (value, g, h) = cand, trial
         iterations += 1
-    else:
-        g, h = derivatives(beta)
-    # every break leaves beta where g and h were computed
+    # g and h are always those of the returned beta
     return NewtonAscent(beta=beta, value=value, h=h,
                         converged=certified or float(np.abs(g).max(initial=0.0)) <= tol,
                         iterations=iterations, singular=singular)
@@ -329,14 +326,8 @@ def fit_mle(d: Dataset, J: ModelIndex) -> GlmFit:
     NotPositiveDefinite
         If the design of ``J`` is rank-deficient.
     """
-    batch = model_batch(d, J.cols[None, :])
-
-    def derivatives(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g, h = batch_score_hessian(batch, b[None])
-        return g[0], h[0]
-
-    fit = newton_ascent(lambda b: float(batch_log_likelihood(batch, b[None])[0]),
-                        derivatives, np.zeros(J.size), d, MAX_NEWTON_ITER, ridge_tries=1)
+    fit = newton_ascent(lambda b: _one_row(d, J, b), np.zeros(J.size), d,
+                        MAX_NEWTON_ITER, ridge_tries=1)
     if fit.singular:
         raise NotPositiveDefinite(f"rank-deficient design for model {J}")
     separation = (d.family == "logistic"
@@ -346,7 +337,7 @@ def fit_mle(d: Dataset, J: ModelIndex) -> GlmFit:
 
 
 # =============================================================================
-# Batched kernels: M models of one size k at once
+# Batched kernel: M models of one size k at once
 # =============================================================================
 
 
@@ -354,31 +345,33 @@ def fit_mle(d: Dataset, J: ModelIndex) -> GlmFit:
 class ModelBatch:
     """Likelihood data of M models of one size k.
 
-    ``cols`` holds the zero-based columns, shape (M, k).  Gaussian batches
-    carry their slices of the cached X'X and X'y, shapes (M, k, k) and (M, k);
-    the other families carry the models' columns of X, shape (M, k, n).
+    ``cols`` holds the zero-based columns, shape (M, k); Gaussian batches also
+    carry their slices of the cached X'X and X'y, (M, k, k) and (M, k).
     """
 
     d: Dataset
     cols: np.ndarray
     xtx: Optional[np.ndarray] = None
     xty: Optional[np.ndarray] = None
-    xs: Optional[np.ndarray] = None
 
     def take(self, rows) -> "ModelBatch":
         """The sub-batch of the given rows (an index array or a mask)."""
-        arrays = (self.cols, self.xtx, self.xty, self.xs)
+        arrays = (self.cols, self.xtx, self.xty)
         return ModelBatch(self.d, *(None if a is None else a[rows] for a in arrays))
 
 
-def batch_rows(d: Dataset, k: int) -> int:
+def batch_rows(k: int) -> int:
     """Models per batch of size-k models (see ``BATCH_FLOATS``)."""
-    per_model = max(1, k * k) if d.family == "gaussian" else d.n
-    return max(1, BATCH_FLOATS // per_model)
+    return max(1, BATCH_FLOATS // max(1, k * k))
+
+
+def chunk_rows(d: Dataset) -> int:
+    """Models per pass of the logistic and Poisson kernel (see ``BATCH_FLOATS``)."""
+    return max(1, BATCH_FLOATS // d.n)
 
 
 def model_batch(d: Dataset, cols: np.ndarray) -> ModelBatch:
-    """Gather the data of the models whose zero-based columns are the rows of
+    """The batch of the models whose zero-based columns are the rows of
     ``cols`` (shape (M, k), k >= 0)."""
     cols = np.asarray(cols, dtype=int)
     if cols.size and (cols.min() < 0 or cols.max() >= d.p):
@@ -389,44 +382,44 @@ def model_batch(d: Dataset, cols: np.ndarray) -> ModelBatch:
         xtx, xty = d._gram
         return ModelBatch(d=d, cols=cols, xtx=xtx[cols[:, :, None], cols[:, None, :]],
                           xty=xty[cols])
-    return ModelBatch(d=d, cols=cols, xs=d.X.T[cols])
+    return ModelBatch(d=d, cols=cols)
 
 
-def _batch_theta(batch: ModelBatch, beta: np.ndarray) -> np.ndarray:
-    # linear predictors X_J beta, one row of n per model
-    return np.matmul(beta[:, None, :], batch.xs)[:, 0, :]
+def batch_evaluate(batch: ModelBatch, beta: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full log-likelihoods (M,), scores (M, k) and negative log-likelihood
+    Hessians (M, k, k) of each model at its row of ``beta`` (M, k).
 
-
-def batch_log_likelihood(batch: ModelBatch, beta: np.ndarray) -> np.ndarray:
-    """Full log-likelihood of each model at its row of ``beta`` (M, k); every
-    sum runs within one row, so no model's value depends on its batch."""
-    d = batch.d
-    if d.family == "gaussian":
-        quad = (beta * (batch.xtx * beta[:, None, :]).sum(axis=-1)).sum(axis=-1)
-        kernel = (1.0 / d.dispersion) * ((batch.xty * beta).sum(axis=-1) - 0.5 * quad)
-    else:
-        theta = _batch_theta(batch, beta)
-        # theta'y per row: one (M, n) @ (n,) product sums in blocks set by M
-        ty = np.matmul(theta[:, None, :], d.y[:, None])[:, 0, 0]
-        kernel = ty - FAMILIES[d.family].cumulant(theta).sum(axis=-1)
-    value = kernel + d.log_base
-    return np.where(np.isfinite(value), value, -math.inf)
-
-
-def batch_score_hessian(batch: ModelBatch, beta: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Scores (M, k) and negative log-likelihood Hessians (M, k, k) of each
-    model at its row of ``beta``."""
+    A non-finite log-likelihood (a Poisson theta beyond the exponential's
+    range) is -inf, with no warning; the score and Hessian of such a row are
+    meaningless.  Every sum runs within one row, so no model's values depend
+    on its batch or on how the batch is cut into chunks.
+    """
     d = batch.d
     if d.family == "gaussian":
         s = 1.0 / d.dispersion
-        return (s * (batch.xty - (batch.xtx * beta[:, None, :]).sum(axis=-1)),
-                s * batch.xtx)
-    mean, var = FAMILIES[d.family].mean_variance(_batch_theta(batch, beta))
-    xs = batch.xs
-    g = np.matmul(xs, (d.y - mean)[:, :, None])[:, :, 0]
-    # one column of X_J' W X_J at a time keeps the temporaries at (M, n)
-    h = np.empty(xs.shape[:2] + xs.shape[1:2])
-    for j in range(xs.shape[1]):
-        h[:, :, j] = np.matmul(xs, (xs[:, j, :] * var)[:, :, None])[:, :, 0]
-    return g, h
+        xtx_beta = (batch.xtx * beta[:, None, :]).sum(axis=-1)
+        quad = (beta * xtx_beta).sum(axis=-1)
+        value = s * ((batch.xty * beta).sum(axis=-1) - 0.5 * quad)
+        g, h = s * (batch.xty - xtx_beta), s * batch.xtx
+    else:
+        m, k = beta.shape
+        family = FAMILIES[d.family]
+        value, g, h = np.empty(m), np.empty((m, k)), np.empty((m, k, k))
+        size = chunk_rows(d)
+        for start in range(0, m, size):
+            rows = slice(start, start + size)
+            xs = d._xt[batch.cols[rows]]
+            # linear predictors X_J beta, one row of n per model, and theta'y
+            # per row from a stacked product, so each row sums on its own
+            theta = np.matmul(beta[rows, None, :], xs)[:, 0, :]
+            ty = np.matmul(theta[:, None, :], d.y[:, None])[:, 0, 0]
+            cumulant, mean, var = family.cumulant_mean_variance(theta)
+            value[rows] = ty - cumulant
+            with np.errstate(over="ignore", invalid="ignore"):  # rows off the exp range
+                g[rows] = np.matmul(xs, (d.y - mean)[:, :, None])[:, :, 0]
+                # one column of X_J' W X_J at a time keeps the temporaries at (M, n)
+                for j in range(k):
+                    h[rows, :, j] = np.matmul(xs, (xs[:, j, :] * var)[:, :, None])[:, :, 0]
+    value += d.log_base
+    return np.where(np.isfinite(value), value, -math.inf), g, h

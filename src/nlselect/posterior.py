@@ -20,12 +20,14 @@ and every command and study reads its marginals, MLEs and modes;
 the engine is tested against.  Each form has one damped Newton loop, run
 once for the MLE and once for the mode: the engine's lockstep ``_newton``
 here, and ``glm.newton_ascent`` for the reference.  The two share only
-``glm``'s likelihood kernels.  In both, a fit is ``converged`` when the
-gradient test |g|_inf <= ``GRAD_TOL_PER_OBS`` * n holds at the returned
-iterate, whichever rule stopped the loop, or when the decrement test
-certified the last step as below resolution: a Newton step whose decrement
-g'H^-1 g is at most ``DECREMENT_TOL`` * max(1, |objective|, |d.log_base|)
-gets one trial, and if that trial is rejected the loop stops where it is.
+``glm.batch_evaluate``, which gives a point's value, gradient and Hessian at
+once, so each loop evaluates each point once.  In both, a fit is
+``converged`` when the gradient test |g|_inf <= ``GRAD_TOL_PER_OBS`` * n
+holds at the returned iterate, whichever rule stopped the loop, or when the
+decrement test certified the last step as below resolution: a Newton step
+whose decrement g'H^-1 g is at most ``DECREMENT_TOL`` * max(1, |objective|,
+|d.log_base|) gets one trial, and if that trial is rejected the loop stops
+where it is.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ import numpy as np
 
 from .glm import (DECREMENT_TOL, GRAD_TOL_PER_OBS, MAX_HALVINGS, MAX_NEWTON_ITER,
                   SEPARATION_CAP, Dataset, GlmFit, ModelBatch, NewtonAscent,
-                  batch_log_likelihood, batch_rows, batch_score_hessian, fit_mle,
-                  model_batch, newton_ascent)
+                  batch_evaluate, batch_rows, fit_mle, model_batch, newton_ascent)
 from .modelspace import ModelIndex
 from .numerics import (NotPositiveDefinite, SpdMatrix, batch_cho_solve,
                        batch_cholesky, factor_logdet)
@@ -91,18 +92,18 @@ def find_posterior_mode(d: Dataset, J: ModelIndex, spec: NonlocalPriorSpec,
     """
     batch = model_batch(d, J.cols[None, :])
     beta = np.array(mle.beta_hat, dtype=float)
-    h = batch_score_hessian(batch, beta[None])[1][0]
+    h = batch_evaluate(batch, beta[None])[2][0]
     beta = coordinate_mode(beta, np.diagonal(h), spec)
 
-    def objective(b: np.ndarray) -> float:
-        return float(batch_log_likelihood(batch, b[None])[0]) + log_prior(b, spec)
-
-    def derivatives(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g, h = batch_score_hessian(batch, b[None])
-        return (g[0] + log_prior_grad(b, spec),
+    def evaluate(b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        value, g, h = batch_evaluate(batch, b[None])
+        value = float(value[0]) + log_prior(b, spec)
+        if not b.all():  # off the prior's support: -inf, rejected unread
+            return value, g[0], h[0]
+        return (value, g[0] + log_prior_grad(b, spec),
                 h[0] + np.diag(log_prior_neg_hessian(b, spec)))
 
-    fit = newton_ascent(objective, derivatives, beta, d, MAX_MODE_ITER,
+    fit = newton_ascent(evaluate, beta, d, MAX_MODE_ITER,
                         ridge_tries=MAX_RIDGE_TRIES, step_cap=_orthant_cap)
     return PosteriorFit(beta_pm=fit.beta, log_post_unnorm=fit.value,
                         neg_hessian_logpost=SpdMatrix(fit.h),
@@ -220,7 +221,7 @@ def score_models(d: Dataset, models: Sequence[np.ndarray],
         rows = np.concatenate([np.arange(ends[i] - blocks[i].shape[0], ends[i])
                                for i in group])
         cols = np.concatenate([blocks[i] for i in group]) - 1
-        size = batch_rows(d, k)
+        size = batch_rows(k)
         for start in range(0, rows.size, size):
             part = slice(start, start + size)
             _score_batch(model_batch(d, cols[part]), spec, out, rows[part])
@@ -230,8 +231,7 @@ def score_models(d: Dataset, models: Sequence[np.ndarray],
 def _score_batch(batch: ModelBatch, spec: NonlocalPriorSpec, out: ModelScores,
                  rows: np.ndarray) -> None:
     m, k = batch.cols.shape
-    mle = _newton(batch, batch_log_likelihood, batch_score_hessian, np.zeros((m, k)),
-                  MAX_NEWTON_ITER, ridge_tries=1)
+    mle = _newton(batch, batch_evaluate, np.zeros((m, k)), MAX_NEWTON_ITER, ridge_tries=1)
     out.mle_converged[rows] = mle.converged
     out.excluded[rows] = mle.singular  # a rank-deficient design
     beta, h_diag = mle.beta, np.diagonal(mle.h, axis1=-2, axis2=-1)
@@ -244,18 +244,9 @@ def _score_batch(batch: ModelBatch, spec: NonlocalPriorSpec, out: ModelScores,
     out.mle[rows, :k] = beta
     if batch.d.family == "logistic":
         out.separation[rows] = np.abs(beta).max(axis=-1, initial=0.0) > SEPARATION_CAP
-
-    def objective(sub: ModelBatch, b: np.ndarray) -> np.ndarray:
-        return batch_log_likelihood(sub, b) + log_prior(b, spec)
-
-    def derivatives(sub: ModelBatch, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g, h = batch_score_hessian(sub, b)
-        diag = np.arange(k)
-        h[:, diag, diag] += log_prior_neg_hessian(b, spec)
-        return g + log_prior_grad(b, spec), h
-
-    mode = _newton(batch, objective, derivatives, coordinate_mode(beta, h_diag, spec),
-                   MAX_MODE_ITER, ridge_tries=MAX_RIDGE_TRIES, step_cap=_orthant_cap)
+    mode = _newton(batch, lambda sub, b: _log_posterior(sub, b, spec),
+                   coordinate_mode(beta, h_diag, spec), MAX_MODE_ITER,
+                   ridge_tries=MAX_RIDGE_TRIES, step_cap=_orthant_cap)
     out.mode[rows, :k] = mode.beta
     factor, ok = batch_cholesky(mode.h)
     logdet = 2.0 * np.log(np.diagonal(factor, axis1=-2, axis2=-1)).sum(axis=-1)
@@ -267,38 +258,48 @@ def _score_batch(batch: ModelBatch, spec: NonlocalPriorSpec, out: ModelScores,
     out.iterations[rows] = mode.iterations
 
 
-def _newton(batch: ModelBatch, objective: Callable, derivatives: Callable,
-            beta: np.ndarray, max_iter: int, ridge_tries: int,
-            step_cap: Optional[Callable] = None) -> NewtonAscent:
-    """The damped Newton ascent of :func:`glm.newton_ascent` for every row
-    of ``beta`` (M, k, the start, updated in place) in lockstep, with
-    per-row arrays in the result.
+def _log_posterior(batch: ModelBatch, beta: np.ndarray, spec: NonlocalPriorSpec
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log posterior, gradient and negative Hessian at each row of ``beta``.
+    A row with a zero coordinate is off the prior's support, -inf, and
+    rejected unread, so the prior's derivatives take 1 in its place."""
+    value, g, h = batch_evaluate(batch, beta)
+    value += log_prior(beta, spec)
+    safe = np.where(beta != 0.0, beta, 1.0)
+    g += log_prior_grad(safe, spec)
+    diag = np.arange(beta.shape[1])
+    h[:, diag, diag] += log_prior_neg_hessian(safe, spec)
+    return value, g, h
 
-    ``objective(sub, b)`` and ``derivatives(sub, b)`` evaluate the rows
-    ``b`` of the sub-batch ``sub``; ``step_cap(b, step)`` gives each row's
-    first step fraction.  A row leaves the active set as soon as its own
-    ascent stops, by the same rules and constants as the scalar loop: a row
-    whose step is flat by the decrement test gets one trial, and if that is
-    rejected it stops, ``converged``, at the iterate where ``h_last`` was
-    taken.
+
+def _newton(batch: ModelBatch, evaluate: Callable, beta: np.ndarray, max_iter: int,
+            ridge_tries: int, step_cap: Optional[Callable] = None) -> NewtonAscent:
+    """The damped Newton ascent of :func:`glm.newton_ascent` for every row
+    of the start ``beta`` (M, k, overwritten) in lockstep, with per-row arrays
+    in the result.
+
+    ``evaluate(sub, b)`` gives the objective, gradient and negative Hessian
+    at the rows ``b`` of the sub-batch ``sub``, once per point, and
+    ``step_cap(b, step)`` each row's first step fraction.  A row leaves the
+    active set as soon as its own ascent stops, by the same rules and
+    constants as the scalar loop: a row whose step is flat by the decrement
+    test gets one trial, and if that is rejected it stops, ``converged``,
+    at its iterate.
     """
     tol = GRAD_TOL_PER_OBS * batch.d.n
     # the objective rounds at the scale of its constant term too
     scale = max(1.0, abs(batch.d.log_base))
     m, k = beta.shape
-    value = objective(batch, beta)
-    h_last = np.empty((m, k, k))
-    converged = np.zeros(m, dtype=bool)
-    singular = np.zeros(m, dtype=bool)
-    iterations = np.zeros(m, dtype=int)
+    out = NewtonAscent(beta=np.empty((m, k)), value=np.empty(m), h=np.empty((m, k, k)),
+                       converged=np.zeros(m, dtype=bool), iterations=np.zeros(m, dtype=int),
+                       singular=np.zeros(m, dtype=bool))
+    # the active rows' iterates, and the value, gradient and negative Hessian there
+    act, sub, b = np.arange(m), batch, beta
+    v, g, h = evaluate(batch, b)
     eye = np.eye(k)
-    act, sub = np.arange(m), batch
-    for _ in range(max_iter):
-        b, v = beta[act], value[act]
-        g, h = derivatives(sub, b)
-        h_last[act] = h  # a row that stops now keeps this iterate
+    for i in range(max_iter):
         run = np.abs(g).max(axis=-1, initial=0.0) > tol
-        converged[act[~run]] = True
+        out.converged[act[~run]] = True
         # Newton steps; where h does not factor, retry with h + ridge I, the
         # ridge doubling from 1e-8 max(1, max|h|)
         step = np.zeros_like(g)
@@ -312,42 +313,45 @@ def _newton(batch: ModelBatch, objective: Callable, derivatives: Callable,
             step[pending[ok]] = batch_cho_solve(factor[ok], g[pending[ok]])
             pending = pending[~ok]
             ridge[pending] = np.maximum(2.0 * ridge[pending], floor[pending])
-        singular[act[pending]] = True
+        out.singular[act[pending]] = True
         run[pending] = False
         flat = (g * step).sum(axis=-1) <= DECREMENT_TOL * np.maximum(scale, np.abs(v))
         # step-halving: each row with a step takes the first of b + t step,
-        # b + (t/2) step, ... whose objective is >= its value; a flat step
-        # gets one trial, and its rejection certifies the row at b
+        # b + (t/2) step, ... whose objective is >= its value, and with it the
+        # trial's gradient and Hessian; a flat step gets one trial, and its
+        # rejection certifies the row at b
         t = np.ones(act.size) if step_cap is None else step_cap(b, step)
-        cand, cand_value = b.copy(), v.copy()
-        accepted = np.zeros(act.size, dtype=bool)
+        moved = np.zeros(act.size, dtype=bool)
         pending = np.flatnonzero(run)
         for _ in range(MAX_HALVINGS):
             if not pending.size:
                 break
             trial = b[pending] + t[pending, None] * step[pending]
             part = sub if pending.size == act.size else sub.take(pending)
-            trial_value = objective(part, trial)
-            ok = trial_value >= v[pending]
+            trial_v, trial_g, trial_h = evaluate(part, trial)
+            ok = trial_v >= v[pending]
             hit = pending[ok]
-            cand[hit] = trial[ok]
-            cand_value[hit] = trial_value[ok]
-            accepted[hit] = True
+            if hit.size == act.size:  # every row takes its first trial
+                moved = np.any(trial != b, axis=-1)
+                b, v, g, h = trial, trial_v, trial_g, trial_h
+            else:
+                moved[hit] = np.any(trial[ok] != b[hit], axis=-1)
+                b[hit], v[hit], g[hit], h[hit] = trial[ok], trial_v[ok], trial_g[ok], trial_h[ok]
             pending = pending[~ok]
-            converged[act[pending[flat[pending]]]] = True
+            out.converged[act[pending[flat[pending]]]] = True
             pending = pending[~flat[pending]]
             t[pending] *= 0.5
         # a row stops when no halving is accepted or the step leaves it unchanged
-        moved = accepted & np.any(cand != b, axis=-1)
-        beta[act[moved]] = cand[moved]
-        value[act[moved]] = cand_value[moved]
-        iterations[act[moved]] += 1
         if not moved.all():
+            stop = act[~moved]
+            out.beta[stop], out.value[stop], out.h[stop] = b[~moved], v[~moved], h[~moved]
+            out.iterations[stop] = i
             act, sub = act[moved], sub.take(moved)
+            b, v, g, h = b[moved], v[moved], g[moved], h[moved]
         if not act.size:
             break
     else:
-        g, h_last[act] = derivatives(sub, beta[act])
-        converged[act] = np.abs(g).max(axis=-1, initial=0.0) <= tol
-    return NewtonAscent(beta=beta, value=value, h=h_last, converged=converged,
-                        iterations=iterations, singular=singular)
+        out.beta[act], out.value[act], out.h[act] = b, v, h
+        out.iterations[act] = max_iter
+        out.converged[act] = np.abs(g).max(axis=-1, initial=0.0) <= tol
+    return out

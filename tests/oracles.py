@@ -11,8 +11,7 @@ import math
 
 import numpy as np
 
-from nlselect.glm import (batch_log_likelihood, batch_score_hessian, fit_mle,
-                          log_likelihood, model_batch, newton_ascent)
+from nlselect.glm import batch_evaluate, fit_mle, log_likelihood, model_batch, newton_ascent
 from nlselect.modelspace import ModelIndex
 from nlselect.numerics import SpdMatrix, adaptive_quad
 from nlselect.posterior import MAX_MODE_ITER, MAX_RIDGE_TRIES, ModelScores, PosteriorFit
@@ -66,16 +65,14 @@ def gaussian_prior_mode(d, J, prior_var):
     """
     batch = model_batch(d, J.cols[None, :])
 
-    def objective(b):
+    def evaluate(b):
         log_prior_value = float(-0.5 * b.size * math.log(2 * math.pi * prior_var)
                                 - 0.5 * (b @ b) / prior_var)
-        return float(batch_log_likelihood(batch, b[None])[0]) + log_prior_value
+        value, g, h = batch_evaluate(batch, b[None])
+        return (float(value[0]) + log_prior_value, g[0] - b / prior_var,
+                h[0] + np.eye(b.size) / prior_var)
 
-    def derivatives(b):
-        g, h = batch_score_hessian(batch, b[None])
-        return g[0] - b / prior_var, h[0] + np.eye(b.size) / prior_var
-
-    fit = newton_ascent(objective, derivatives, np.array(fit_mle(d, J).beta_hat, dtype=float),
+    fit = newton_ascent(evaluate, np.array(fit_mle(d, J).beta_hat, dtype=float),
                         d, MAX_MODE_ITER, ridge_tries=MAX_RIDGE_TRIES)
     return PosteriorFit(beta_pm=fit.beta, log_post_unnorm=fit.value,
                         neg_hessian_logpost=SpdMatrix(fit.h),

@@ -553,12 +553,15 @@ class TestNonFiniteValues:
 
 
 class TestTrueSupport:
-    """--j0 is taken as typed: its order is the order of --beta0."""
+    """--j0 is taken as typed: its order is the order of --beta0.  Every
+    --j0 error names the flag."""
 
     MESSAGES = {
         "--j0 2,1 --beta0 5,0": "--j0: indices must be strictly increasing, got (2, 1)",
         "--j0 1,1 --beta0 5": "--j0: indices must be strictly increasing, got (1, 1)",
-        "--j0 0 --beta0 5": "--j0: indices must be >= 1, got (0,)"}
+        "--j0 0 --beta0 5": "--j0: indices must be >= 1, got (0,)",
+        "--j0 abc --beta0 5": "--j0: cannot parse index list 'abc'",
+        "--j0 5 --beta0 1": "--j0: true support indexes beyond p"}
 
     @pytest.mark.parametrize("command", [
         "simulate --p 3 --n 50",

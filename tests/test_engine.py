@@ -9,6 +9,7 @@ and the searches' deterministic iteration totals on benchmark inputs stay
 within their bounds."""
 
 import math
+import warnings
 from dataclasses import fields
 from unittest import mock
 
@@ -276,16 +277,16 @@ def benchmark_glm_input(family):
 
 
 def count_objective_calls(fn):
-    """``fn()`` and the number of ``batch_log_likelihood`` calls it made,
-    through the engine's and the reference's loops alike."""
-    calls, kernel = [], glm.batch_log_likelihood
+    """``fn()`` and the number of ``batch_evaluate`` calls it made, through
+    the engine's and the reference's loops alike."""
+    calls, kernel = [], glm.batch_evaluate
 
     def counted(*args):
         calls.append(None)
         return kernel(*args)
 
-    with mock.patch.object(posterior, "batch_log_likelihood", counted), \
-            mock.patch.object(glm, "batch_log_likelihood", counted):
+    with mock.patch.object(posterior, "batch_evaluate", counted), \
+            mock.patch.object(glm, "batch_evaluate", counted):
         return fn(), len(calls)
 
 
@@ -323,6 +324,52 @@ class TestStalledSearch:
         assert not np.any(~scores.converged & ~scores.excluded)
         # halving every flat step to the 60-halving cap took 160 calls here
         assert calls <= 30
+
+
+class TestFusedKernel:
+    """One ``batch_evaluate`` call per Newton point for a whole stratum,
+    walked in chunks of n-row temporaries."""
+
+    @pytest.mark.parametrize("family", ["logistic", "poisson"])
+    def test_kernel_calls_per_fit(self, family):
+        # 1,152 models in four batches, one per size: two loops of at most a
+        # few iterations each (the per-20-model batches made 470-500 calls)
+        d = benchmark_glm_input(family)
+        _, calls = count_objective_calls(
+            lambda: score_models(d, enumerate_strata(15, 3), spimom()))
+        assert calls <= 40
+
+    @pytest.mark.parametrize("family", ["logistic", "poisson"])
+    def test_chunk_boundaries_do_not_matter(self, family):
+        # chunks of 4 models: the strata of 7, 21 and 35 models each span
+        # several chunks and end in a ragged one
+        d = random_dataset(family, seed=7, n=1600, p=7)
+        strata = enumerate_strata(7, 3)
+        whole = score_models(d, strata, spimom())
+        with mock.patch.object(glm, "BATCH_FLOATS", 4 * 1600 + 1599):
+            assert glm.chunk_rows(d) == 4
+            assert all(len(b) % 4 and len(b) > 4 for b in strata[1:])
+            chunked = score_models(d, strata, spimom())
+        for f in fields(ModelScores):
+            np.testing.assert_array_equal(getattr(chunked, f.name),
+                                          getattr(whole, f.name), f.name)
+
+    def test_zero_coordinate_is_rejected_silently(self):
+        # a trial point with a zero coordinate is off the prior's support:
+        # value -inf, and no priors.AtOrigin or warning from the derivatives
+        # that nothing reads; the other rows are unaffected
+        d = random_dataset("logistic", seed=8, n=60, p=2)
+        batch = glm.model_batch(d, np.array([[0, 1], [0, 1]]))
+        beta = np.array([[0.0, 0.7], [0.4, -0.7]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, g, h = posterior._log_posterior(batch, beta, spimom())
+        assert value[0] == -math.inf
+        one = posterior._log_posterior(batch.take([1]), beta[1:], spimom())
+        for got, want in zip((value, g, h), one):
+            np.testing.assert_array_equal(got[1:], want)
+        assert value[1] == log_likelihood(d, ModelIndex((1, 2)), beta[1]) + log_prior(
+            beta[1], spimom())
 
 
 def assert_every_row_has_a_status(d, spec):

@@ -3,6 +3,7 @@ and the batched kernels against the families' densities written out."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 from oracles import fd_gradient, fd_jacobian
 from scipy.special import gammaln
 
-from nlselect.glm import (BATCH_FLOATS, Dataset, FamilySupport,
-                          batch_log_likelihood, batch_rows, batch_score_hessian,
-                          fit_mle, log_likelihood, model_batch, neg_hessian, score)
+from nlselect.glm import (BATCH_FLOATS, Dataset, FamilySupport, batch_evaluate,
+                          batch_rows, chunk_rows, fit_mle, log_likelihood, model_batch,
+                          neg_hessian, score)
 from nlselect.modelspace import ModelIndex
 from nlselect.numerics import NotPositiveDefinite
 
@@ -303,8 +304,7 @@ class TestBatchKernels:
         models = [ModelIndex(c) for c in itertools.combinations(range(1, 6), 3)]
         beta = rng.normal(scale=0.5, size=(len(models), 3))
         batch = model_batch(d, np.array([m.indices for m in models]) - 1)
-        ll = batch_log_likelihood(batch, beta)
-        g, h = batch_score_hessian(batch, beta)
+        ll, g, h = batch_evaluate(batch, beta)
         for i, J in enumerate(models):
             f = lambda b: direct_log_likelihood(d, J, b)
             assert ll[i] == pytest.approx(f(beta[i]), rel=1e-12)
@@ -315,16 +315,31 @@ class TestBatchKernels:
             np.testing.assert_allclose(h[i], fd_h, rtol=1e-4,
                                        atol=1e-5 * max(1.0, np.abs(h[i]).max()))
         sub = batch.take(np.array([4, 1]))
-        np.testing.assert_allclose(batch_log_likelihood(sub, beta[[4, 1]]), ll[[4, 1]],
-                                   rtol=1e-13)
+        for got, want in zip(batch_evaluate(sub, beta[[4, 1]]), (ll, g, h)):
+            np.testing.assert_array_equal(got, want[[4, 1]])
 
     def test_batch_rows_rule(self):
+        # k^2 floats per model in a batch, for every family, and n per model
+        # in a pass of the logistic and Poisson kernel
         rng = np.random.default_rng(32)
-        gauss = random_instance("gaussian", rng, n=800, p=4)
-        logit = random_instance("logistic", rng, n=1600, p=4)
-        assert batch_rows(gauss, 3) == BATCH_FLOATS // 9
-        assert batch_rows(logit, 3) == BATCH_FLOATS // 1600
-        assert batch_rows(random_instance("poisson", rng, n=10**6, p=1), 1) == 1
+        assert [batch_rows(k) for k in (0, 1, 3)] == [BATCH_FLOATS, BATCH_FLOATS,
+                                                      BATCH_FLOATS // 9]
+        assert chunk_rows(random_instance("logistic", rng, n=1600, p=4)) == BATCH_FLOATS // 1600
+        assert chunk_rows(random_instance("poisson", rng, n=10**6, p=1)) == 1
+
+    def test_poisson_beyond_exp_range_is_silent(self):
+        # theta = 800 on two rows overflows e^theta: the value is -inf, and the
+        # score and Hessian, where inf - inf makes NaN and which nothing reads,
+        # raise no RuntimeWarning; the other row is unaffected
+        d = Dataset(y=[0.0, 3.0, 1.0], X=[[1.0, 1.0], [1.0, -1.0], [1.0, 0.0]],
+                    family="poisson")
+        beta = np.array([[800.0, 0.0], [0.5, 0.1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, g, h = batch_evaluate(model_batch(d, np.array([[0, 1], [0, 1]])), beta)
+        assert value[0] == -math.inf and np.isnan(g[0]).any()
+        assert value[1] == log_likelihood(d, ModelIndex((1, 2)), beta[1])
+        assert math.isfinite(value[1])
 
 
 class TestSigmoid:
