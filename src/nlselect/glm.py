@@ -8,8 +8,13 @@ Each family's likelihood, score and Hessian are computed together in one
 place, the kernel :func:`batch_evaluate` over a :class:`ModelBatch` (M models
 of one size k, as an (M, k) array of columns, with an (M, k) array of
 coefficients), which the batched scoring engine in ``posterior`` runs in
-lockstep; the logistic and Poisson kernel walks it in chunks of n-row
-temporaries.  The per-model functions run it on a one-row batch.
+lockstep.  The per-model functions run it on a one-row batch.  The logistic
+and Poisson kernel walks a batch in chunks of ``chunk_rows`` models, forms
+only the lower triangle of X_J'WX_J, and writes every n-row temporary into
+one workspace per ``Dataset``, grown to the largest model size it has met,
+so it is not reentrant and scoring stays single-threaded.  Each MLE starts
+at beta = 0, where :func:`batch_origin` evaluates a logistic or Poisson model
+from cached sums.
 
 :func:`newton_ascent` is the scalar reference's one damped Newton loop:
 :func:`fit_mle` runs it on the log-likelihood, and
@@ -49,8 +54,9 @@ MAX_HALVINGS = 60
 SEPARATION_CAP = 30.0
 # Floats per kernel temporary: a batch holds BATCH_FLOATS // k^2 models of
 # size k (one k x k Hessian each), and the logistic and Poisson kernels walk it
-# in chunks of BATCH_FLOATS // n models (one row of X_J beta each), so every
-# temporary stays near 256 KB at any n and k.
+# in chunks of BATCH_FLOATS // 2n models (10 at n = 1600), so each of the k + 4
+# (chunk, n) blocks of the reused workspace holds at most 2^14 floats and a
+# k = 3 workspace (896 KB) stays inside a 2 MB L2 cache at any n.
 BATCH_FLOATS = 1 << 15
 
 
@@ -89,20 +95,21 @@ class _Gaussian:
 
 class _Logistic:
     name = "logistic"
+    origin = (math.log(2.0), 0.5, 0.25)  # the cumulant, mean and variance at theta = 0
 
     def mean(self, theta):
         return _sigmoid(theta)
 
-    def cumulant_mean_variance(self, theta):
+    def cumulant_mean_variance(self, theta, e, c, w):
         # log(1 + e^theta) summed per row, the mean and the variance, from the
-        # one e^-|theta|, which never overflows; in theta's and e's buffers
-        e = np.abs(theta)
-        np.exp(np.negative(e, out=e), out=e)
-        cumulant = np.log1p(e)
-        cumulant += np.maximum(theta, 0.0)
+        # one e^-|theta|, which never overflows; the mean and variance in
+        # theta's and e's buffers, with c and w as scratch
+        np.exp(np.negative(np.abs(theta, out=e), out=e), out=e)
+        cumulant = np.log1p(e, out=c)
+        cumulant += np.maximum(theta, 0.0, out=w)
         total = cumulant.sum(axis=-1)
-        del cumulant
-        mean = np.maximum(e, theta >= 0, out=theta)  # the numerator of _sigmoid
+        # the numerator of _sigmoid
+        mean = np.maximum(e, np.greater_equal(theta, 0.0, out=w), out=theta)
         e += 1.0
         mean /= e
         var = np.subtract(1.0, mean, out=e)
@@ -122,15 +129,15 @@ class _Logistic:
 
 class _Poisson:
     name = "poisson"
+    origin = (1.0, 1.0, 1.0)
 
     def mean(self, theta):
         with np.errstate(over="ignore"):
             return np.exp(theta)
 
-    def cumulant_mean_variance(self, theta):
+    def cumulant_mean_variance(self, theta, e, c, w):
         # e^theta is the cumulant, the mean and the variance, in theta's buffer
-        with np.errstate(over="ignore"):
-            mu = np.exp(theta, out=theta)
+        mu = np.exp(theta, out=theta)
         return mu.sum(axis=-1), mu, mu
 
     def log_base(self, y, dispersion):
@@ -183,6 +190,8 @@ class Dataset:
         FAMILIES[self.family].check_support(y)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "X", X)
+        # the GLM kernel's reused buffer per chunk size, grown to the largest k
+        object.__setattr__(self, "_workspaces", {})
 
     @property
     def n(self) -> int:
@@ -196,6 +205,15 @@ class Dataset:
     def _gram(self) -> tuple[np.ndarray, np.ndarray]:
         # sufficient statistics for the Gaussian fast path: X'X and X'y
         return self.X.T @ self.X, self.X.T @ self.y
+
+    @cached_property
+    def _origin(self) -> tuple[float, np.ndarray, np.ndarray]:
+        # at beta = 0, each observation of a logistic or Poisson model has the
+        # family's cumulant c0, mean mu0 and variance w0, so the value, score
+        # and negative Hessian over all p columns are log_base - n c0,
+        # X'y - mu0 X'1 and w0 X'X (McCullagh & Nelder 1989, ch. 2)
+        (c0, mu0, w0), (xtx, xty) = FAMILIES[self.family].origin, self._gram
+        return self.log_base - self.n * c0, xty - mu0 * self.X.sum(axis=0), w0 * xtx
 
     @cached_property
     def _xt(self) -> np.ndarray:
@@ -213,6 +231,7 @@ class GlmFit:
     """Maximum-likelihood fit of one submodel."""
 
     beta_hat: np.ndarray
+    neg_hessian: np.ndarray  # of the log-likelihood at beta_hat
     converged: bool
     iterations: int
     separation: bool = False
@@ -248,12 +267,14 @@ NewtonAscent = namedtuple("NewtonAscent", "beta value h converged iterations sin
 
 def newton_ascent(evaluate: Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray]],
                   beta: np.ndarray, d: Dataset, max_iter: int, ridge_tries: int,
-                  step_cap: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
+                  step_cap: Optional[Callable[[np.ndarray, np.ndarray], float]] = None,
+                  start: Optional[tuple[float, np.ndarray, np.ndarray]] = None
                   ) -> NewtonAscent:
     """Damped Newton ascent of an objective from ``beta``, for one model.
 
     ``evaluate(b)`` returns the objective, gradient and negative Hessian at
-    ``b``, once per point.  Each iteration solves for the Newton step by
+    ``b``, once per point; ``start`` is ``evaluate(beta)`` where the caller
+    has it already.  Each iteration solves for the Newton step by
     Cholesky; where the negative Hessian does not factor it retries with a
     ridge, doubling from 1e-8 max(1, max|h|), up to ``ridge_tries`` tries.
     The step starts at fraction ``step_cap(beta, step)`` (else 1) and is
@@ -272,7 +293,7 @@ def newton_ascent(evaluate: Callable[[np.ndarray], tuple[float, np.ndarray, np.n
     """
     tol = GRAD_TOL_PER_OBS * d.n
     scale = max(1.0, abs(d.log_base))
-    value, g, h = evaluate(beta)
+    value, g, h = evaluate(beta) if start is None else start
     eye = np.eye(beta.size)
     iterations = 0
     singular = certified = False
@@ -313,8 +334,8 @@ def newton_ascent(evaluate: Callable[[np.ndarray], tuple[float, np.ndarray, np.n
 
 def fit_mle(d: Dataset, J: ModelIndex) -> GlmFit:
     """Maximum-likelihood fit: :func:`newton_ascent` of the log-likelihood
-    from beta = 0, with one Cholesky try per step, no step cap and at most
-    ``MAX_NEWTON_ITER`` iterations.
+    from beta = 0 (evaluated by :func:`batch_origin`), with one Cholesky try
+    per step, no step cap and at most ``MAX_NEWTON_ITER`` iterations.
 
     For logistic models a fitted coefficient exceeding ``SEPARATION_CAP`` in
     magnitude sets the ``separation`` flag, signalling that the MLE likely
@@ -326,13 +347,14 @@ def fit_mle(d: Dataset, J: ModelIndex) -> GlmFit:
     NotPositiveDefinite
         If the design of ``J`` is rank-deficient.
     """
+    value, g, h = batch_origin(model_batch(d, J.cols[None, :]))
     fit = newton_ascent(lambda b: _one_row(d, J, b), np.zeros(J.size), d,
-                        MAX_NEWTON_ITER, ridge_tries=1)
+                        MAX_NEWTON_ITER, ridge_tries=1, start=(float(value[0]), g[0], h[0]))
     if fit.singular:
         raise NotPositiveDefinite(f"rank-deficient design for model {J}")
     separation = (d.family == "logistic"
                   and float(np.abs(fit.beta).max(initial=0.0)) > SEPARATION_CAP)
-    return GlmFit(beta_hat=fit.beta, converged=fit.converged,
+    return GlmFit(beta_hat=fit.beta, neg_hessian=fit.h, converged=fit.converged,
                   iterations=fit.iterations, separation=separation)
 
 
@@ -367,7 +389,7 @@ def batch_rows(k: int) -> int:
 
 def chunk_rows(d: Dataset) -> int:
     """Models per pass of the logistic and Poisson kernel (see ``BATCH_FLOATS``)."""
-    return max(1, BATCH_FLOATS // d.n)
+    return max(1, BATCH_FLOATS // (2 * d.n))
 
 
 def model_batch(d: Dataset, cols: np.ndarray) -> ModelBatch:
@@ -383,6 +405,16 @@ def model_batch(d: Dataset, cols: np.ndarray) -> ModelBatch:
         return ModelBatch(d=d, cols=cols, xtx=xtx[cols[:, :, None], cols[:, None, :]],
                           xty=xty[cols])
     return ModelBatch(d=d, cols=cols)
+
+
+def batch_origin(batch: ModelBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`batch_evaluate` at beta = 0 with no pass over the n rows: the
+    Gaussian kernel, which reads only X'X and X'y, or slices of
+    ``Dataset._origin``."""
+    if batch.d.family == "gaussian":
+        return batch_evaluate(batch, np.zeros(batch.cols.shape))
+    (value, g, h), cols = batch.d._origin, batch.cols
+    return np.full(cols.shape[0], value), g[cols], h[cols[:, :, None], cols[:, None, :]]
 
 
 def batch_evaluate(batch: ModelBatch, beta: np.ndarray
@@ -404,22 +436,32 @@ def batch_evaluate(batch: ModelBatch, beta: np.ndarray
         g, h = s * (batch.xty - xtx_beta), s * batch.xtx
     else:
         m, k = beta.shape
-        family = FAMILIES[d.family]
+        n, family = d.n, FAMILIES[d.family]
         value, g, h = np.empty(m), np.empty((m, k)), np.empty((m, k, k))
         size = chunk_rows(d)
-        for start in range(0, m, size):
-            rows = slice(start, start + size)
-            xs = d._xt[batch.cols[rows]]
-            # linear predictors X_J beta, one row of n per model, and theta'y
-            # per row from a stacked product, so each row sums on its own
-            theta = np.matmul(beta[rows, None, :], xs)[:, 0, :]
-            ty = np.matmul(theta[:, None, :], d.y[:, None])[:, 0, 0]
-            cumulant, mean, var = family.cumulant_mean_variance(theta)
-            value[rows] = ty - cumulant
-            with np.errstate(over="ignore", invalid="ignore"):  # rows off the exp range
-                g[rows] = np.matmul(xs, (d.y - mean)[:, :, None])[:, :, 0]
-                # one column of X_J' W X_J at a time keeps the temporaries at (M, n)
+        buf = d._workspaces.get(size)
+        if buf is None or buf.shape[0] < k + 4:
+            buf = d._workspaces[size] = None  # free the smaller one first
+            buf = d._workspaces[size] = np.empty((k + 4, size * n))
+        with np.errstate(over="ignore", invalid="ignore"):  # rows off the exp range
+            for start in range(0, m, size):
+                rows, mc = slice(start, start + size), min(size, m - start)
+                theta, e, c, w = buf[:4, :mc * n].reshape(4, mc, n)
+                # column j of the chunk's models is the contiguous block xs[j]
+                xs = d._xt.take(batch.cols[rows].T, axis=0, mode="clip",
+                                out=buf[4:].reshape(-1)[:k * mc * n].reshape(k, mc, n))
+                # linear predictors X_J beta, one row of n per model, and theta'y
+                # per row from a stacked product, so each row sums on its own
+                np.matmul(beta[rows, None, :], xs.transpose(1, 0, 2), out=theta[:, None, :])
+                ty = np.matmul(theta[:, None, :], d.y[:, None])[:, 0, 0]
+                cumulant, mean, var = family.cumulant_mean_variance(theta, e, c, w)
+                value[rows] = ty - cumulant
+                np.matmul(xs.transpose(1, 0, 2), np.subtract(d.y, mean, out=c)[:, :, None],
+                          out=g[rows, :, None])
+                # the lower triangle of X_J' W X_J, one column at a time, mirrored
                 for j in range(k):
-                    h[rows, :, j] = np.matmul(xs, (xs[:, j, :] * var)[:, :, None])[:, :, 0]
+                    np.matmul(xs[j:].transpose(1, 0, 2),
+                              np.multiply(xs[j], var, out=w)[:, :, None], out=h[rows, j:, j, None])
+                    h[rows, j, j + 1:] = h[rows, j + 1:, j]
     value += d.log_base
     return np.where(np.isfinite(value), value, -math.inf), g, h

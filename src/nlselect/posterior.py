@@ -15,13 +15,15 @@ coordinates start on the + side by convention, since the two
 orthant-restricted optima tie by symmetry there.
 
 Two forms: :func:`score_models` scores many submodels in lockstep batches,
-and every command and study reads its marginals, MLEs and modes;
-:func:`fit_model` scores one submodel and is the readable reference that
-the engine is tested against.  Each form has one damped Newton loop, run
-once for the MLE and once for the mode: the engine's lockstep ``_newton``
-here, and ``glm.newton_ascent`` for the reference.  The two share only
-``glm.batch_evaluate``, which gives a point's value, gradient and Hessian at
-once, so each loop evaluates each point once.  In both, a fit is
+and every command and study reads its marginals, MLEs and modes (the
+mle-rate study runs only its MLE stage, :func:`batch_mle`); :func:`fit_model`
+scores one submodel and is the readable reference that the engine is tested
+against.  Each form has one damped Newton loop, run once for the MLE and
+once for the mode: the engine's lockstep ``_newton`` here, and
+``glm.newton_ascent`` for the reference.  The two share only
+``glm.batch_origin``, the MLE's start point, and ``glm.batch_evaluate``,
+which gives a point's value, gradient and Hessian at once, so each loop
+evaluates each point once.  In both, a fit is
 ``converged`` when the gradient test |g|_inf <= ``GRAD_TOL_PER_OBS`` * n
 holds at the returned iterate, whichever rule stopped the loop, or when the
 decrement test certified the last step as below resolution: a Newton step
@@ -40,7 +42,8 @@ import numpy as np
 
 from .glm import (DECREMENT_TOL, GRAD_TOL_PER_OBS, MAX_HALVINGS, MAX_NEWTON_ITER,
                   SEPARATION_CAP, Dataset, GlmFit, ModelBatch, NewtonAscent,
-                  batch_evaluate, batch_rows, fit_mle, model_batch, newton_ascent)
+                  batch_evaluate, batch_origin, batch_rows, fit_mle, model_batch,
+                  newton_ascent)
 from .modelspace import ModelIndex
 from .numerics import (NotPositiveDefinite, SpdMatrix, batch_cho_solve,
                        batch_cholesky, factor_logdet)
@@ -91,9 +94,8 @@ def find_posterior_mode(d: Dataset, J: ModelIndex, spec: NonlocalPriorSpec,
     flagged on the returned fit, never raised.
     """
     batch = model_batch(d, J.cols[None, :])
-    beta = np.array(mle.beta_hat, dtype=float)
-    h = batch_evaluate(batch, beta[None])[2][0]
-    beta = coordinate_mode(beta, np.diagonal(h), spec)
+    beta = coordinate_mode(np.array(mle.beta_hat, dtype=float), np.diagonal(mle.neg_hessian),
+                           spec)
 
     def evaluate(b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         value, g, h = batch_evaluate(batch, b[None])
@@ -228,12 +230,22 @@ def score_models(d: Dataset, models: Sequence[np.ndarray],
     return out
 
 
+def batch_mle(batch: ModelBatch) -> NewtonAscent:
+    """:func:`glm.fit_mle` of every model of ``batch`` in lockstep; a
+    rank-deficient design is ``singular``, with a NaN ``beta``."""
+    mle = _newton(batch, batch_evaluate, np.zeros(batch.cols.shape), batch_origin(batch),
+                  MAX_NEWTON_ITER, ridge_tries=1)
+    mle.beta[mle.singular] = math.nan
+    return mle
+
+
 def _score_batch(batch: ModelBatch, spec: NonlocalPriorSpec, out: ModelScores,
                  rows: np.ndarray) -> None:
-    m, k = batch.cols.shape
-    mle = _newton(batch, batch_evaluate, np.zeros((m, k)), MAX_NEWTON_ITER, ridge_tries=1)
+    k = batch.cols.shape[1]
+    mle = batch_mle(batch)
     out.mle_converged[rows] = mle.converged
     out.excluded[rows] = mle.singular  # a rank-deficient design
+    out.mle[rows, :k] = mle.beta
     beta, h_diag = mle.beta, np.diagonal(mle.h, axis1=-2, axis2=-1)
     if mle.singular.any():
         full_rank = ~mle.singular
@@ -241,11 +253,11 @@ def _score_batch(batch: ModelBatch, spec: NonlocalPriorSpec, out: ModelScores,
                                      h_diag[full_rank], rows[full_rank])
         if not rows.size:
             return
-    out.mle[rows, :k] = beta
     if batch.d.family == "logistic":
         out.separation[rows] = np.abs(beta).max(axis=-1, initial=0.0) > SEPARATION_CAP
-    mode = _newton(batch, lambda sub, b: _log_posterior(sub, b, spec),
-                   coordinate_mode(beta, h_diag, spec), MAX_MODE_ITER,
+    start = coordinate_mode(beta, h_diag, spec)
+    mode = _newton(batch, lambda sub, b: _log_posterior(sub, b, spec), start,
+                   _log_posterior(batch, start, spec), MAX_MODE_ITER,
                    ridge_tries=MAX_RIDGE_TRIES, step_cap=_orthant_cap)
     out.mode[rows, :k] = mode.beta
     factor, ok = batch_cholesky(mode.h)
@@ -272,14 +284,16 @@ def _log_posterior(batch: ModelBatch, beta: np.ndarray, spec: NonlocalPriorSpec
     return value, g, h
 
 
-def _newton(batch: ModelBatch, evaluate: Callable, beta: np.ndarray, max_iter: int,
-            ridge_tries: int, step_cap: Optional[Callable] = None) -> NewtonAscent:
+def _newton(batch: ModelBatch, evaluate: Callable, beta: np.ndarray, start: tuple,
+            max_iter: int, ridge_tries: int, step_cap: Optional[Callable] = None
+            ) -> NewtonAscent:
     """The damped Newton ascent of :func:`glm.newton_ascent` for every row
     of the start ``beta`` (M, k, overwritten) in lockstep, with per-row arrays
     in the result.
 
     ``evaluate(sub, b)`` gives the objective, gradient and negative Hessian
-    at the rows ``b`` of the sub-batch ``sub``, once per point, and
+    at the rows ``b`` of the sub-batch ``sub``, once per point, ``start`` is
+    ``evaluate(batch, beta)`` (overwritten), and
     ``step_cap(b, step)`` each row's first step fraction.  A row leaves the
     active set as soon as its own ascent stops, by the same rules and
     constants as the scalar loop: a row whose step is flat by the decrement
@@ -295,7 +309,8 @@ def _newton(batch: ModelBatch, evaluate: Callable, beta: np.ndarray, max_iter: i
                        singular=np.zeros(m, dtype=bool))
     # the active rows' iterates, and the value, gradient and negative Hessian there
     act, sub, b = np.arange(m), batch, beta
-    v, g, h = evaluate(batch, b)
+    v, g, h = start
+    del start  # so the start's arrays are freed once the loop rebinds v, g and h
     eye = np.eye(k)
     for i in range(max_iter):
         run = np.abs(g).max(axis=-1, initial=0.0) > tol

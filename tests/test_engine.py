@@ -9,6 +9,7 @@ and the searches' deterministic iteration totals on benchmark inputs stay
 within their bounds."""
 
 import math
+import sys
 import warnings
 from dataclasses import fields
 from unittest import mock
@@ -134,6 +135,9 @@ class TestAgainstScalarReference:
             assert scores.excluded.tolist() == both
             assert np.all(scores.log_marginal[both] == -math.inf)
             assert np.isnan(scores.mle[both]).all() and np.isnan(scores.logdet[both]).all()
+            # the origin's Hessian, w0 X'X from the cached sums, is singular too
+            with pytest.raises(NotPositiveDefinite):
+                fit_mle(d, ModelIndex((1, 2)))
 
     def test_saddle_at_mode_is_excluded(self):
         # Mirror-image rows keep every iterate on the diagonal b1 = b2.  The
@@ -308,7 +312,10 @@ class TestStalledSearch:
         assert fit.converged
         assert fit.iterations <= 12
         assert abs(fit.log_marginal - self.LOG_MARGINAL_AT_CAP) <= 1e-8
-        assert calls <= 8
+        # the MLE's start and one trial, then the mode's start, its 2 steps
+        # and the rejected flat trial: the mode search reads the MLE's
+        # Hessian from the GlmFit instead of evaluating the MLE again
+        assert calls == 6
 
     def test_engine_stops_at_resolution(self):
         d = benchmark_gaussian_input(4)
@@ -346,13 +353,40 @@ class TestFusedKernel:
         d = random_dataset(family, seed=7, n=1600, p=7)
         strata = enumerate_strata(7, 3)
         whole = score_models(d, strata, spimom())
-        with mock.patch.object(glm, "BATCH_FLOATS", 4 * 1600 + 1599):
+        with mock.patch.object(glm, "BATCH_FLOATS", 4 * 3200 + 3199):
             assert glm.chunk_rows(d) == 4
             assert all(len(b) % 4 and len(b) > 4 for b in strata[1:])
             chunked = score_models(d, strata, spimom())
         for f in fields(ModelScores):
             np.testing.assert_array_equal(getattr(chunked, f.name),
                                           getattr(whole, f.name), f.name)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts minor page faults by getrusage, as Linux reports them")
+    def test_second_scoring_takes_no_page_faults(self):
+        # once the Dataset's workspace exists the kernel allocates nothing of
+        # size n, so scoring the input again takes almost no minor faults (a
+        # kernel that allocates each chunk's temporaries takes thousands)
+        import resource
+
+        d = benchmark_glm_input("logistic")
+        strata = enumerate_strata(15, 3)
+        score_models(d, strata, spimom())
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        score_models(d, strata, spimom())
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
+
+    def test_batch_mle_is_the_engine_mle(self):
+        # the one MLE stage that score_models and the mle-rate study share: a
+        # rank-deficient design is singular with a NaN MLE
+        d = random_dataset("logistic", seed=3, n=60, p=4, duplicate=True)
+        models = enumerate_models(4, 2)[5:]
+        assert all(J.size == 2 for J in models)
+        mle = posterior.batch_mle(glm.model_batch(d, np.array([J.cols for J in models])))
+        scores = score_models(d, blocks(models), spimom())
+        np.testing.assert_array_equal(mle.beta, scores.mle)
+        assert mle.converged.tolist() == scores.mle_converged.tolist()
+        assert mle.singular.tolist() == [J == ModelIndex((1, 2)) for J in models]
 
     def test_zero_coordinate_is_rejected_silently(self):
         # a trial point with a zero coordinate is off the prior's support:

@@ -3,11 +3,12 @@ identities, and the Hessian diagnostics against dense eigensolver oracles."""
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from nlselect import experiments
+from nlselect import experiments, posterior
 from nlselect.cli import to_json
 from nlselect.experiments import (DESIGN_EQUICORRELATED, ExperimentConfig,
                                   consistency_study, hessian_diagnostics,
@@ -17,7 +18,7 @@ from nlselect.experiments import (DESIGN_EQUICORRELATED, ExperimentConfig,
 from nlselect.glm import Dataset, fit_mle
 from nlselect.modelspace import ModelIndex
 from nlselect.numerics import make_stream
-from nlselect.posterior import fit_model
+from nlselect.posterior import fit_model, score_models
 from nlselect.priors import pimom, spimom
 
 
@@ -111,6 +112,22 @@ class TestMleRateStudy:
         res = mle_rate_study(cfg)
         vals = [row["value"] for row in res.summary["scaled_medians"]]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("family", ["gaussian", "logistic", "poisson"])
+    def test_rows_are_the_engine_mle_alone(self, family):
+        # the study runs the engine's MLE stage and no mode search, and each
+        # row is what a full score_models call reports for the true support
+        cfg = base_config(family=family, beta0=(0.5, -0.4))
+        with mock.patch.object(posterior, "_log_posterior",
+                               side_effect=AssertionError("the mode search ran")):
+            res = mle_rate_study(cfg)
+        reps = list(experiments._replications(cfg))
+        assert len(res.rows) == len(reps)
+        for row, (n, rep, _, d, beta0) in zip(res.rows, reps):
+            scores = score_models(d, [[cfg.true_support.indices]], cfg.prior)
+            assert row == {"n": n, "rep": rep,
+                           "l2_error": float(np.linalg.norm(scores.mle[0] - beta0)),
+                           "converged": bool(scores.mle_converged[0])}
 
     def test_single_point_grid_flagged(self):
         res = mle_rate_study(base_config(n_grid=(200,)))

@@ -4,6 +4,7 @@ and the batched kernels against the families' densities written out."""
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from oracles import fd_gradient, fd_jacobian
 from scipy.special import gammaln
 
-from nlselect.glm import (BATCH_FLOATS, Dataset, FamilySupport, batch_evaluate,
+from nlselect import glm
+from nlselect.glm import (BATCH_FLOATS, Dataset, FamilySupport, batch_evaluate, batch_origin,
                           batch_rows, chunk_rows, fit_mle, log_likelihood, model_batch,
                           neg_hessian, score)
 from nlselect.modelspace import ModelIndex
@@ -319,13 +321,39 @@ class TestBatchKernels:
             np.testing.assert_array_equal(got, want[[4, 1]])
 
     def test_batch_rows_rule(self):
-        # k^2 floats per model in a batch, for every family, and n per model
-        # in a pass of the logistic and Poisson kernel
+        # k^2 floats per model in a batch, for every family, and 2n per model
+        # in a pass of the logistic and Poisson kernel: 10 at n = 1600
         rng = np.random.default_rng(32)
         assert [batch_rows(k) for k in (0, 1, 3)] == [BATCH_FLOATS, BATCH_FLOATS,
                                                       BATCH_FLOATS // 9]
-        assert chunk_rows(random_instance("logistic", rng, n=1600, p=4)) == BATCH_FLOATS // 1600
+        assert chunk_rows(random_instance("logistic", rng, n=1600, p=4)) == BATCH_FLOATS // 3200 == 10
         assert chunk_rows(random_instance("poisson", rng, n=10**6, p=1)) == 1
+
+    def test_workspace_reuse_matches_fresh_datasets(self):
+        # batches of k = 1, 3 and 2 interleaved on two datasets of different
+        # n, in chunks of 1 row, of 3 and of the default size (23 models leave
+        # a ragged last chunk in each): every result equals the same call on a
+        # fresh copy of its dataset, the workspace follows the patched
+        # BATCH_FLOATS and is grown to k = 3 and reused for k = 2, and no
+        # later call overwrites an earlier result
+        rng = np.random.default_rng(35)
+        data = [random_instance(f, rng, n=n, p=6) for f, n in (("logistic", 1600),
+                                                                ("poisson", 90))]
+        results = []
+        for batch_floats in (1, 3 * 3200 + 5, BATCH_FLOATS):
+            with mock.patch.object(glm, "BATCH_FLOATS", batch_floats):
+                for k, d in itertools.product((1, 3, 2), data):
+                    cols = np.array([rng.choice(6, size=k, replace=False) for _ in range(23)])
+                    beta = rng.normal(scale=0.3, size=(23, k))
+                    got = batch_evaluate(model_batch(d, cols), beta)
+                    rows = {1: 5, 3: 7, 2: 7}[k]  # k + 4 rows, k the largest size so far
+                    assert d._workspaces[chunk_rows(d)].shape == (rows, chunk_rows(d) * d.n)
+                    fresh = Dataset(y=d.y.copy(), X=d.X.copy(), family=d.family)
+                    results.append((got, batch_evaluate(model_batch(fresh, cols), beta)))
+        assert len(data[0]._workspaces) == len(data[1]._workspaces) == 3
+        for got, want in results:
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
 
     def test_poisson_beyond_exp_range_is_silent(self):
         # theta = 800 on two rows overflows e^theta: the value is -inf, and the
@@ -340,6 +368,29 @@ class TestBatchKernels:
         assert value[0] == -math.inf and np.isnan(g[0]).any()
         assert value[1] == log_likelihood(d, ModelIndex((1, 2)), beta[1])
         assert math.isfinite(value[1])
+
+
+class TestOriginStep:
+    """Every logistic and Poisson MLE starts at beta = 0, evaluated from the
+    cached X'X, X'y and column sums with no pass over the n rows."""
+
+    @pytest.mark.parametrize("family", ["logistic", "poisson"])
+    def test_matches_kernel_at_zero(self, family):
+        rng = np.random.default_rng(36)
+        d = random_instance(family, rng, n=300, p=5)
+        batch = model_batch(d, np.array(list(itertools.combinations(range(5), 3))))
+        got, want = batch_origin(batch), batch_evaluate(batch, np.zeros((10, 3)))
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_fit_keeps_the_hessian_of_its_last_point(self, family):
+        rng = np.random.default_rng(37)
+        d = random_instance(family, rng, n=80, p=3)
+        J = ModelIndex((1, 2, 3))
+        fit = fit_mle(d, J)
+        assert fit.iterations > 0
+        np.testing.assert_array_equal(fit.neg_hessian, neg_hessian(d, J, fit.beta_hat).entries)
 
 
 class TestSigmoid:
