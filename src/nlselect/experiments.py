@@ -142,8 +142,8 @@ def simulate_dataset(cfg: ExperimentConfig, n: int,
     if cfg.design == DESIGN_EQUICORRELATED and cfg.rho > 0.0:
         shared = rng.normal(size=(n, 1))
         X = math.sqrt(1.0 - cfg.rho) * X + math.sqrt(cfg.rho) * shared
-    X = X - X.mean(axis=0)
-    X = X / X.std(axis=0)
+    X -= X.mean(axis=0)  # in place: X is this call's own array
+    X /= X.std(axis=0)
     beta0 = cfg.realized_beta0(n)
     theta = X[:, cfg.true_support.cols] @ beta0
     y = FAMILIES[cfg.family].sample(theta, cfg.dispersion, rng)

@@ -178,10 +178,14 @@ def enumerate_strata(p: int, q: int) -> list[np.ndarray]:
     if sum(counts) > ENUMERATION_CAP:
         raise TooManyModels(
             f"{sum(counts)} models exceeds the cap of {ENUMERATION_CAP}")
-    return [np.fromiter(itertools.chain.from_iterable(
-                itertools.combinations(range(1, p + 1), k)), dtype=int,
-                count=m * k).reshape(m, k)
+    return [_rows(itertools.combinations(range(1, p + 1), k), m, k)
             for k, m in enumerate(counts)]
+
+
+def _rows(models: Iterable[tuple[int, ...]], m: int, k: int) -> np.ndarray:
+    """The (m, k) integer array whose rows are the given m size-k models."""
+    return np.fromiter(itertools.chain.from_iterable(models), dtype=int,
+                       count=m * k).reshape(m, k)
 
 
 def enumerate_models(p: int, q: int) -> list[ModelIndex]:
@@ -224,7 +228,7 @@ def _as_strata(models: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
     groups: list[list[tuple[int, ...]]] = [[] for _ in range(len(models[-1]) + 1)]
     for m in models:
         groups[len(m)].append(m)
-    return [np.array(g, dtype=int).reshape(len(g), k) for k, g in enumerate(groups)]
+    return [_rows(g, len(g), k) for k, g in enumerate(groups)]
 
 
 def posterior_probs(entries: Sequence[tuple[ModelIndex, float]],
@@ -249,10 +253,11 @@ def _neighbors(current: tuple[int, ...], p: int, q: int) -> list[tuple[int, ...]
     q) and its single-deletion neighbors, in plain tuple order."""
     out = [current[:i] + current[i + 1:] for i in range(len(current))]
     if len(current) < q:
-        base = np.asarray(current, dtype=int)
-        added = np.setdiff1d(np.arange(1, p + 1), base)
-        grown = np.column_stack([np.broadcast_to(base, (added.size, base.size)), added])
-        out.extend(map(tuple, np.sort(grown, axis=1).tolist()))
+        # the indices j of each gap between current's, inserted at the gap
+        bounds = (0, *current, p + 1)
+        for i in range(len(current) + 1):
+            head, tail = current[:i], current[i:]
+            out.extend(head + (j,) + tail for j in range(bounds[i] + 1, bounds[i + 1]))
     out.sort()
     return out
 
@@ -296,8 +301,9 @@ def greedy_search(d, spec, q: int, budget: int, stream: RandomStream,
     cache: dict[tuple[int, ...], float] = {}  # in the row order of parts
 
     def score(models: list[tuple[int, ...]]) -> None:
-        runs = (np.array(list(g), dtype=int) for _, g in itertools.groupby(models, key=len))
-        parts.append(score_fn(d, [*runs, np.empty((0, q), dtype=int)], spec))
+        runs = [list(g) for _, g in itertools.groupby(models, key=len)]
+        blocks = [_rows(run, len(run), len(run[0])) for run in runs]
+        parts.append(score_fn(d, [*blocks, np.empty((0, q), dtype=int)], spec))
         cache.update(zip(models, parts[-1].log_marginal.tolist()))
     p = d.X.shape[1]
     current: tuple[int, ...] = ()
@@ -317,7 +323,7 @@ def greedy_search(d, spec, q: int, budget: int, stream: RandomStream,
         if not scored:
             break
         best_lm = max(cache[m] for m in scored)
-        best = min(m for m in scored if cache[m] == best_lm)
+        best = next(m for m in scored if cache[m] == best_lm)  # the first in tuple order
         stalls = 0 if best_lm > cache[current] else stalls + 1
         rng = derive_stream(stream, step).generator
         if rng.uniform() < 0.9:

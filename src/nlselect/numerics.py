@@ -64,6 +64,13 @@ class SpdMatrix:
 PIVOT_RTOL = 1e-12
 
 
+def _dot(xs: list[np.ndarray], ys: list[np.ndarray]) -> np.ndarray:
+    """sum_l xs[l] * ys[l], elementwise, rounded as numpy's last-axis sum: one
+    term after another onto 0.0 below 8 terms, else by that sum itself."""
+    terms = [x * y for x, y in zip(xs, ys)]
+    return np.stack(terms, axis=-1).sum(axis=-1) if len(terms) >= 8 else sum(terms, 0.0)
+
+
 def batch_cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factors of a stack of symmetric matrices, shape (..., k, k).
 
@@ -72,22 +79,23 @@ def batch_cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     diagonal entry; that matrix's factor is then meaningless.  Unlike
     ``np.linalg.cholesky`` on a stack, one failed matrix does not fail the
     others.  Loops over the k(k+1)/2 entries, each vectorized over the
-    stack, so it suits small k.
+    stack and written in place, so it suits small k.
     """
     a = np.asarray(a, dtype=float)
     k = a.shape[-1]
     factor = np.zeros_like(a)
     ok = np.ones(a.shape[:-2], dtype=bool)
+    low = [[factor[..., i, j] for j in range(i + 1)] for i in range(k)]  # views
     for j in range(k):
-        row = factor[..., j, :j]
-        pivot = a[..., j, j] - (row * row).sum(axis=-1)
-        good = (pivot > 0.0) & (pivot > PIVOT_RTOL * a[..., j, j])
+        diag = a[..., j, j]
+        pivot = diag - _dot(low[j][:j], low[j][:j]) if j else diag
+        # one comparison that is False for a NaN pivot or a NaN diagonal too
+        good = pivot > np.maximum(PIVOT_RTOL * diag, 0.0)
         ok &= good
-        root = np.sqrt(np.where(good, pivot, 1.0))
-        factor[..., j, j] = root
+        root = np.sqrt(np.where(good, pivot, 1.0), out=low[j][j])
         for i in range(j + 1, k):
-            factor[..., i, j] = (a[..., i, j]
-                                 - (factor[..., i, :j] * row).sum(axis=-1)) / root
+            below = a[..., i, j] - _dot(low[i][:j], low[j][:j]) if j else a[..., i, j]
+            np.divide(below, root, out=low[i][j])
     return factor, ok
 
 
@@ -96,12 +104,13 @@ def batch_cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     :func:`batch_cholesky`; ``b`` has shape (..., k)."""
     k = factor.shape[-1]
     x = np.empty(np.broadcast_shapes(factor.shape[:-1], np.shape(b)))
+    xs = [x[..., i] for i in range(k)]  # views
     for i in range(k):  # forward: L z = b
-        x[..., i] = (b[..., i] - (factor[..., i, :i] * x[..., :i]).sum(axis=-1)
-                     ) / factor[..., i, i]
+        rhs = b[..., i] - _dot([factor[..., i, j] for j in range(i)], xs[:i]) if i else b[..., i]
+        np.divide(rhs, factor[..., i, i], out=xs[i])
     for i in reversed(range(k)):  # backward, in place: L' x = z
-        x[..., i] = (x[..., i] - (factor[..., i + 1:, i] * x[..., i + 1:]).sum(axis=-1)
-                     ) / factor[..., i, i]
+        rhs = xs[i] - _dot([factor[..., j, i] for j in range(i + 1, k)], xs[i + 1:])
+        np.divide(rhs, factor[..., i, i], out=xs[i])
     return x
 
 

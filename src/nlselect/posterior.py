@@ -47,8 +47,7 @@ from .glm import (DECREMENT_TOL, GRAD_TOL_PER_OBS, MAX_HALVINGS, MAX_NEWTON_ITER
 from .modelspace import ModelIndex
 from .numerics import (NotPositiveDefinite, SpdMatrix, batch_cho_solve,
                        batch_cholesky, factor_logdet)
-from .priors import (NonlocalPriorSpec, coordinate_mode, log_prior, log_prior_grad,
-                     log_prior_neg_hessian)
+from .priors import NonlocalPriorSpec, coordinate_mode, log_prior_terms
 
 MAX_MODE_ITER = 200
 MAX_RIDGE_TRIES = 60
@@ -58,6 +57,8 @@ def _orthant_cap(beta: np.ndarray, step: np.ndarray) -> np.ndarray:
     """The largest step fraction (at most 1) that stops every sign-flipping
     coordinate halfway to zero, for a vector or per row of a stack."""
     flips = np.sign(beta + step) != np.sign(beta)
+    if not flips.any():
+        return np.ones(beta.shape[:-1])
     with np.errstate(divide="ignore", invalid="ignore"):
         caps = np.where(flips, np.abs(beta) / (2.0 * np.abs(step)), np.inf)
     return np.minimum(1.0, caps.min(axis=-1, initial=np.inf))
@@ -99,11 +100,8 @@ def find_posterior_mode(d: Dataset, J: ModelIndex, spec: NonlocalPriorSpec,
 
     def evaluate(b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         value, g, h = batch_evaluate(batch, b[None])
-        value = float(value[0]) + log_prior(b, spec)
-        if not b.all():  # off the prior's support: -inf, rejected unread
-            return value, g[0], h[0]
-        return (value, g[0] + log_prior_grad(b, spec),
-                h[0] + np.diag(log_prior_neg_hessian(b, spec)))
+        prior, grad, curv = log_prior_terms(b, spec)
+        return float(value[0]) + float(prior), g[0] + grad, h[0] + np.diag(curv)
 
     fit = newton_ascent(evaluate, beta, d, MAX_MODE_ITER,
                         ridge_tries=MAX_RIDGE_TRIES, step_cap=_orthant_cap)
@@ -168,7 +166,8 @@ class ModelScores:
     test holds at the returned MLE and mode, whether the search stopped at
     the test, at the stall stop or at its iteration cap, or that the
     decrement test certified the last step as below resolution;
-    ``iterations`` counts the mode search's Newton steps.  ``logdet`` is
+    ``iterations`` and ``mle_iterations`` count the mode search's and the
+    MLE's Newton steps.  ``logdet`` is
     log det H* at the mode, NaN where H* fails to factor.  ``separation``
     is the logistic MLE's flag (a coefficient beyond ``SEPARATION_CAP``).
     """
@@ -181,11 +180,13 @@ class ModelScores:
     mle: np.ndarray
     mode: np.ndarray
     mle_converged: np.ndarray
+    mle_iterations: np.ndarray
     logdet: np.ndarray
 
     @classmethod
     def gather(cls, parts: Sequence[ModelScores], rows: Sequence[int]) -> ModelScores:
         """The given ``rows`` of ``parts`` stacked in order (all of one width)."""
+        rows = np.asarray(rows, dtype=int)
         return cls(**{f.name: np.concatenate([getattr(s, f.name) for s in parts])[rows]
                       for f in fields(cls)})
 
@@ -217,7 +218,8 @@ def score_models(d: Dataset, models: Sequence[np.ndarray],
                       iterations=np.zeros(m, dtype=int),
                       separation=np.zeros(m, dtype=bool),
                       mle=np.full((m, w), math.nan), mode=np.full((m, w), math.nan),
-                      mle_converged=np.zeros(m, dtype=bool), logdet=np.full(m, math.nan))
+                      mle_converged=np.zeros(m, dtype=bool),
+                      mle_iterations=np.zeros(m, dtype=int), logdet=np.full(m, math.nan))
     for k in sorted({b.shape[1] for b in blocks if b.shape[0]}):
         group = [i for i, b in enumerate(blocks) if b.shape[1] == k]
         rows = np.concatenate([np.arange(ends[i] - blocks[i].shape[0], ends[i])
@@ -244,6 +246,7 @@ def _score_batch(batch: ModelBatch, spec: NonlocalPriorSpec, out: ModelScores,
     k = batch.cols.shape[1]
     mle = batch_mle(batch)
     out.mle_converged[rows] = mle.converged
+    out.mle_iterations[rows] = mle.iterations
     out.excluded[rows] = mle.singular  # a rank-deficient design
     out.mle[rows, :k] = mle.beta
     beta, h_diag = mle.beta, np.diagonal(mle.h, axis1=-2, axis2=-1)
@@ -276,11 +279,11 @@ def _log_posterior(batch: ModelBatch, beta: np.ndarray, spec: NonlocalPriorSpec
     A row with a zero coordinate is off the prior's support, -inf, and
     rejected unread, so the prior's derivatives take 1 in its place."""
     value, g, h = batch_evaluate(batch, beta)
-    value += log_prior(beta, spec)
-    safe = np.where(beta != 0.0, beta, 1.0)
-    g += log_prior_grad(safe, spec)
-    diag = np.arange(beta.shape[1])
-    h[:, diag, diag] += log_prior_neg_hessian(safe, spec)
+    prior, grad, curv = log_prior_terms(beta, spec)
+    value += prior
+    g += grad
+    diag = np.einsum("...ii->...i", h)  # a writable view of each diagonal
+    diag += curv
     return value, g, h
 
 
@@ -299,6 +302,9 @@ def _newton(batch: ModelBatch, evaluate: Callable, beta: np.ndarray, start: tupl
     constants as the scalar loop: a row whose step is flat by the decrement
     test gets one trial, and if that is rejected it stops, ``converged``,
     at its iterate.
+    Fast paths keep that arithmetic: views (``slice(None)``) while every row is
+    in play; return once all pass the gradient test; factor h itself first,
+    with the ridge floor only after a failure, the decrement only on a rejection.
     """
     tol = GRAD_TOL_PER_OBS * batch.d.n
     # the objective rounds at the scale of its constant term too
@@ -311,62 +317,73 @@ def _newton(batch: ModelBatch, evaluate: Callable, beta: np.ndarray, start: tupl
     act, sub, b = np.arange(m), batch, beta
     v, g, h = start
     del start  # so the start's arrays are freed once the loop rebinds v, g and h
-    eye = np.eye(k)
     for i in range(max_iter):
-        run = np.abs(g).max(axis=-1, initial=0.0) > tol
+        run = (np.abs(g) > tol).any(axis=-1)  # |g|_inf > tol, False if NaN
+        if not run.any():
+            out.converged[act] = True
+            break
         out.converged[act[~run]] = True
         # Newton steps; where h does not factor, retry with h + ridge I, the
         # ridge doubling from 1e-8 max(1, max|h|)
-        step = np.zeros_like(g)
-        ridge = np.zeros(act.size)
-        floor = 1e-8 * np.maximum(1.0, np.abs(h).max(axis=(-2, -1), initial=0.0))
-        pending = np.flatnonzero(run)
+        step = np.zeros(g.shape)
+        pending, ridge = run.nonzero()[0], None
         for _ in range(ridge_tries):
-            if not pending.size:
+            rows = slice(None) if pending.size == act.size else pending
+            factor, ok = batch_cholesky(h[rows] if ridge is None
+                                        else h[rows] + ridge[rows, None, None] * np.eye(k))
+            if ok.all():
+                step[rows] = batch_cho_solve(factor, g[rows])
+                pending = pending[:0]
                 break
-            factor, ok = batch_cholesky(h[pending] + ridge[pending, None, None] * eye)
-            step[pending[ok]] = batch_cho_solve(factor[ok], g[pending[ok]])
+            step[pending[ok]] = batch_cho_solve(factor[ok], g[rows][ok])
             pending = pending[~ok]
+            if ridge is None:
+                ridge = np.zeros(act.size)
+                floor = 1e-8 * np.maximum(1.0, np.abs(h).max(axis=(-2, -1), initial=0.0))
             ridge[pending] = np.maximum(2.0 * ridge[pending], floor[pending])
         out.singular[act[pending]] = True
         run[pending] = False
-        flat = (g * step).sum(axis=-1) <= DECREMENT_TOL * np.maximum(scale, np.abs(v))
         # step-halving: each row with a step takes the first of b + t step,
         # b + (t/2) step, ... whose objective is >= its value, and with it the
         # trial's gradient and Hessian; a flat step gets one trial, and its
         # rejection certifies the row at b
         t = np.ones(act.size) if step_cap is None else step_cap(b, step)
         moved = np.zeros(act.size, dtype=bool)
-        pending = np.flatnonzero(run)
-        for _ in range(MAX_HALVINGS):
+        pending = run.nonzero()[0]
+        for halving in range(MAX_HALVINGS):
             if not pending.size:
                 break
-            trial = b[pending] + t[pending, None] * step[pending]
-            part = sub if pending.size == act.size else sub.take(pending)
-            trial_v, trial_g, trial_h = evaluate(part, trial)
-            ok = trial_v >= v[pending]
-            hit = pending[ok]
-            if hit.size == act.size:  # every row takes its first trial
-                moved = np.any(trial != b, axis=-1)
+            every = pending.size == act.size
+            rows = slice(None) if every else pending
+            trial = b[rows] + t[rows, None] * step[rows]
+            trial_v, trial_g, trial_h = evaluate(sub if every else sub.take(pending), trial)
+            ok = trial_v >= v[rows]
+            if every and ok.all():  # every row takes its first trial
+                moved = (trial != b).any(axis=-1)
                 b, v, g, h = trial, trial_v, trial_g, trial_h
-            else:
-                moved[hit] = np.any(trial[ok] != b[hit], axis=-1)
-                b[hit], v[hit], g[hit], h[hit] = trial[ok], trial_v[ok], trial_g[ok], trial_h[ok]
+                break
+            hit = pending[ok]
+            moved[hit] = (trial[ok] != b[hit]).any(axis=-1)
+            b[hit], v[hit], g[hit], h[hit] = trial[ok], trial_v[ok], trial_g[ok], trial_h[ok]
             pending = pending[~ok]
-            out.converged[act[pending[flat[pending]]]] = True
-            pending = pending[~flat[pending]]
+            if not halving and pending.size:  # first trials rejected: flat steps stop
+                dec = (g[pending] * step[pending]).sum(axis=-1)
+                flat = dec <= DECREMENT_TOL * np.maximum(scale, np.abs(v[pending]))
+                out.converged[act[pending[flat]]] = True
+                pending = pending[~flat]
             t[pending] *= 0.5
         # a row stops when no halving is accepted or the step leaves it unchanged
         if not moved.all():
             stop = act[~moved]
             out.beta[stop], out.value[stop], out.h[stop] = b[~moved], v[~moved], h[~moved]
             out.iterations[stop] = i
+            if not moved.any():
+                return out
             act, sub = act[moved], sub.take(moved)
             b, v, g, h = b[moved], v[moved], g[moved], h[moved]
-        if not act.size:
-            break
     else:
-        out.beta[act], out.value[act], out.h[act] = b, v, h
-        out.iterations[act] = max_iter
-        out.converged[act] = np.abs(g).max(axis=-1, initial=0.0) <= tol
+        i = max_iter
+        out.converged[act] = (np.abs(g) <= tol).all(axis=-1)
+    out.beta[act], out.value[act], out.h[act] = b, v, h
+    out.iterations[act] = i
     return out

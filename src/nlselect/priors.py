@@ -146,10 +146,7 @@ def log_prior_grad(beta, spec: NonlocalPriorSpec) -> np.ndarray:
 
     piMOM: -(r+1)/b + 2 tau / b^3.  spiMOM: -(r+1)/b + 2 sqrt(lambda) sign(b) / b^2.
     """
-    beta = _coordinates(beta, "gradient")
-    if spec.kind == "pimom":
-        return -(spec.r + 1.0) / beta + 2.0 * spec.scale / beta**3
-    return -(spec.r + 1.0) / beta + 2.0 * math.sqrt(spec.scale) * np.sign(beta) / beta**2
+    return log_prior_terms(_coordinates(beta, "gradient"), spec)[1]
 
 
 def log_prior_neg_hessian(beta, spec: NonlocalPriorSpec) -> np.ndarray:
@@ -160,10 +157,26 @@ def log_prior_neg_hessian(beta, spec: NonlocalPriorSpec) -> np.ndarray:
     negative far from the prior mode; definiteness is checked only on the
     assembled log-posterior Hessian.
     """
-    beta = _coordinates(beta, "curvature")
+    return log_prior_terms(_coordinates(beta, "curvature"), spec)[2]
+
+
+def log_prior_terms(beta, spec: NonlocalPriorSpec
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The log prior, its gradient and its negative Hessian diagonal at once,
+    for a Newton objective: at a nonzero ``beta`` those of :func:`log_prior`,
+    :func:`log_prior_grad` and :func:`log_prior_neg_hessian` bit for bit.  A
+    zero coordinate gives -inf and derivatives taken at 1 in its place."""
+    beta = np.asarray(beta, dtype=float)
+    b = np.where(beta != 0.0, beta, 1.0)
+    b2, r1 = b**2, spec.r + 1.0
     if spec.kind == "pimom":
-        return 6.0 * spec.scale / beta**4 - (spec.r + 1.0) / beta**2
-    return 4.0 * math.sqrt(spec.scale) / np.abs(beta)**3 - (spec.r + 1.0) / beta**2
+        grad = -r1 / b + 2.0 * spec.scale / b**3
+        curv = 6.0 * spec.scale / b**4 - r1 / b2
+    else:
+        root = math.sqrt(spec.scale)
+        grad = -r1 / b + 2.0 * root * np.sign(b) / b2
+        curv = 4.0 * root / np.abs(b)**3 - r1 / b2
+    return log_prior(beta, spec), grad, curv
 
 
 # =============================================================================
@@ -202,26 +215,29 @@ def coordinate_mode(b, h, spec: NonlocalPriorSpec) -> np.ndarray:
     e = 2 if spec.kind == "pimom" else 1  # u^e multiplies (r+1)
     c = 2.0 * spec.scale if spec.kind == "pimom" else 2.0 * math.sqrt(spec.scale)
     r1 = spec.r + 1.0
-    with np.errstate(divide="ignore"):
+    a1 = (e + 1) * a  # a loop invariant
+    with np.errstate(divide="ignore", invalid="ignore"):
         tail = (c / h) ** (1.0 / (e + 2))
-    hi = np.minimum(np.maximum(a, spec.prior_mode), a + tail)
-    lo = np.zeros_like(hi)
-    u = hi
-    done = np.zeros(u.shape, dtype=bool)
-    for _ in range(MODE_SOLVE_STEPS):
-        ue = u**e
-        f = h * ue * u * (u - a) + r1 * ue - c
-        df = h * ue * ((e + 2) * u - (e + 1) * a) + e * r1 * u ** (e - 1)
-        below = f < 0.0
-        lo = np.where(below, u, lo)
-        hi = np.where(below, hi, u)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        hi = np.minimum(np.maximum(a, spec.prior_mode), a + tail)
+        lo = np.zeros_like(hi)
+        u = hi
+        done = np.zeros(u.shape, dtype=bool)
+        for _ in range(MODE_SOLVE_STEPS):
+            ue = u * u if e == 2 else u
+            hue = h * ue
+            f = hue * u * (u - a) + r1 * ue - c
+            df = hue * ((e + 2) * u - a1) + (e * r1 * u if e == 2 else r1)
+            below = f < 0.0
+            lo = np.where(below, u, lo)
+            hi = np.where(below, hi, u)
             x = u - f / df
-        x = np.where((x >= lo) & (x <= hi), x, 0.5 * (lo + hi))
-        # a coordinate takes the step that solves it, then stays put
-        u, done = np.where(done, u, x), done | (np.abs(x - u) <= MODE_SOLVE_RTOL * x)
-        if done.all():
-            break
+            inside = (x >= lo) & (x <= hi)
+            if not inside.all():
+                x = np.where(inside, x, 0.5 * (lo + hi))
+            # a coordinate takes the step that solves it, then stays put
+            u, done = np.where(done, u, x), done | (np.abs(x - u) <= MODE_SOLVE_RTOL * x)
+            if done.all():
+                break
     return np.where(b < 0.0, -u, u)
 
 

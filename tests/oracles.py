@@ -115,6 +115,6 @@ def per_model_scorer(fn):
                            converged=np.ones(m, dtype=bool), iterations=np.zeros(m, dtype=int),
                            separation=np.zeros(m, dtype=bool), mle=np.full((m, w), math.nan),
                            mode=np.full((m, w), math.nan), mle_converged=np.ones(m, dtype=bool),
-                           logdet=np.full(m, math.nan))
+                           mle_iterations=np.zeros(m, dtype=int), logdet=np.full(m, math.nan))
 
     return score

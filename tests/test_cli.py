@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, file formats, reproducibility, and the
 documented end-to-end selection examples."""
 
+import argparse
 import csv
 import json
 import math
@@ -835,3 +836,19 @@ class TestModelsJson:
         rows = [{"indices": m, "log_marginal": lm, "probability": prob}
                 for m, lm, prob in post.entries]
         assert to_json({"models": post}) == to_json({"models": rows})
+
+
+class TestParser:
+    def test_two_calls_build_the_parser_once(self, tmp_path, monkeypatch):
+        # the parser is built at most once per process, however many main calls
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def spy(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        for _ in range(2):
+            assert run(["density", "--grid=-1:1:5", "--out", tmp_path / "dens.csv"]) == 0
+        assert built.count("nlselect") <= 1

@@ -89,10 +89,10 @@ def blocks(models):
 
 def assert_matches_scalar(d, models, spec):
     """Every field of every row equals the scalar reference: the log marginal
-    and exclusion of ``fit_model``; the MLE, ``mle_converged`` and
-    ``separation`` of ``fit_mle``; the mode, ``converged`` and ``iterations``
-    of ``find_posterior_mode``; log det H* of ``factor_logdet``; and NaN
-    padding beyond each model's size."""
+    and exclusion of ``fit_model``; the MLE, ``mle_converged``,
+    ``mle_iterations`` and ``separation`` of ``fit_mle``; the mode,
+    ``converged`` and ``iterations`` of ``find_posterior_mode``; log det H*
+    of ``factor_logdet``; and NaN padding beyond each model's size."""
     scores = score_models(d, blocks(models), spec)
     fits = [fit_model(d, J, spec) for J in models]
     assert scores.log_marginal.tolist() == [f.log_marginal for f in fits]
@@ -112,6 +112,7 @@ def assert_matches_scalar(d, models, spec):
         np.testing.assert_array_equal(scores.mle[i, :k], mle.beta_hat)
         np.testing.assert_array_equal(scores.mode[i, :k], pm.beta_pm)
         assert scores.mle_converged[i] == mle.converged, J
+        assert scores.mle_iterations[i] == mle.iterations, J
         assert scores.separation[i] == mle.separation, J
         assert scores.converged[i] == pm.converged, J
         assert scores.iterations[i] == pm.iterations, J

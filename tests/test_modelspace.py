@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import per_model_scorer
 
 from nlselect.glm import Dataset
-from nlselect.modelspace import (ModelIndex, TooManyModels, enumerate_models,
+from nlselect.modelspace import (ModelIndex, TooManyModels, _neighbors, enumerate_models,
                                  enumerate_strata, greedy_search, normalize_strata,
                                  posterior_probs)
 from nlselect.numerics import make_stream
@@ -301,3 +303,16 @@ class TestWalkOrder:
         with pytest.raises(ValueError):
             greedy_search(strong_signal_dataset(0), spimom(), q=2, budget=-1,
                           stream=make_stream(0))
+
+
+class TestNeighbors:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_single_additions_and_deletions_in_tuple_order(self, data):
+        p = data.draw(st.integers(1, 12))
+        q = data.draw(st.integers(0, p))
+        current = tuple(sorted(data.draw(st.sets(st.integers(1, p), max_size=q))))
+        deletions = [tuple(j for j in current if j != drop) for drop in current]
+        additions = ([tuple(sorted(current + (j,))) for j in range(1, p + 1) if j not in current]
+                     if len(current) < q else [])
+        assert _neighbors(current, p, q) == sorted(deletions + additions)

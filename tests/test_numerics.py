@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlselect.experiments import hessian_diagnostics
 from nlselect.glm import Dataset, fit_mle
 from nlselect.modelspace import ModelIndex
-from nlselect.numerics import (NoConvergence, NotPositiveDefinite, SpdMatrix,
+from nlselect.numerics import (PIVOT_RTOL, NoConvergence, NotPositiveDefinite, SpdMatrix,
                                adaptive_quad, batch_cho_solve, batch_cholesky,
                                derive_stream, factor_logdet, make_stream)
 
@@ -102,6 +104,85 @@ class TestBatchCholesky:
         one, ok = batch_cholesky(a[3])
         assert ok.shape == () and ok
         np.testing.assert_array_equal(batch_cho_solve(one, b[3]), x[3])
+
+
+@st.composite
+def matrix_stacks(draw):
+    """A stack of symmetric k x k matrices (k = 0-4), each a Gram matrix that
+    is left positive definite, given a duplicated column, shifted toward a
+    negative pivot, or given a NaN entry; and a right-hand side per matrix."""
+    k, m = draw(st.integers(0, 4)), draw(st.integers(1, 6))
+    kinds = draw(st.lists(st.sampled_from(["spd", "dup", "shift", "nan"]),
+                          min_size=m, max_size=m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(m, k + 2, k))
+    for i, kind in enumerate(kinds):
+        if kind == "dup" and k >= 2:
+            x[i, :, k - 1] = x[i, :, 0]
+    a = x.transpose(0, 2, 1) @ x
+    for i, kind in enumerate(kinds):
+        if kind == "shift" and k:
+            a[i] -= rng.uniform(0.0, 4.0) * np.eye(k)
+        elif kind == "nan" and k:
+            r, c = rng.integers(k, size=2)
+            a[i, r, c] = a[i, c, r] = np.nan
+    return a, rng.normal(size=(m, k))
+
+
+def textbook_pivots_ok(a):
+    """Whether a per-matrix Cholesky in Python floats meets only pivots above
+    max(PIVOT_RTOL a_jj, 0), and whether every pivot it met was clear of that
+    threshold (so the order of rounding cannot decide it)."""
+    k = a.shape[0]
+    low = [[0.0] * k for _ in range(k)]
+    for j in range(k):
+        ajj = float(a[j, j])
+        pivot = ajj - sum(low[j][i] ** 2 for i in range(j))
+        if math.isnan(pivot) or math.isnan(ajj):
+            return False, True
+        threshold = max(PIVOT_RTOL * ajj, 0.0)
+        clear = abs(pivot - threshold) > 1e-14 * abs(ajj)
+        if pivot <= threshold:
+            return False, clear
+        if not clear:
+            return True, False
+        low[j][j] = math.sqrt(pivot)
+        for i in range(j + 1, k):
+            low[i][j] = (float(a[i, j]) - sum(low[i][c] * low[j][c] for c in range(j))) / low[j][j]
+    return True, True
+
+
+class TestBatchCholeskyProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(matrix_stacks())
+    def test_each_matrix_as_if_alone(self, stack):
+        a, b = stack
+        factor, ok = batch_cholesky(a)
+        x = batch_cho_solve(factor, b)
+        for i in range(a.shape[0]):
+            one, one_ok = batch_cholesky(a[i])
+            assert one_ok == ok[i]
+            np.testing.assert_array_equal(one.view(np.uint64), factor[i].view(np.uint64))
+            np.testing.assert_array_equal(batch_cho_solve(one, b[i]).view(np.uint64),
+                                          x[i].view(np.uint64))
+            want, clear = textbook_pivots_ok(a[i])
+            if clear:
+                assert ok[i] == want, a[i]
+
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 12), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_dot_adds_as_a_last_axis_sum(self, n, m, seed):
+        # the factor's and the solve's sums of products round as numpy's sum
+        # over a last axis does, signed zeros included
+        from nlselect.numerics import _dot
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-8, 8, size=(m, n))
+        y = rng.normal(size=(m, n))
+        x[rng.random((m, n)) < 0.2] = -0.0
+        want = (x * y).sum(axis=-1)
+        got = _dot(list(x.T), list(y.T))
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestAdaptiveQuad:
