@@ -6,9 +6,11 @@ is not UTF-8) or an unwritable output path, 3 invalid configuration (a
 non-finite value included) or a failed ``density --verify`` quadrature, 4
 model space over the enumeration cap without --search.
 JSON output serializes numbers with 17 significant digits and sorted keys,
-so rerunning an echoed configuration reproduces files byte-for-byte;
-non-finite values appear as the strings "inf", "-inf", "nan".  Output files
-are written to a temporary sibling and renamed into place.
+so rerunning an echoed configuration at the same BLAS thread count
+reproduces files byte-for-byte (X'X, and so a fit's last bits, depend on
+how the BLAS splits the product); non-finite values appear as the strings
+"inf", "-inf", "nan".  Output files are written to a temporary sibling and
+renamed into place.
 """
 
 from __future__ import annotations

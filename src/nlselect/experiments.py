@@ -281,11 +281,11 @@ def _prior_label(spec: NonlocalPriorSpec) -> str:
 def scalar_null_mode(spec: NonlocalPriorSpec, n: float) -> float:
     """Positive mode coordinate when the MLE is zero, via the stationarity root.
 
-    With unit per-observation information the coordinate solves, per kind,
-    spiMOM: n b^3 + (r+1) b = 2 sqrt(lambda); piMOM: n b^4 + (r+1) b^2 = 2 tau:
-    ``priors.coordinate_mode`` at b = 0 with curvature h = n, the rule that
-    starts every mode search.  No data involved; used as the exactness
-    baseline for the full pipeline.
+    With unit per-observation information the coordinate solves the one
+    polynomial n b^(e+2) + (r+1) b^e - e c = 0 (e = 2, c = tau for piMOM;
+    e = 1, c = 2 sqrt(lambda) for spiMOM): ``priors.coordinate_mode`` at
+    b = 0 with curvature h = n, the rule that starts every mode search.  No
+    data involved; used as the exactness baseline for the full pipeline.
     """
     return float(coordinate_mode(0.0, float(n), spec))
 
@@ -361,16 +361,16 @@ def _marginal_pieces(d: Dataset, J: ModelIndex, spec: NonlocalPriorSpec,
     ``J``, from the mode and log det H* in row ``i`` of ``scores``.
 
     total = loglik + kernel + rest, where kernel is the exact prior kernel
-    -c_zeta * sum (phi/beta^2)^zeta (c = 1 for piMOM, 2 for spiMOM), and
-    rest collects the per-coordinate constants, the -(r+1) sum log|beta|
+    -c sum |beta|^-e, and its dominant part is sum (phi/beta^2)^zeta with
+    zeta = e/2 (kernel = -dominant for piMOM, -2 dominant for spiMOM); rest
+    collects the per-coordinate constants, the -(r+1) sum log|beta|
     prior factor, and the (k/2) log 2pi - (1/2) logdet Laplace terms.
     """
     k = J.size
     mode = scores.mode[i, :k]
     ll = log_likelihood(d, J, mode)
-    dominant = float(((spec.scale / mode**2) ** spec.zeta).sum())
-    coeff = 1.0 if spec.kind == "pimom" else 2.0
-    kernel = -coeff * dominant
+    dominant = float(((spec.scale / mode**2) ** (0.5 * spec.e)).sum())
+    kernel = -float((spec.c / np.abs(mode)**spec.e).sum())
     rest = (0.5 * k * math.log(2 * math.pi) - 0.5 * scores.logdet[i]
             + k * log_prior_constant(spec)
             - (spec.r + 1.0) * float(np.log(np.abs(mode)).sum()))

@@ -64,18 +64,6 @@ class FamilySupport(ValueError):
     """Response vector violates the support of the requested family."""
 
 
-def _sigmoid(theta: np.ndarray) -> np.ndarray:
-    # 1 / (1 + e^-theta) for theta >= 0, e^theta / (1 + e^theta) below, so
-    # the exponential never overflows; in place, as batches pass large arrays.
-    # The numerator is 1 where theta >= 0, else e: as e <= 1, their maximum.
-    e = np.abs(theta)
-    np.exp(np.negative(e, out=e), out=e)
-    out = np.maximum(e, theta >= 0)
-    e += 1.0
-    out /= e
-    return out
-
-
 class _Gaussian:
     name = "gaussian"
 
@@ -98,7 +86,9 @@ class _Logistic:
     origin = (math.log(2.0), 0.5, 0.25)  # the cumulant, mean and variance at theta = 0
 
     def mean(self, theta):
-        return _sigmoid(theta)
+        # the overflow-safe mean below, which overwrites theta and three scratch arrays
+        theta = np.array(theta, dtype=float)
+        return self.cumulant_mean_variance(theta, *np.empty((3,) + theta.shape))[1]
 
     def cumulant_mean_variance(self, theta, e, c, w):
         # log(1 + e^theta) summed per row, the mean and the variance, from the
@@ -108,7 +98,7 @@ class _Logistic:
         cumulant = np.log1p(e, out=c)
         cumulant += np.maximum(theta, 0.0, out=w)
         total = cumulant.sum(axis=-1)
-        # the numerator of _sigmoid
+        # the mean's numerator is 1 for theta >= 0, else e: as e <= 1, their maximum
         mean = np.maximum(e, np.greater_equal(theta, 0.0, out=w), out=theta)
         e += 1.0
         mean /= e
@@ -124,7 +114,7 @@ class _Logistic:
             raise FamilySupport("logistic responses must be 0/1")
 
     def sample(self, theta, dispersion, rng):
-        return (rng.uniform(size=theta.shape[0]) < _sigmoid(theta)).astype(float)
+        return (rng.uniform(size=theta.shape[0]) < self.mean(theta)).astype(float)
 
 
 class _Poisson:

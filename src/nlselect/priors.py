@@ -1,12 +1,14 @@
 """Product nonlocal prior densities and their exact derivatives.
 
-Two kernels, both exactly zero at the origin:
+Two members of the (i)MOM family, both exactly zero at the origin, with the
+one per-coordinate kernel C |b|^-(r+1) exp(-c |b|^-e):
 
-* piMOM: per-coordinate density tau^(r/2)/Gamma(r/2) |b|^-(r+1) exp(-tau/b^2).
+* piMOM: C = tau^(r/2)/Gamma(r/2), e = 2, c = tau.
 * spiMOM: piMOM with an inverse-gamma(shape (r+1)/2, scale lambda) mixture on
-  tau, which closes to K(r, lambda) |b|^-(r+1) exp(-2 sqrt(lambda)/|b|).
+  tau, which closes to C = K(r, lambda), e = 1, c = 2 sqrt(lambda).
 
-The default spiMOM constant K = lambda^((r+1)/2) sqrt(pi) /
+Every formula below is written once in terms of (c, e); only the constant C
+is per kind.  The default spiMOM constant K = lambda^((r+1)/2) sqrt(pi) /
 (Gamma(r/2) Gamma((r+1)/2) sqrt(lambda)) is the exact mixture constant and
 integrates to one; ``paper_constant_mode`` halves it to reproduce a commonly
 printed variant of the closed form (which integrates to one half).  The
@@ -14,7 +16,8 @@ choice cancels between models of equal size but not across sizes, so it is
 kept explicit.  ``spimom_mixture_quad`` adjudicates: it evaluates the mixture
 integral directly by adaptive quadrature and is the ground truth the closed
 form is tested against.  ``coordinate_mode`` gives one coordinate's posterior
-mode under a quadratic log-likelihood, where every mode search starts.
+mode under a quadratic log-likelihood, where every mode search starts: the
+positive root u of h u^(e+2) - h a u^(e+1) + (r+1) u^e - e c = 0.
 
 ``scipy.special`` is loaded only by ``lambda_for_origin_mass``, at its first
 call, so code that never sets a scale from an effect floor never imports scipy.
@@ -39,8 +42,8 @@ class NonlocalPriorSpec:
     """Prior kind plus hyperparameters.
 
     ``scale`` is tau for piMOM and lambda for spiMOM; ``r`` and ``scale``
-    must be positive and finite.  The kernel exponent zeta (1 for piMOM,
-    1/2 for spiMOM) is derived from the kind.
+    must be positive and finite.  The kernel power ``e`` and coefficient
+    ``c`` of exp(-c |b|^-e) are derived from the kind and scale.
     """
 
     kind: str
@@ -57,15 +60,20 @@ class NonlocalPriorSpec:
             raise ValueError("paper_constant_mode applies to spimom only")
 
     @property
-    def zeta(self) -> float:
-        return 1.0 if self.kind == "pimom" else 0.5
+    def e(self) -> int:
+        """Kernel power: 2 for piMOM, 1 for spiMOM."""
+        return 2 if self.kind == "pimom" else 1
+
+    @property
+    def c(self) -> float:
+        """Kernel coefficient: tau for piMOM, 2 sqrt(lambda) for spiMOM."""
+        return self.scale if self.kind == "pimom" else 2.0 * math.sqrt(self.scale)
 
     @property
     def prior_mode(self) -> float:
-        """Positive stationary point of the per-coordinate log density."""
-        if self.kind == "pimom":
-            return math.sqrt(2.0 * self.scale / (self.r + 1.0))
-        return 2.0 * math.sqrt(self.scale) / (self.r + 1.0)
+        """Positive stationary point of the per-coordinate log density,
+        (e c / (r+1))^(1/e)."""
+        return (self.e * self.c / (self.r + 1.0)) ** (1.0 / self.e)
 
 
 def pimom(r: float = 1.0, tau: float = 1.0) -> NonlocalPriorSpec:
@@ -81,6 +89,12 @@ def spimom(r: float = 1.0, lam: float = 1.0,
 # =============================================================================
 # Per-coordinate log densities (vectorized, -inf at the origin)
 # =============================================================================
+
+
+def _power(x, k: int):
+    """x^k for k = 0, 1, 2 (e - 1 or e): 1.0, x itself, or x * x, which is
+    x**2 bit for bit; numpy's x**0 and x**1 would each cost a pow call."""
+    return 1.0 if k == 0 else x if k == 1 else x * x
 
 
 def log_prior_constant(spec: NonlocalPriorSpec) -> float:
@@ -103,10 +117,7 @@ def log_density_1d(b, spec: NonlocalPriorSpec) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     ab = np.abs(b)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if spec.kind == "pimom":
-            kernel = spec.scale / ab**2
-        else:
-            kernel = 2.0 * math.sqrt(spec.scale) / ab
+        kernel = spec.c / _power(ab, spec.e)
         out = log_prior_constant(spec) - (spec.r + 1.0) * np.log(ab) - kernel
     return np.where(b != 0.0, out, -math.inf)
 
@@ -144,7 +155,7 @@ def log_prior_grad(beta, spec: NonlocalPriorSpec) -> np.ndarray:
     """Per-coordinate derivative of the log density, elementwise over any
     stack of rows.
 
-    piMOM: -(r+1)/b + 2 tau / b^3.  spiMOM: -(r+1)/b + 2 sqrt(lambda) sign(b) / b^2.
+    e c / (b |b|^e) - (r+1)/b: exactly odd in b.
     """
     return log_prior_terms(_coordinates(beta, "gradient"), spec)[1]
 
@@ -153,9 +164,10 @@ def log_prior_neg_hessian(beta, spec: NonlocalPriorSpec) -> np.ndarray:
     """Negated second derivatives, returned as the raw diagonal (one per
     coordinate, elementwise over any stack of rows).
 
-    Coordinates are independent, so the Hessian is diagonal.  Entries may be
-    negative far from the prior mode; definiteness is checked only on the
-    assembled log-posterior Hessian.
+    e c (e+1) / |b|^(e+2) - (r+1)/b^2: exactly even in b.  Coordinates are
+    independent, so the Hessian is diagonal.  Entries may be negative far
+    from the prior mode; definiteness is checked only on the assembled
+    log-posterior Hessian.
     """
     return log_prior_terms(_coordinates(beta, "curvature"), spec)[2]
 
@@ -168,14 +180,9 @@ def log_prior_terms(beta, spec: NonlocalPriorSpec
     zero coordinate gives -inf and derivatives taken at 1 in its place."""
     beta = np.asarray(beta, dtype=float)
     b = np.where(beta != 0.0, beta, 1.0)
-    b2, r1 = b**2, spec.r + 1.0
-    if spec.kind == "pimom":
-        grad = -r1 / b + 2.0 * spec.scale / b**3
-        curv = 6.0 * spec.scale / b**4 - r1 / b2
-    else:
-        root = math.sqrt(spec.scale)
-        grad = -r1 / b + 2.0 * root * np.sign(b) / b2
-        curv = 4.0 * root / np.abs(b)**3 - r1 / b2
+    ab, e, c, r1 = np.abs(b), spec.e, spec.c, spec.r + 1.0
+    grad = e * c / (b * _power(ab, e)) - r1 / b
+    curv = e * c * (e + 1) / ab**(e + 2) - r1 / b**2
     return log_prior(beta, spec), grad, curv
 
 
@@ -199,34 +206,32 @@ def coordinate_mode(b, h, spec: NonlocalPriorSpec) -> np.ndarray:
     posterior mode when the log-likelihood is quadratic with maximum at b
     and curvature h.  With u = |beta|, a = |b|, it is the positive root of
 
-        spiMOM:  h u^3 - h a u^2 + (r+1) u   - 2 sqrt(lambda) = 0,
-        piMOM:   h u^4 - h a u^3 + (r+1) u^2 - 2 tau          = 0.
+        h u^(e+2) - h a u^(e+1) + (r+1) u^e - e c = 0.
 
     The left side is negative at u = 0 and nonnegative at
-    U = min(max(a, prior_mode), a + (c/h)^(1/(2+2 zeta))), c the constant
-    term, so a root lies in (0, U].  Newton steps start from U; a step that
-    would leave the bracket of the last negative and nonnegative points
-    bisects it instead.  Each coordinate stops at the step that solves it, so
-    it equals its own one-element solve.  ``b`` and ``h`` broadcast.
+    U = min(max(a, prior_mode), a + (e c/h)^(1/(e+2))), so a root lies in
+    (0, U].  Newton steps start from U; a step that would leave the bracket
+    of the last negative and nonnegative points bisects it instead.  Each
+    coordinate stops at the step that solves it, so it equals its own
+    one-element solve.  ``b`` and ``h`` broadcast.
     """
     b = np.asarray(b, dtype=float)
     h = np.asarray(h, dtype=float)
     a = np.abs(b)
-    e = 2 if spec.kind == "pimom" else 1  # u^e multiplies (r+1)
-    c = 2.0 * spec.scale if spec.kind == "pimom" else 2.0 * math.sqrt(spec.scale)
-    r1 = spec.r + 1.0
+    e, r1 = spec.e, spec.r + 1.0
+    ec, er1 = e * spec.c, e * r1  # the constant term; d/du (r+1) u^e = er1 u^(e-1)
     a1 = (e + 1) * a  # a loop invariant
     with np.errstate(divide="ignore", invalid="ignore"):
-        tail = (c / h) ** (1.0 / (e + 2))
+        tail = (ec / h) ** (1.0 / (e + 2))
         hi = np.minimum(np.maximum(a, spec.prior_mode), a + tail)
         lo = np.zeros_like(hi)
         u = hi
         done = np.zeros(u.shape, dtype=bool)
         for _ in range(MODE_SOLVE_STEPS):
-            ue = u * u if e == 2 else u
+            ue = _power(u, e)
             hue = h * ue
-            f = hue * u * (u - a) + r1 * ue - c
-            df = hue * ((e + 2) * u - a1) + (e * r1 * u if e == 2 else r1)
+            f = hue * u * (u - a) + r1 * ue - ec
+            df = hue * ((e + 2) * u - a1) + er1 * _power(u, e - 1)
             below = f < 0.0
             lo = np.where(below, u, lo)
             hi = np.where(below, hi, u)

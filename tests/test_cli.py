@@ -553,6 +553,30 @@ class TestNonFiniteValues:
         assert sorted(os.listdir(tmp_path)) == ["d.csv", "d.csv.truth.json"]
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("flags, message", [
+        ("density --prior foo", "unknown prior 'foo'"),
+        ("density --prior pimom --lambda 1", "--lambda applies to spimom only"),
+        ("density --prior pimom --tau -1", "prior scale must be positive"),
+        ("density --prior pimom --paper-constant", "--paper-constant applies to spimom only"),
+        ("fit --q -1", "--q must be nonnegative"),
+        ("fit --sigma2 0", "--sigma2 must be positive"),
+        ("simulate --p 0 --n 100", "need --p >= 1 and --n >= 2"),
+        ("density --grid a:b:5", "cannot parse grid 'a:b:5'"),
+        ("study --study mle-rate --beta0 1 --m 0.1", "give either --beta0 or --m, not both"),
+        ("study --study mle-rate --n-grid ,", "empty n-grid")])
+    def test_exits_3_and_writes_nothing(self, tmp_path, capsys, flags, message):
+        data = tmp_path / "d.csv"
+        assert run(["simulate", "--out", data, "--p", 3, "--n", 50]) == 0
+        command, *rest = flags.split()
+        argv = [command, "--out", tmp_path / "x", *rest]
+        if command == "fit":
+            argv += ["--input", data]
+        assert run(argv) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert sorted(os.listdir(tmp_path)) == ["d.csv", "d.csv.truth.json"]
+
+
 class TestTrueSupport:
     """--j0 is taken as typed: its order is the order of --beta0.  Every
     --j0 error names the flag."""

@@ -469,7 +469,7 @@ class TestSearchStart:
     def test_mode_keeps_orthant_and_improves_on_start(self, d, spec):
         # the start is sign(b) max(|b|, delta0) for MLE coordinate b, with
         # exact zeros at +delta0
-        delta0 = max((spec.scale / d.n) ** (1.0 / (2.0 + 2.0 * spec.zeta)), 1e-4)
+        delta0 = max((spec.scale / d.n) ** (1.0 / (2.0 + spec.e)), 1e-4)
         for J in enumerate_models(d.p, min(3, d.p)):
             mle = fit_mle(d, J)
             pm = find_posterior_mode(d, J, spec, mle)
@@ -508,3 +508,41 @@ class TestGreedySearch:
         assert [m for m, _, _ in batched.entries] == [m for m, _, _ in single.entries]
         assert top == single_top
         np.testing.assert_array_equal(batched.log_marginal, single.log_marginal)
+
+
+def assert_sign_symmetric(d, flip, spec, q=3):
+    """Scoring with the ``flip`` columns negated gives the same marginals,
+    flags and counts bit for bit, and exactly negated MLE and mode
+    coordinates on those columns."""
+    strata = enumerate_strata(d.p, min(q, d.p))
+    plain = score_models(d, strata, spec)
+    negated = score_models(Dataset(y=d.y, X=d.X * np.where(flip, -1.0, 1.0), family=d.family,
+                                   dispersion=d.dispersion), strata, spec)
+    for name in ("log_marginal", "excluded", "converged", "iterations", "separation",
+                 "mle_converged", "mle_iterations", "logdet"):
+        np.testing.assert_array_equal(getattr(negated, name), getattr(plain, name), err_msg=name)
+    # the sign each coordinate of each model takes, 1 on the NaN padding
+    width = plain.mle.shape[1]
+    signs = np.concatenate([np.pad(np.where(flip[rows - 1], -1.0, 1.0),
+                                   ((0, 0), (0, width - rows.shape[1])), constant_values=1.0)
+                            for rows in strata])
+    for name in ("mle", "mode"):
+        np.testing.assert_array_equal(getattr(negated, name), getattr(plain, name) * signs,
+                                      err_msg=name)
+
+
+class TestSignSymmetry:
+    # negating a column negates its coefficient and nothing else: the
+    # likelihood, both priors and every solver are exactly odd or even in it
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(datasets(), priors, st.data())
+    def test_negated_columns(self, d, spec, data):
+        flip = np.array(data.draw(st.lists(st.booleans(), min_size=d.p, max_size=d.p)))
+        assert_sign_symmetric(d, flip, spec)
+
+    @pytest.mark.parametrize("kind", ["pimom", "spimom"])
+    @pytest.mark.parametrize("family", ["gaussian", "logistic"])
+    def test_benchmark_inputs(self, family, kind):
+        d = benchmark_gaussian_input() if family == "gaussian" else benchmark_glm_input(family)
+        flip = np.random.default_rng(81).uniform(size=d.p) < 0.5
+        assert_sign_symmetric(d, flip, NonlocalPriorSpec(kind=kind))

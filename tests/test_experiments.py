@@ -49,6 +49,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             base_config(true_support=ModelIndex((1, 2, 3, 4)), q=3)
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(family="gamma"), "unknown family 'gamma'"),
+        (dict(p=3, true_support=ModelIndex((1, 4))), "true support indexes beyond p"),
+        (dict(replications=0), "need at least one replication"),
+        (dict(beta0=(1.0,)), "beta0 length must match |J0|"),
+        (dict(beta0=None, decay_c=1.0), "decaying rule needs both decay_c and decay_m"),
+        (dict(design="banded"), "unknown design rule 'banded'"),
+        (dict(search_budget=-1), "search_budget must be nonnegative")])
+    def test_rejects(self, overrides, message):
+        with pytest.raises(ValueError) as info:
+            base_config(**overrides)
+        assert str(info.value) == message
+
     def test_decaying_signal_value(self):
         cfg = base_config(beta0=None, decay_c=2.0, decay_m=0.2)
         np.testing.assert_allclose(cfg.realized_beta0(100),
@@ -169,6 +182,16 @@ class TestLogmRatioStudy:
                    for g in res.summary["per_group"]}
         assert all(v < 0 for v in medians.values())
         assert medians[(400, 1)] < medians[(100, 1)]  # decreasing in n
+
+    def test_sampled_supersets_distinct_and_reproducible(self):
+        # of the C(7, 2) = 21 supersets of size 4, SUPERSETS_PER_SIZE = 20 are
+        # drawn; the 7 of size 3 are all kept
+        truth = ModelIndex((1, 2))
+        models = experiments._sample_supersets(truth, 9, 4, make_stream(5))
+        assert models == experiments._sample_supersets(truth, 9, 4, make_stream(5))
+        assert [J.size for J in models] == [3] * 7 + [4] * 20
+        assert len(set(models)) == len(models)
+        assert all(set(truth.indices) < set(J.indices) <= set(range(1, 10)) for J in models)
 
     def test_true_model_ratio_is_zero(self):
         cfg = base_config()

@@ -14,9 +14,9 @@ from oracles import fd_gradient, fd_jacobian
 from scipy.special import gammaln
 
 from nlselect import glm
-from nlselect.glm import (BATCH_FLOATS, Dataset, FamilySupport, batch_evaluate, batch_origin,
-                          batch_rows, chunk_rows, fit_mle, log_likelihood, model_batch,
-                          neg_hessian, score)
+from nlselect.glm import (BATCH_FLOATS, FAMILIES, Dataset, FamilySupport, batch_evaluate,
+                          batch_origin, batch_rows, chunk_rows, fit_mle, log_likelihood,
+                          model_batch, neg_hessian, score)
 from nlselect.modelspace import ModelIndex
 from nlselect.numerics import NotPositiveDefinite
 
@@ -396,8 +396,9 @@ class TestOriginStep:
 class TestSigmoid:
     def test_maximum_numerator_is_bitwise_the_where_form(self):
         # the numerator is max(e, theta >= 0), which equals
-        # np.where(theta >= 0, 1.0, e) because e = exp(-|theta|) <= 1
-        from nlselect.glm import _sigmoid
+        # np.where(theta >= 0, 1.0, e) because e = exp(-|theta|) <= 1; the
+        # logistic mean leaves its argument as it was
+        mean = FAMILIES["logistic"].mean
 
         def where_form(theta):
             e = np.exp(-np.abs(theta))
@@ -408,6 +409,8 @@ class TestSigmoid:
         theta = np.concatenate([edges, np.random.default_rng(33).normal(scale=30.0,
                                                                         size=100_000)])
         for arr in (theta, theta[:100_010].reshape(10, -1)):
-            got, want = _sigmoid(arr.copy()), where_form(arr)
+            before = arr.copy()
+            got, want = mean(arr), where_form(arr)
             assert got.dtype == np.float64
+            np.testing.assert_array_equal(arr.view(np.int64), before.view(np.int64))
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))

@@ -145,6 +145,10 @@ class TestPosteriorProbs:
         with pytest.raises(ValueError):
             normalize_strata(enumerate_strata(3, 1), np.zeros(3))
 
+    def test_normalize_strata_all_excluded_is_uniform(self):
+        post = normalize_strata(enumerate_strata(3, 1), np.full(4, -math.inf))
+        np.testing.assert_array_equal(post.probability, np.full(4, 0.25))
+
     def test_posterior_identity(self):
         # 1/prob(truth) - 1 == (sum_A M + sum_B M) / M_truth
         rng = np.random.default_rng(7)

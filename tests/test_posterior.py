@@ -66,7 +66,7 @@ class TestStrongSignal:
         assert mle.beta_hat[0] == pytest.approx(2.0, abs=1e-12)
         for spec in (spimom(), pimom()):
             pm = find_posterior_mode(d, J1, spec, mle)
-            bound = (spec.scale / n) ** (1.0 / (2.0 + 2.0 * spec.zeta))
+            bound = (spec.scale / n) ** (1.0 / (2.0 + spec.e))
             assert abs(pm.beta_pm[0] - 2.0) <= bound
 
     def test_neighborhood_envelope_across_n(self):
@@ -75,7 +75,7 @@ class TestStrongSignal:
                 d = unit_info_dataset(n, mle_value=1.5)
                 mle = fit_mle(d, J1)
                 pm = find_posterior_mode(d, J1, spec, mle)
-                env = 3.0 * (spec.r * spec.scale / n) ** (1.0 / (2.0 + 2.0 * spec.zeta))
+                env = 3.0 * (spec.r * spec.scale / n) ** (1.0 / (2.0 + spec.e))
                 assert abs(pm.beta_pm[0] - mle.beta_hat[0]) <= env
 
 

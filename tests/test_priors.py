@@ -17,7 +17,7 @@ from nlselect.numerics import adaptive_quad
 from nlselect.priors import (AtOrigin, NonlocalPriorSpec, coordinate_mode,
                              lambda_for_origin_mass, log_density_1d, log_prior,
                              log_prior_constant, log_prior_grad, log_prior_neg_hessian,
-                             pimom, spimom, spimom_mixture_quad)
+                             log_prior_terms, pimom, spimom, spimom_mixture_quad)
 
 
 def normalization(spec, tol=1e-8):
@@ -152,6 +152,22 @@ class TestDerivatives:
                 assert (log_prior_neg_hessian([b], spec)
                         == log_prior_neg_hessian([-b], spec))
 
+    @pytest.mark.parametrize("kind", ["pimom", "spimom"])
+    def test_gradient_odd_and_curvature_even_bit_for_bit(self, kind):
+        spec = NonlocalPriorSpec(kind=kind, r=1.5, scale=0.7)
+        rng = np.random.default_rng(80)
+        beta = rng.normal(size=60_000) * np.exp(rng.normal(scale=2.0, size=60_000))
+        value, grad, curv = log_prior_terms(beta, spec)
+        value_neg, grad_neg, curv_neg = log_prior_terms(-beta, spec)
+        assert value_neg == value
+        np.testing.assert_array_equal(grad_neg, -grad)
+        np.testing.assert_array_equal(curv_neg, curv)
+
+    def test_kernel_power_and_coefficient(self):
+        # exp(-c |b|^-e): piMOM e = 2, c = tau; spiMOM e = 1, c = 2 sqrt(lambda)
+        assert (pimom(tau=0.3).e, pimom(tau=0.3).c) == (2, 0.3)
+        assert (spimom(lam=2.25).e, spimom(lam=2.25).c) == (1, 3.0)
+
     def test_at_origin_raises(self):
         for spec in (pimom(), spimom()):
             with pytest.raises(AtOrigin):
@@ -274,10 +290,10 @@ class TestCoordinateMode:
         beta = coordinate_mode(b, h, spec)
         assert beta.shape == b.shape and np.all(beta != 0.0)
         assert np.all(np.where(b < 0.0, beta < 0.0, beta > 0.0))
-        # h u^(e+2) - h a u^(e+1) + (r+1) u^e - c = 0, e = 2 zeta
-        u, a, e = np.abs(beta), np.abs(b), round(2.0 * spec.zeta)
-        c = 2.0 * spec.scale if spec.kind == "pimom" else 2.0 * math.sqrt(spec.scale)
-        terms = [h * u**(e + 2), -h * a * u**(e + 1), (spec.r + 1.0) * u**e, np.full_like(u, -c)]
+        # h u^(e+2) - h a u^(e+1) + (r+1) u^e - K = 0
+        u, a, e = np.abs(beta), np.abs(b), 2 if spec.kind == "pimom" else 1
+        K = 2.0 * spec.scale if spec.kind == "pimom" else 2.0 * math.sqrt(spec.scale)
+        terms = [h * u**(e + 2), -h * a * u**(e + 1), (spec.r + 1.0) * u**e, np.full_like(u, -K)]
         residual = np.abs(sum(terms)) / sum(np.abs(t) for t in terms)
         assert residual.max() <= RESIDUAL_RTOL, (b, h, beta, residual)
 
@@ -287,8 +303,8 @@ class TestCoordinateMode:
         beta = float(coordinate_mode(0.0, float(n), spec))
         assert beta == scalar_null_mode(spec, n)
         # an independent root-finder oracle (Brent) on the same equation
-        e = round(2.0 * spec.zeta)
-        c = 2.0 * spec.scale if spec.kind == "pimom" else 2.0 * math.sqrt(spec.scale)
-        oracle = brentq(lambda u: n * u**(e + 2) + (spec.r + 1.0) * u**e - c,
+        e = 2 if spec.kind == "pimom" else 1
+        K = 2.0 * spec.scale if spec.kind == "pimom" else 2.0 * math.sqrt(spec.scale)
+        oracle = brentq(lambda u: n * u**(e + 2) + (spec.r + 1.0) * u**e - K,
                         0.0, 2.0 * spec.prior_mode, xtol=1e-15)
         assert beta == pytest.approx(oracle, abs=1e-10)
