@@ -11,10 +11,9 @@ coefficients), which the batched scoring engine in ``posterior`` runs in
 lockstep.  The per-model functions run it on a one-row batch.  The logistic
 and Poisson kernel walks a batch in chunks of ``chunk_rows`` models, forms
 only the lower triangle of X_J'WX_J, and writes every n-row temporary into
-one workspace per ``Dataset``, grown to the largest model size it has met,
-so it is not reentrant and scoring stays single-threaded.  Each MLE starts
-at beta = 0, where :func:`batch_origin` evaluates a logistic or Poisson model
-from cached sums.
+one buffer allocated per call.  Each MLE starts at beta = 0, where
+:func:`batch_origin` evaluates a logistic or Poisson model from the cached
+sums X'X, X'y and X'1.
 
 :func:`newton_ascent` is the scalar reference's one damped Newton loop:
 :func:`fit_mle` runs it on the log-likelihood, and
@@ -55,8 +54,8 @@ SEPARATION_CAP = 30.0
 # Floats per kernel temporary: a batch holds BATCH_FLOATS // k^2 models of
 # size k (one k x k Hessian each), and the logistic and Poisson kernels walk it
 # in chunks of BATCH_FLOATS // 2n models (10 at n = 1600), so each of the k + 4
-# (chunk, n) blocks of the reused workspace holds at most 2^14 floats and a
-# k = 3 workspace (896 KB) stays inside a 2 MB L2 cache at any n.
+# (chunk, n) blocks of its per-call buffer holds at most 2^14 floats and a
+# k = 3 buffer (896 KB) stays inside a 2 MB L2 cache at any n.
 BATCH_FLOATS = 1 << 15
 
 
@@ -154,7 +153,11 @@ class Dataset:
     ``dispersion`` is the known Gaussian variance, positive and finite, and
     is ignored by the other families.  Model indices are 1-based positions
     into the columns of ``X``; no intercept is implicit, callers include a
-    constant column explicitly when they want one.
+    constant column explicitly when they want one.  ``X`` is stored
+    C-contiguous, so no result depends on the memory layout of the caller's.
+    Each statistic is cached once, on first use: X'X, X'y and X'1 in
+    ``_gram`` (X'X is the one p x p array), X' in ``_xt``, and ``log_base``.
+    No scratch is kept, so threads may score one ``Dataset`` at once.
     """
 
     y: np.ndarray
@@ -164,7 +167,7 @@ class Dataset:
 
     def __post_init__(self) -> None:
         y = np.asarray(self.y, dtype=float).reshape(-1)
-        X = np.asarray(self.X, dtype=float)
+        X = np.ascontiguousarray(self.X, dtype=float)
         if X.ndim != 2:
             raise ValueError("X must be a 2-d matrix")
         if y.shape[0] != X.shape[0]:
@@ -180,8 +183,6 @@ class Dataset:
         FAMILIES[self.family].check_support(y)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "X", X)
-        # the GLM kernel's reused buffer per chunk size, grown to the largest k
-        object.__setattr__(self, "_workspaces", {})
 
     @property
     def n(self) -> int:
@@ -192,18 +193,10 @@ class Dataset:
         return self.X.shape[1]
 
     @cached_property
-    def _gram(self) -> tuple[np.ndarray, np.ndarray]:
-        # sufficient statistics for the Gaussian fast path: X'X and X'y
-        return self.X.T @ self.X, self.X.T @ self.y
-
-    @cached_property
-    def _origin(self) -> tuple[float, np.ndarray, np.ndarray]:
-        # at beta = 0, each observation of a logistic or Poisson model has the
-        # family's cumulant c0, mean mu0 and variance w0, so the value, score
-        # and negative Hessian over all p columns are log_base - n c0,
-        # X'y - mu0 X'1 and w0 X'X (McCullagh & Nelder 1989, ch. 2)
-        (c0, mu0, w0), (xtx, xty) = FAMILIES[self.family].origin, self._gram
-        return self.log_base - self.n * c0, xty - mu0 * self.X.sum(axis=0), w0 * xtx
+    def _gram(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # sufficient statistics: X'X and X'y (the Gaussian kernel and every
+        # origin step) and X'1 (the logistic and Poisson origin score)
+        return self.X.T @ self.X, self.X.T @ self.y, self.X.sum(axis=0)
 
     @cached_property
     def _xt(self) -> np.ndarray:
@@ -357,19 +350,18 @@ def fit_mle(d: Dataset, J: ModelIndex) -> GlmFit:
 class ModelBatch:
     """Likelihood data of M models of one size k.
 
-    ``cols`` holds the zero-based columns, shape (M, k); Gaussian batches also
-    carry their slices of the cached X'X and X'y, (M, k, k) and (M, k).
+    ``cols`` holds the zero-based columns, shape (M, k), and ``xtx`` and
+    ``xty`` their slices of the cached X'X and X'y, (M, k, k) and (M, k).
     """
 
     d: Dataset
     cols: np.ndarray
-    xtx: Optional[np.ndarray] = None
-    xty: Optional[np.ndarray] = None
+    xtx: np.ndarray
+    xty: np.ndarray
 
     def take(self, rows) -> "ModelBatch":
         """The sub-batch of the given rows (an index array or a mask)."""
-        arrays = (self.cols, self.xtx, self.xty)
-        return ModelBatch(self.d, *(None if a is None else a[rows] for a in arrays))
+        return ModelBatch(self.d, self.cols[rows], self.xtx[rows], self.xty[rows])
 
 
 def batch_rows(k: int) -> int:
@@ -390,21 +382,26 @@ def model_batch(d: Dataset, cols: np.ndarray) -> ModelBatch:
         raise ValueError(f"model columns must lie in 1..{d.p}")
     if cols.shape[1] > d.n:
         raise ValueError(f"|J| = {cols.shape[1]} exceeds n = {d.n}")
-    if d.family == "gaussian":
-        xtx, xty = d._gram
-        return ModelBatch(d=d, cols=cols, xtx=xtx[cols[:, :, None], cols[:, None, :]],
-                          xty=xty[cols])
-    return ModelBatch(d=d, cols=cols)
+    xtx, xty, _ = d._gram
+    return ModelBatch(d=d, cols=cols, xtx=xtx[cols[:, :, None], cols[:, None, :]],
+                      xty=xty[cols])
 
 
 def batch_origin(batch: ModelBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`batch_evaluate` at beta = 0 with no pass over the n rows: the
-    Gaussian kernel, which reads only X'X and X'y, or slices of
-    ``Dataset._origin``."""
-    if batch.d.family == "gaussian":
-        return batch_evaluate(batch, np.zeros(batch.cols.shape))
-    (value, g, h), cols = batch.d._origin, batch.cols
-    return np.full(cols.shape[0], value), g[cols], h[cols[:, :, None], cols[:, None, :]]
+    """:func:`batch_evaluate` at beta = 0 with no pass over the n rows.
+
+    The Gaussian kernel reads only X'X and X'y.  At beta = 0 each
+    observation of a logistic or Poisson model has the family's cumulant
+    c0, mean mu0 and variance w0, so the value, score and negative Hessian
+    are log_base - n c0, X_J'y - mu0 X_J'1 and w0 X_J'X_J (McCullagh &
+    Nelder 1989, ch. 2), from the batch's slices and ``Dataset._gram``.
+    """
+    d, cols = batch.d, batch.cols
+    if d.family == "gaussian":
+        return batch_evaluate(batch, np.zeros(cols.shape))
+    c0, mu0, w0 = FAMILIES[d.family].origin
+    return (np.full(cols.shape[0], d.log_base - d.n * c0), batch.xty - mu0 * d._gram[2][cols],
+            w0 * batch.xtx)
 
 
 def batch_evaluate(batch: ModelBatch, beta: np.ndarray
@@ -429,10 +426,7 @@ def batch_evaluate(batch: ModelBatch, beta: np.ndarray
         n, family = d.n, FAMILIES[d.family]
         value, g, h = np.empty(m), np.empty((m, k)), np.empty((m, k, k))
         size = chunk_rows(d)
-        buf = d._workspaces.get(size)
-        if buf is None or buf.shape[0] < k + 4:
-            buf = d._workspaces[size] = None  # free the smaller one first
-            buf = d._workspaces[size] = np.empty((k + 4, size * n))
+        buf = np.empty((k + 4, size * n))  # every chunk's temporaries
         with np.errstate(over="ignore", invalid="ignore"):  # rows off the exp range
             for start in range(0, m, size):
                 rows, mc = slice(start, start + size), min(size, m - start)

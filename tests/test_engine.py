@@ -6,10 +6,14 @@ and greedy search with and without a per-model scorer, and that a row does
 not depend on the other rows of its batch.  Also the mode search's start
 rule: the mode stays in the MLE's orthant and improves on its start point,
 and the searches' deterministic iteration totals on benchmark inputs stay
-within their bounds."""
+within their bounds.  And a ``Dataset``'s state: scores do not depend on
+the design's memory layout or on a second thread, and X'X is its one
+p x p array."""
 
 import math
 import sys
+import threading
+import tracemalloc
 import warnings
 from dataclasses import fields
 from unittest import mock
@@ -365,8 +369,9 @@ class TestFusedKernel:
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="counts minor page faults by getrusage, as Linux reports them")
     def test_second_scoring_takes_no_page_faults(self):
-        # once the Dataset's workspace exists the kernel allocates nothing of
-        # size n, so scoring the input again takes almost no minor faults (a
+        # the kernel allocates its n-row temporaries once per call, not once
+        # per chunk, and the allocator hands the freed buffer back to the next
+        # call, so scoring the input again takes almost no minor faults (a
         # kernel that allocates each chunk's temporaries takes thousands)
         import resource
 
@@ -405,6 +410,73 @@ class TestFusedKernel:
             np.testing.assert_array_equal(got[1:], want)
         assert value[1] == log_likelihood(d, ModelIndex((1, 2)), beta[1]) + log_prior(
             beta[1], spimom())
+
+
+def assert_same_scores(got, want):
+    for f in fields(ModelScores):
+        np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name), f.name)
+
+
+class TestDatasetState:
+    """A ``Dataset`` caches each sufficient statistic once and keeps no
+    scratch: its results depend neither on the caller's memory layout nor
+    on other threads scoring it, and X'X is its one p x p array."""
+
+    @pytest.mark.parametrize("family", ["gaussian", "logistic", "poisson"])
+    def test_memory_layout_does_not_matter(self, family):
+        # an F-ordered copy and a strided view of the design give the scores
+        # of the C-ordered one bit for bit (X'y differs in its last bits when
+        # BLAS reads X in another order)
+        d = benchmark_gaussian_input() if family == "gaussian" else benchmark_glm_input(family)
+        strata = enumerate_strata(d.p, 2)
+        want = score_models(d, strata, spimom())
+        wide = np.zeros((d.n, 2 * d.p))
+        wide[:, ::2] = d.X
+        for X in (np.asfortranarray(d.X), wide[:, ::2]):
+            other = Dataset(y=d.y, X=X, family=family, dispersion=d.dispersion)
+            assert_same_scores(score_models(other, strata, spimom()), want)
+
+    def test_two_threads_score_one_dataset(self):
+        # 176 models each, with thread switches as often as the interpreter
+        # allows; each thread must get the serial scores bit for bit
+        d = random_dataset("logistic", seed=11, n=1600, p=10)
+        strata = enumerate_strata(10, 3)
+        want = score_models(d, strata, spimom())
+        got = [None, None]
+
+        def run(i):
+            got[i] = score_models(d, strata, spimom())
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for scores in got:
+            assert_same_scores(scores, want)
+
+    def test_high_dimensional_search_holds_one_gram(self):
+        # p = 2,000 >> n = 100: X'X takes 8p^2 = 32 MB, and nothing else in
+        # the walk comes near half of that
+        rng = np.random.default_rng(12)
+        n, p = 100, 2000
+        X = rng.normal(size=(n, p))
+        theta = X[:, :2] @ np.array([1.0, -0.8])
+        y = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-theta))).astype(float)
+        d = Dataset(y=y, X=X, family="logistic")
+        tracemalloc.start()
+        try:
+            greedy_search(d, spimom(), q=3, budget=50, stream=make_stream(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * p * p
 
 
 def assert_every_row_has_a_status(d, spec):

@@ -329,13 +329,12 @@ class TestBatchKernels:
         assert chunk_rows(random_instance("logistic", rng, n=1600, p=4)) == BATCH_FLOATS // 3200 == 10
         assert chunk_rows(random_instance("poisson", rng, n=10**6, p=1)) == 1
 
-    def test_workspace_reuse_matches_fresh_datasets(self):
+    def test_interleaved_calls_match_fresh_datasets(self):
         # batches of k = 1, 3 and 2 interleaved on two datasets of different
         # n, in chunks of 1 row, of 3 and of the default size (23 models leave
         # a ragged last chunk in each): every result equals the same call on a
-        # fresh copy of its dataset, the workspace follows the patched
-        # BATCH_FLOATS and is grown to k = 3 and reused for k = 2, and no
-        # later call overwrites an earlier result
+        # fresh copy of its dataset, so no call leaves state that a later one
+        # reads, and no later call overwrites an earlier result
         rng = np.random.default_rng(35)
         data = [random_instance(f, rng, n=n, p=6) for f, n in (("logistic", 1600),
                                                                 ("poisson", 90))]
@@ -346,11 +345,8 @@ class TestBatchKernels:
                     cols = np.array([rng.choice(6, size=k, replace=False) for _ in range(23)])
                     beta = rng.normal(scale=0.3, size=(23, k))
                     got = batch_evaluate(model_batch(d, cols), beta)
-                    rows = {1: 5, 3: 7, 2: 7}[k]  # k + 4 rows, k the largest size so far
-                    assert d._workspaces[chunk_rows(d)].shape == (rows, chunk_rows(d) * d.n)
                     fresh = Dataset(y=d.y.copy(), X=d.X.copy(), family=d.family)
                     results.append((got, batch_evaluate(model_batch(fresh, cols), beta)))
-        assert len(data[0]._workspaces) == len(data[1]._workspaces) == 3
         for got, want in results:
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
@@ -371,10 +367,10 @@ class TestBatchKernels:
 
 
 class TestOriginStep:
-    """Every logistic and Poisson MLE starts at beta = 0, evaluated from the
-    cached X'X, X'y and column sums with no pass over the n rows."""
+    """Every MLE starts at beta = 0, evaluated from the cached X'X, X'y and
+    column sums with no pass over the n rows."""
 
-    @pytest.mark.parametrize("family", ["logistic", "poisson"])
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
     def test_matches_kernel_at_zero(self, family):
         rng = np.random.default_rng(36)
         d = random_instance(family, rng, n=300, p=5)
