@@ -1,4 +1,5 @@
-"""Canonical-link exponential-family likelihoods and Newton MLE fitting.
+"""Canonical-link exponential-family likelihoods: the data and likelihood
+layer under the fitting rules of ``posterior``.
 
 Families: Gaussian with known variance, binomial/logistic, Poisson.  All
 log-likelihoods keep their full normalizing constants so marginal
@@ -15,11 +16,6 @@ one buffer allocated per call.  Each MLE starts at beta = 0, where
 :func:`batch_origin` evaluates a logistic or Poisson model from the cached
 sums X'X, X'y and X'1.
 
-:func:`newton_ascent` is the scalar reference's one damped Newton loop:
-:func:`fit_mle` runs it on the log-likelihood, and
-``posterior.find_posterior_mode`` on the log posterior.  The batched engine
-has its own lockstep loop in ``posterior``; neither calls the other's.
-
 The Poisson family's log-likelihood constant, -sum log y_i!, is summed
 from ``math.lgamma`` over the distinct counts, so no family imports scipy.
 """
@@ -27,30 +23,17 @@ from ``math.lgamma`` over the distinct counts, so no family imports scipy.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .modelspace import ModelIndex
-from .numerics import NotPositiveDefinite, SpdMatrix, batch_cho_solve, batch_cholesky
+from .numerics import SpdMatrix
 
-# the gradient test of every Newton ascent: |g|_inf <= GRAD_TOL_PER_OBS * n
-GRAD_TOL_PER_OBS = 1e-8
-# the decrement test: a Newton step with g'H^-1 g <= DECREMENT_TOL *
-# max(1, |objective|, |log_base|) gains less than the objective resolves in
-# floating point.  The objective is the kernel plus the constant log_base, so
-# it rounds at the scale of the larger of the two; with Poisson counts in the
-# thousands, |log_base| (the sum of log y!) far exceeds |objective|.  Summing
-# terms larger than the total, a log-likelihood rounds with a standard
-# deviation of up to about 20 eps |objective| (Poisson counts near 150), so
-# the bound is 64 eps, not a few eps.
-DECREMENT_TOL = 64.0 * float(np.finfo(float).eps)
-MAX_NEWTON_ITER = 100
-MAX_HALVINGS = 60
-SEPARATION_CAP = 30.0
+if TYPE_CHECKING:
+    from .modelspace import ModelIndex
+
 # Floats per kernel temporary: a batch holds BATCH_FLOATS // k^2 models of
 # size k (one k x k Hessian each), and the logistic and Poisson kernels walk it
 # in chunks of BATCH_FLOATS // 2n models (10 at n = 1600), so each of the k + 4
@@ -209,17 +192,6 @@ class Dataset:
         return FAMILIES[self.family].log_base(self.y, self.dispersion)
 
 
-@dataclass
-class GlmFit:
-    """Maximum-likelihood fit of one submodel."""
-
-    beta_hat: np.ndarray
-    neg_hessian: np.ndarray  # of the log-likelihood at beta_hat
-    converged: bool
-    iterations: int
-    separation: bool = False
-
-
 def _one_row(d: Dataset, J: ModelIndex, beta) -> tuple:
     # the value, score and negative Hessian of model J at beta (one-row kernel)
     beta = np.asarray(beta, dtype=float).reshape(-1)
@@ -242,103 +214,6 @@ def score(d: Dataset, J: ModelIndex, beta: np.ndarray) -> np.ndarray:
 def neg_hessian(d: Dataset, J: ModelIndex, beta: np.ndarray) -> SpdMatrix:
     """Negative log-likelihood Hessian X_J' W X_J with W = diag(b''(theta))."""
     return SpdMatrix(_one_row(d, J, beta)[2])
-
-
-# Where a Newton ascent stopped; scalars for one model, per-row arrays for a batch
-NewtonAscent = namedtuple("NewtonAscent", "beta value h converged iterations singular")
-
-
-def newton_ascent(evaluate: Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray]],
-                  beta: np.ndarray, d: Dataset, max_iter: int, ridge_tries: int,
-                  step_cap: Optional[Callable[[np.ndarray, np.ndarray], float]] = None,
-                  start: Optional[tuple[float, np.ndarray, np.ndarray]] = None
-                  ) -> NewtonAscent:
-    """Damped Newton ascent of an objective from ``beta``, for one model.
-
-    ``evaluate(b)`` returns the objective, gradient and negative Hessian at
-    ``b``, once per point; ``start`` is ``evaluate(beta)`` where the caller
-    has it already.  Each iteration solves for the Newton step by
-    Cholesky; where the negative Hessian does not factor it retries with a
-    ridge, doubling from 1e-8 max(1, max|h|), up to ``ridge_tries`` tries.
-    The step starts at fraction ``step_cap(beta, step)`` (else 1) and is
-    halved, at most ``MAX_HALVINGS`` times, until the objective does not
-    decrease.  A step whose Newton decrement g'step is at most
-    ``DECREMENT_TOL`` * max(1, |objective|, |d.log_base|) gains less than
-    the objective resolves: it gets one trial, and if that is rejected the
-    ascent stops at beta, certified at resolution.  The ascent stops when
-    the gradient's infinity-norm is at most ``GRAD_TOL_PER_OBS * d.n``, when
-    no Newton step factors (``singular``), when the decrement certifies
-    beta, when no halving is accepted or the accepted step leaves beta
-    unchanged in floating point, or after ``max_iter`` steps.  Returns the
-    final iterate, the objective and the negative Hessian there,
-    ``converged`` (the gradient test at that iterate, or the decrement's
-    certificate), the steps taken and ``singular``.
-    """
-    tol = GRAD_TOL_PER_OBS * d.n
-    scale = max(1.0, abs(d.log_base))
-    value, g, h = evaluate(beta) if start is None else start
-    eye = np.eye(beta.size)
-    iterations = 0
-    singular = certified = False
-    for _ in range(max_iter):
-        if float(np.abs(g).max(initial=0.0)) <= tol:
-            break
-        step = None
-        ridge = 0.0
-        for _ in range(ridge_tries):
-            factor, ok = batch_cholesky(h + ridge * eye)
-            if ok:
-                step = batch_cho_solve(factor, g)
-                break
-            # indefinite away from the optimum; damp toward gradient ascent
-            ridge = max(2.0 * ridge, 1e-8 * max(1.0, float(np.abs(h).max(initial=0.0))))
-        if step is None:
-            singular = True
-            break
-        flat = (g * step).sum(axis=-1) <= DECREMENT_TOL * np.maximum(scale, np.abs(value))
-        t = 1.0 if step_cap is None else float(step_cap(beta, step))
-        for _ in range(MAX_HALVINGS):  # a flat step gets one trial
-            cand = beta + t * step
-            trial = evaluate(cand)
-            if trial[0] >= value or flat:
-                break
-            t *= 0.5
-        rejected = trial[0] < value
-        if rejected or np.array_equal(cand, beta):
-            certified = rejected and flat
-            break
-        beta, (value, g, h) = cand, trial
-        iterations += 1
-    # g and h are always those of the returned beta
-    return NewtonAscent(beta=beta, value=value, h=h,
-                        converged=certified or float(np.abs(g).max(initial=0.0)) <= tol,
-                        iterations=iterations, singular=singular)
-
-
-def fit_mle(d: Dataset, J: ModelIndex) -> GlmFit:
-    """Maximum-likelihood fit: :func:`newton_ascent` of the log-likelihood
-    from beta = 0 (evaluated by :func:`batch_origin`), with one Cholesky try
-    per step, no step cap and at most ``MAX_NEWTON_ITER`` iterations.
-
-    For logistic models a fitted coefficient exceeding ``SEPARATION_CAP`` in
-    magnitude sets the ``separation`` flag, signalling that the MLE likely
-    does not exist; this is a flag, not an error, and the capped fit is
-    still returned.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If the design of ``J`` is rank-deficient.
-    """
-    value, g, h = batch_origin(model_batch(d, J.cols[None, :]))
-    fit = newton_ascent(lambda b: _one_row(d, J, b), np.zeros(J.size), d,
-                        MAX_NEWTON_ITER, ridge_tries=1, start=(float(value[0]), g[0], h[0]))
-    if fit.singular:
-        raise NotPositiveDefinite(f"rank-deficient design for model {J}")
-    separation = (d.family == "logistic"
-                  and float(np.abs(fit.beta).max(initial=0.0)) > SEPARATION_CAP)
-    return GlmFit(beta_hat=fit.beta, neg_hessian=fit.h, converged=fit.converged,
-                  iterations=fit.iterations, separation=separation)
 
 
 # =============================================================================

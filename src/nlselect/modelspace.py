@@ -17,14 +17,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import posterior
 from .numerics import RandomStream, derive_stream
-
-if TYPE_CHECKING:  # posterior imports this module
-    from .posterior import ModelScores
 
 ENUMERATION_CAP = 1_000_000
 
@@ -91,7 +89,7 @@ class ModelPosterior:
     probability: np.ndarray
     mass_a: Optional[float] = None
     mass_b: Optional[float] = None
-    scores: Optional[ModelScores] = None
+    scores: Optional[posterior.ModelScores] = None
 
     @property
     def entries(self) -> "_Entries":
@@ -263,7 +261,7 @@ def _neighbors(current: tuple[int, ...], p: int, q: int) -> list[tuple[int, ...]
 
 
 def greedy_search(d, spec, q: int, budget: int, stream: RandomStream,
-                  score_fn: Optional[Callable[..., ModelScores]] = None,
+                  score_fn: Optional[Callable[..., posterior.ModelScores]] = None,
                   ) -> tuple[ModelPosterior, ModelIndex]:
     """Stochastic greedy walk over the bounded model space.
 
@@ -294,10 +292,9 @@ def greedy_search(d, spec, q: int, budget: int, stream: RandomStream,
     """
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    # local import: posterior depends on glm which depends on this module
-    from .posterior import ModelScores, score_models
-    score_fn = score_fn or score_models
-    parts: list[ModelScores] = []
+    # read at call time, so a replaced posterior.score_models is the one called
+    score_fn = score_fn or posterior.score_models
+    parts: list[posterior.ModelScores] = []
     cache: dict[tuple[int, ...], float] = {}  # in the row order of parts
 
     def score(models: list[tuple[int, ...]]) -> None:
@@ -334,5 +331,5 @@ def greedy_search(d, spec, q: int, budget: int, stream: RandomStream,
     models = sorted(cache, key=_size_major)
     row = {m: i for i, m in enumerate(cache)}
     post = normalize_strata(_as_strata(models), [cache[m] for m in models])
-    post.scores = ModelScores.gather(parts, [row[m] for m in models])
+    post.scores = posterior.ModelScores.gather(parts, [row[m] for m in models])
     return post, post.top

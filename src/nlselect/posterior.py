@@ -1,5 +1,6 @@
-"""Posterior-mode optimization within the MLE's orthant and the Laplace
-approximation of the log marginal likelihood.
+"""Every fitting rule: the MLE, the posterior mode within the MLE's orthant
+and the Laplace approximation of the log marginal likelihood, for one model
+and for many in lockstep.
 
 Nonlocal priors vanish on every coordinate plane, so the log posterior has
 one local maximum per orthant and the global mode shares the MLE's orthant.
@@ -19,38 +20,166 @@ and every command and study reads its marginals, MLEs and modes (the
 mle-rate study runs only its MLE stage, :func:`batch_mle`); :func:`fit_model`
 scores one submodel and is the readable reference that the engine is tested
 against.  Each form has one damped Newton loop, run once for the MLE and
-once for the mode: the engine's lockstep ``_newton`` here, and
-``glm.newton_ascent`` for the reference.  The two share only
-``glm.batch_origin``, the MLE's start point, and ``glm.batch_evaluate``,
-which gives a point's value, gradient and Hessian at once, so each loop
-evaluates each point once.  In both, a fit is
-``converged`` when the gradient test |g|_inf <= ``GRAD_TOL_PER_OBS`` * n
-holds at the returned iterate, whichever rule stopped the loop, or when the
-decrement test certified the last step as below resolution: a Newton step
-whose decrement g'H^-1 g is at most ``DECREMENT_TOL`` * max(1, |objective|,
-|d.log_base|) gets one trial, and if that trial is rejected the loop stops
-where it is.
+once for the mode: :func:`newton_ascent` for the reference and the lockstep
+``_newton`` for the engine; neither calls the other.  Both evaluate through
+``glm.batch_evaluate``, which gives a point's value, gradient and Hessian at
+once, so each loop evaluates each point once, and both start the MLE at
+beta = 0 from ``glm.batch_origin``.
+
+The Newton policy, the same constants in both loops: each iteration solves
+for the step by Cholesky; where the negative Hessian does not factor, the
+mode search retries with a ridge doubling from 1e-8 max(1, max|h|), up to
+``MAX_RIDGE_TRIES`` tries, and the MLE marks the design rank-deficient.  The
+step, capped for the mode so no coordinate crosses zero, is halved at most
+``MAX_HALVINGS`` times until the objective does not decrease.  A step whose
+decrement g'H^-1 g is at most ``DECREMENT_TOL`` * max(1, |objective|,
+|d.log_base|) gains less than the objective resolves: it gets one trial, and
+if that is rejected the loop stops where it is, certified at resolution.  A
+loop stops at the gradient test |g|_inf <= ``GRAD_TOL_PER_OBS`` * n, when no
+step factors, at that certificate, when no halving is accepted or the
+accepted step leaves beta unchanged in floating point, or after
+``MAX_NEWTON_ITER`` (MLE) or ``MAX_MODE_ITER`` (mode) steps.  A fit is
+``converged`` when the gradient test holds at the returned iterate,
+whichever rule stopped the loop, or when the decrement certified its last
+step.  A logistic MLE with a coefficient beyond ``SEPARATION_CAP`` in
+magnitude is flagged ``separation``: the MLE likely does not exist.  That
+is a flag, not an error.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from .glm import (DECREMENT_TOL, GRAD_TOL_PER_OBS, MAX_HALVINGS, MAX_NEWTON_ITER,
-                  SEPARATION_CAP, Dataset, GlmFit, ModelBatch, NewtonAscent,
-                  batch_evaluate, batch_origin, batch_rows, fit_mle, model_batch,
-                  newton_ascent)
-from .modelspace import ModelIndex
+from .glm import Dataset, ModelBatch, batch_evaluate, batch_origin, batch_rows, model_batch
 from .numerics import (NotPositiveDefinite, SpdMatrix, batch_cho_solve,
                        batch_cholesky, factor_logdet)
 from .priors import NonlocalPriorSpec, coordinate_mode, log_prior_terms
 
+if TYPE_CHECKING:
+    from .modelspace import ModelIndex
+
+# the gradient test of every Newton ascent: |g|_inf <= GRAD_TOL_PER_OBS * n
+GRAD_TOL_PER_OBS = 1e-8
+# the decrement test: a Newton step with g'H^-1 g <= DECREMENT_TOL *
+# max(1, |objective|, |log_base|) gains less than the objective resolves in
+# floating point.  The objective is the kernel plus the constant log_base, so
+# it rounds at the scale of the larger of the two; with Poisson counts in the
+# thousands, |log_base| (the sum of log y!) far exceeds |objective|.  Summing
+# terms larger than the total, a log-likelihood rounds with a standard
+# deviation of up to about 20 eps |objective| (Poisson counts near 150), so
+# the bound is 64 eps, not a few eps.
+DECREMENT_TOL = 64.0 * float(np.finfo(float).eps)
+MAX_NEWTON_ITER = 100
+MAX_HALVINGS = 60
+SEPARATION_CAP = 30.0
 MAX_MODE_ITER = 200
 MAX_RIDGE_TRIES = 60
+
+
+# Where a Newton ascent stopped; scalars for one model, per-row arrays for a batch
+NewtonAscent = namedtuple("NewtonAscent", "beta value h converged iterations singular")
+
+
+@dataclass
+class GlmFit:
+    """Maximum-likelihood fit of one submodel."""
+
+    beta_hat: np.ndarray
+    neg_hessian: np.ndarray  # of the log-likelihood at beta_hat
+    converged: bool
+    iterations: int
+    separation: bool = False
+
+
+def _separated(d: Dataset, beta: np.ndarray):
+    """The ``separation`` flag of each MLE, a row of ``beta``."""
+    return d.family == "logistic" and np.abs(beta).max(axis=-1, initial=0.0) > SEPARATION_CAP
+
+
+def newton_ascent(evaluate: Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray]],
+                  beta: np.ndarray, d: Dataset, max_iter: int, ridge_tries: int,
+                  step_cap: Optional[Callable[[np.ndarray, np.ndarray], float]] = None,
+                  start: Optional[tuple[float, np.ndarray, np.ndarray]] = None
+                  ) -> NewtonAscent:
+    """The damped Newton ascent of the module's policy from ``beta``, for
+    one model.
+
+    ``evaluate(b)`` returns the objective, gradient and negative Hessian at
+    ``b``, once per point; ``start`` is ``evaluate(beta)`` where the caller
+    has it already.  The step starts at fraction ``step_cap(beta, step)``
+    (else 1).  Returns the final iterate, the objective and the negative
+    Hessian there, ``converged``, the steps taken and ``singular`` (no
+    Newton step factored in ``ridge_tries`` tries).
+    """
+    tol = GRAD_TOL_PER_OBS * d.n
+    scale = max(1.0, abs(d.log_base))
+    value, g, h = evaluate(beta) if start is None else start
+    eye = np.eye(beta.size)
+    iterations = 0
+    singular = certified = False
+    for _ in range(max_iter):
+        if float(np.abs(g).max(initial=0.0)) <= tol:
+            break
+        step = None
+        ridge = 0.0
+        for _ in range(ridge_tries):
+            factor, ok = batch_cholesky(h + ridge * eye)
+            if ok:
+                step = batch_cho_solve(factor, g)
+                break
+            # indefinite away from the optimum; damp toward gradient ascent
+            ridge = max(2.0 * ridge, 1e-8 * max(1.0, float(np.abs(h).max(initial=0.0))))
+        if step is None:
+            singular = True
+            break
+        flat = (g * step).sum(axis=-1) <= DECREMENT_TOL * np.maximum(scale, np.abs(value))
+        t = 1.0 if step_cap is None else float(step_cap(beta, step))
+        for _ in range(MAX_HALVINGS):  # a flat step gets one trial
+            cand = beta + t * step
+            trial = evaluate(cand)
+            if trial[0] >= value or flat:
+                break
+            t *= 0.5
+        rejected = trial[0] < value
+        if rejected or np.array_equal(cand, beta):
+            certified = rejected and flat
+            break
+        beta, (value, g, h) = cand, trial
+        iterations += 1
+    # g and h are always those of the returned beta
+    return NewtonAscent(beta=beta, value=value, h=h,
+                        converged=certified or float(np.abs(g).max(initial=0.0)) <= tol,
+                        iterations=iterations, singular=singular)
+
+
+def fit_mle(d: Dataset, J: ModelIndex) -> GlmFit:
+    """Maximum-likelihood fit: :func:`newton_ascent` of the log-likelihood
+    from beta = 0 (evaluated by ``glm.batch_origin``), with one Cholesky try
+    per step, no step cap and at most ``MAX_NEWTON_ITER`` iterations.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If the design of ``J`` is rank-deficient.
+    """
+    batch = model_batch(d, J.cols[None, :])
+
+    def evaluate(b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        value, g, h = batch_evaluate(batch, b[None])
+        return float(value[0]), g[0], h[0]
+
+    value, g, h = batch_origin(batch)
+    fit = newton_ascent(evaluate, np.zeros(J.size), d, MAX_NEWTON_ITER, ridge_tries=1,
+                        start=(float(value[0]), g[0], h[0]))
+    if fit.singular:
+        raise NotPositiveDefinite(f"rank-deficient design for model {J}")
+    return GlmFit(beta_hat=fit.beta, neg_hessian=fit.h, converged=fit.converged,
+                  iterations=fit.iterations, separation=bool(_separated(d, fit.beta)))
 
 
 def _orthant_cap(beta: np.ndarray, step: np.ndarray) -> np.ndarray:
@@ -80,19 +209,11 @@ class PosteriorFit:
 
 def find_posterior_mode(d: Dataset, J: ModelIndex, spec: NonlocalPriorSpec,
                         mle: GlmFit) -> PosteriorFit:
-    """Posterior mode in the MLE's orthant: :func:`glm.newton_ascent` of
-    log-likelihood + log-prior, with up to ``MAX_RIDGE_TRIES`` ridge tries
-    per step and at most ``MAX_MODE_ITER`` iterations.
-
-    Each coordinate starts at ``priors.coordinate_mode(b, h, spec)``: the
-    root, in the orthant of its MLE b (+ for b = 0), of
-    -h (beta - b) + d/dbeta log pi(beta) = 0, with h the diagonal of the
-    negative log-likelihood Hessian at the MLE.  Any Newton step that would
-    flip a coordinate's sign is shortened so the coordinate stops halfway to
-    zero, keeping the iterates inside the starting orthant where the prior
-    is smooth.  Non-convergence (the gradient test unmet at the returned
-    iterate, and the last step not certified by the decrement test) is
-    flagged on the returned fit, never raised.
+    """Posterior mode in the MLE's orthant: :func:`newton_ascent` of
+    log-likelihood + log-prior from ``priors.coordinate_mode`` at the MLE,
+    with up to ``MAX_RIDGE_TRIES`` ridge tries per step, the orthant step cap
+    and at most ``MAX_MODE_ITER`` iterations.  Non-convergence is flagged on
+    the returned fit, never raised.
     """
     batch = model_batch(d, J.cols[None, :])
     beta = coordinate_mode(np.array(mle.beta_hat, dtype=float), np.diagonal(mle.neg_hessian),
@@ -162,14 +283,11 @@ class ModelScores:
     marginal (``fit_model`` sets ``saddle`` on them).  ``mle`` and ``mode``
     are (M, w) arrays padded with NaN beyond each model's size, w the widest
     model; a rank-deficient design has neither, and its ``mle_converged``
-    is False.  ``mle_converged`` and ``converged`` say that the gradient
-    test holds at the returned MLE and mode, whether the search stopped at
-    the test, at the stall stop or at its iteration cap, or that the
-    decrement test certified the last step as below resolution;
-    ``iterations`` and ``mle_iterations`` count the mode search's and the
-    MLE's Newton steps.  ``logdet`` is
-    log det H* at the mode, NaN where H* fails to factor.  ``separation``
-    is the logistic MLE's flag (a coefficient beyond ``SEPARATION_CAP``).
+    is False.  ``mle_converged``, ``converged`` and ``separation`` are the
+    MLE's and the mode's flags as the module defines them; ``iterations``
+    and ``mle_iterations`` count the mode search's and the MLE's Newton
+    steps.  ``logdet`` is log det H* at the mode, NaN where H* fails to
+    factor.
     """
 
     log_marginal: np.ndarray
@@ -233,7 +351,7 @@ def score_models(d: Dataset, models: Sequence[np.ndarray],
 
 
 def batch_mle(batch: ModelBatch) -> NewtonAscent:
-    """:func:`glm.fit_mle` of every model of ``batch`` in lockstep; a
+    """:func:`fit_mle` of every model of ``batch`` in lockstep; a
     rank-deficient design is ``singular``, with a NaN ``beta``."""
     mle = _newton(batch, batch_evaluate, np.zeros(batch.cols.shape), batch_origin(batch),
                   MAX_NEWTON_ITER, ridge_tries=1)
@@ -256,8 +374,7 @@ def _score_batch(batch: ModelBatch, spec: NonlocalPriorSpec, out: ModelScores,
                                      h_diag[full_rank], rows[full_rank])
         if not rows.size:
             return
-    if batch.d.family == "logistic":
-        out.separation[rows] = np.abs(beta).max(axis=-1, initial=0.0) > SEPARATION_CAP
+    out.separation[rows] = _separated(batch.d, beta)
     start = coordinate_mode(beta, h_diag, spec)
     mode = _newton(batch, lambda sub, b: _log_posterior(sub, b, spec), start,
                    _log_posterior(batch, start, spec), MAX_MODE_ITER,
@@ -290,18 +407,14 @@ def _log_posterior(batch: ModelBatch, beta: np.ndarray, spec: NonlocalPriorSpec
 def _newton(batch: ModelBatch, evaluate: Callable, beta: np.ndarray, start: tuple,
             max_iter: int, ridge_tries: int, step_cap: Optional[Callable] = None
             ) -> NewtonAscent:
-    """The damped Newton ascent of :func:`glm.newton_ascent` for every row
-    of the start ``beta`` (M, k, overwritten) in lockstep, with per-row arrays
-    in the result.
+    """:func:`newton_ascent` for every row of the start ``beta`` (M, k,
+    overwritten) in lockstep, with per-row arrays in the result.
 
     ``evaluate(sub, b)`` gives the objective, gradient and negative Hessian
     at the rows ``b`` of the sub-batch ``sub``, once per point, ``start`` is
     ``evaluate(batch, beta)`` (overwritten), and
     ``step_cap(b, step)`` each row's first step fraction.  A row leaves the
-    active set as soon as its own ascent stops, by the same rules and
-    constants as the scalar loop: a row whose step is flat by the decrement
-    test gets one trial, and if that is rejected it stops, ``converged``,
-    at its iterate.
+    active set as soon as its own ascent stops, by the module's rules.
     Fast paths keep that arithmetic: views (``slice(None)``) while every row is
     in play; return once all pass the gradient test; factor h itself first,
     with the ridge floor only after a failure, the decrement only on a rejection.

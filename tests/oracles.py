@@ -2,8 +2,10 @@
 
 These deliberately avoid the code paths they adjudicate: marginals come from
 direct quadrature of the unnormalized posterior, never from the Laplace
-formula under test, and the Gaussian-prior mode is searched outside the
-nonlocal-prior mode finder.  ``per_model_scorer`` turns a one-model score
+formula under test, and the Gaussian-prior mode is searched by the
+reference's Newton loop, ``posterior.newton_ascent``, from
+``posterior.fit_mle``, outside the nonlocal-prior mode finder.  Likelihoods
+come from the data layer, ``glm``.  ``per_model_scorer`` turns a one-model score
 function into the batch scorer that ``greedy_search`` takes.
 """
 
@@ -11,10 +13,11 @@ import math
 
 import numpy as np
 
-from nlselect.glm import batch_evaluate, fit_mle, log_likelihood, model_batch, newton_ascent
+from nlselect.glm import batch_evaluate, log_likelihood, model_batch
 from nlselect.modelspace import ModelIndex
 from nlselect.numerics import SpdMatrix, adaptive_quad
-from nlselect.posterior import MAX_MODE_ITER, MAX_RIDGE_TRIES, ModelScores, PosteriorFit
+from nlselect.posterior import (MAX_MODE_ITER, MAX_RIDGE_TRIES, ModelScores, PosteriorFit,
+                                fit_mle, newton_ascent)
 from nlselect.priors import log_density_1d, log_prior
 
 
@@ -60,7 +63,7 @@ def gaussian_prior_mode(d, J, prior_var):
     """Posterior mode under a N(0, prior_var I) prior, for which the log
     posterior is quadratic in the Gaussian family and Laplace is exact.
 
-    One ``glm.newton_ascent`` of log-likelihood + log-prior from the MLE,
+    One ``posterior.newton_ascent`` of log-likelihood + log-prior from the MLE,
     without the orthant cap: the prior is finite at zero.
     """
     batch = model_batch(d, J.cols[None, :])

@@ -665,7 +665,7 @@ class TestOneScoringPath:
 
     @pytest.mark.parametrize("family", ["gaussian", "logistic"])
     def test_commands_never_call_the_scalar_path(self, tmp_path, monkeypatch, family):
-        from nlselect import glm, posterior
+        from nlselect import posterior
         from nlselect.experiments import hessian_diagnostics
         from nlselect.priors import spimom
 
@@ -676,7 +676,7 @@ class TestOneScoringPath:
         def forbidden(*args, **kwargs):
             raise AssertionError("a command called the scalar reference path")
 
-        reference = (glm.fit_mle, glm.newton_ascent, posterior.find_posterior_mode,
+        reference = (posterior.fit_mle, posterior.newton_ascent, posterior.find_posterior_mode,
                      posterior.fit_model)
         docs = []
         with monkeypatch.context() as guard:
@@ -698,7 +698,7 @@ class TestOneScoringPath:
         d = read_dataset_csv(str(data), family, 1.0)
         for doc in docs:
             top = ModelIndex(doc["top"])
-            mle = glm.fit_mle(d, top)
+            mle = posterior.fit_mle(d, top)
             pm = posterior.find_posterior_mode(d, top, spimom(), mle)
             want = hessian_diagnostics(d, top, mle.beta_hat, pm.beta_pm)
             for key, value in want._asdict().items():

@@ -25,12 +25,12 @@ from hypothesis import strategies as st
 from oracles import per_model_scorer
 
 from nlselect import glm, posterior
-from nlselect.glm import Dataset, fit_mle, log_likelihood
+from nlselect.glm import Dataset, log_likelihood
 from nlselect.modelspace import (ModelIndex, enumerate_models, enumerate_strata,
                                  greedy_search, normalize_strata)
 from nlselect.numerics import NotPositiveDefinite, factor_logdet, make_stream
-from nlselect.posterior import (MAX_MODE_ITER, ModelScores, find_posterior_mode, fit_model,
-                                score_models)
+from nlselect.posterior import (MAX_MODE_ITER, ModelScores, find_posterior_mode, fit_mle,
+                                fit_model, score_models)
 from nlselect.priors import NonlocalPriorSpec, log_prior, spimom
 
 # Fixed examples keep the suite deterministic from run to run.
@@ -161,7 +161,6 @@ class TestAgainstScalarReference:
         # With one Newton step allowed, the score test runs at the iterate
         # that step reached: a Gaussian MLE is exact after one step, a
         # logistic one is not.
-        monkeypatch.setattr(glm, "MAX_NEWTON_ITER", 1)
         monkeypatch.setattr(posterior, "MAX_NEWTON_ITER", 1)
         for family, want in (("gaussian", True), ("logistic", False)):
             d = random_dataset(family, seed=4, n=80, p=3)

@@ -15,10 +15,10 @@ from nlselect.experiments import (DESIGN_EQUICORRELATED, ExperimentConfig,
                                   logm_ratio_study, mle_rate_study,
                                   mode_rate_study, scalar_mode_rate_table,
                                   scalar_null_mode, simulate_dataset)
-from nlselect.glm import Dataset, fit_mle
+from nlselect.glm import Dataset
 from nlselect.modelspace import ModelIndex
 from nlselect.numerics import make_stream
-from nlselect.posterior import fit_model, score_models
+from nlselect.posterior import fit_mle, fit_model, score_models
 from nlselect.priors import pimom, spimom
 
 

@@ -15,10 +15,11 @@ from scipy.special import gammaln
 
 from nlselect import glm
 from nlselect.glm import (BATCH_FLOATS, FAMILIES, Dataset, FamilySupport, batch_evaluate,
-                          batch_origin, batch_rows, chunk_rows, fit_mle, log_likelihood,
-                          model_batch, neg_hessian, score)
+                          batch_origin, batch_rows, chunk_rows, log_likelihood, model_batch,
+                          neg_hessian, score)
 from nlselect.modelspace import ModelIndex
 from nlselect.numerics import NotPositiveDefinite
+from nlselect.posterior import fit_mle
 
 J1 = ModelIndex((1,))
 FAMILY_NAMES = ["gaussian", "logistic", "poisson"]

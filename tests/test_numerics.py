@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlselect.experiments import hessian_diagnostics
-from nlselect.glm import Dataset, fit_mle
+from nlselect.glm import Dataset
 from nlselect.modelspace import ModelIndex
 from nlselect.numerics import (PIVOT_RTOL, NoConvergence, NotPositiveDefinite, SpdMatrix,
                                adaptive_quad, batch_cho_solve, batch_cholesky,
                                derive_stream, factor_logdet, make_stream)
+from nlselect.posterior import fit_mle
 
 
 def cofactor_det(a: np.ndarray) -> float:

@@ -1,6 +1,9 @@
 """The package's public API: ``nlselect.__all__`` and the package namespace
-name the same objects; and that only ``--effect-floor`` loads scipy."""
+name the same objects; that the modules import each other one way, at
+module level; and that only ``--effect-floor`` loads scipy."""
 
+import ast
+import graphlib
 import json
 import os
 import subprocess
@@ -17,6 +20,50 @@ def test_all_matches_public_names():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == set(nlselect.__all__)
     assert len(nlselect.__all__) == len(set(nlselect.__all__))
+
+
+def package_imports():
+    """(module, imported module, inside a function) for every import of one
+    ``nlselect`` module by another, read from the source; imports under
+    ``if TYPE_CHECKING:`` are left out, as they never run."""
+    pkg = os.path.dirname(nlselect.__file__)
+    modules = {name[:-3] for name in os.listdir(pkg) if name.endswith(".py")}
+
+    def targets(node):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif node.level:  # from .x import a; from . import x
+            names = [f"nlselect.{node.module}" if node.module else f"nlselect.{a.name}"
+                     for a in node.names]
+        else:  # from nlselect.x import a; from nlselect import x
+            names = [node.module if node.module != "nlselect" else f"nlselect.{a.name}"
+                     for a in node.names]
+        return {name.split(".")[1] for name in names
+                if name.startswith("nlselect.") and name.split(".")[1] in modules}
+
+    def walk(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                yield from ((target, in_function) for target in targets(child))
+            elif not (isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING"):
+                yield from walk(child, in_function or isinstance(
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+    for module in sorted(modules):
+        with open(os.path.join(pkg, module + ".py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for target, in_function in walk(tree, False):
+            yield module, target, in_function
+
+
+def test_package_imports_run_one_way():
+    imports = list(package_imports())
+    assert ("glm", "numerics", False) in imports  # the reader finds relative imports
+    assert [i for i in imports if i[2]] == []  # every import runs when its module loads
+    graph = {}
+    for module, target, _ in imports:
+        graph.setdefault(module, set()).add(target)
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
 
 
 # Runs nlselect commands in a fresh interpreter (this test session has already

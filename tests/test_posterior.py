@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from nlselect.glm import Dataset, fit_mle, log_likelihood
+from nlselect.glm import Dataset, log_likelihood
 from nlselect.modelspace import ModelIndex
 from nlselect.numerics import adaptive_quad
-from nlselect.posterior import find_posterior_mode, fit_model, laplace_log_marginal
+from nlselect.posterior import find_posterior_mode, fit_mle, fit_model, laplace_log_marginal
 from nlselect.priors import log_prior, pimom, spimom
 
 J1 = ModelIndex((1,))
