@@ -136,8 +136,9 @@ class Dataset:
     ``dispersion`` is the known Gaussian variance, positive and finite, and
     is ignored by the other families.  Model indices are 1-based positions
     into the columns of ``X``; no intercept is implicit, callers include a
-    constant column explicitly when they want one.  ``X`` is stored
-    C-contiguous, so no result depends on the memory layout of the caller's.
+    constant column explicitly when they want one.  ``y`` and ``X`` are
+    stored C-contiguous, so no result depends on the memory layout of the
+    caller's arrays.
     Each statistic is cached once, on first use: X'X, X'y and X'1 in
     ``_gram`` (X'X is the one p x p array), X' in ``_xt``, and ``log_base``.
     No scratch is kept, so threads may score one ``Dataset`` at once.
@@ -149,7 +150,7 @@ class Dataset:
     dispersion: float = 1.0
 
     def __post_init__(self) -> None:
-        y = np.asarray(self.y, dtype=float).reshape(-1)
+        y = np.ascontiguousarray(self.y, dtype=float).reshape(-1)
         X = np.ascontiguousarray(self.X, dtype=float)
         if X.ndim != 2:
             raise ValueError("X must be a 2-d matrix")

@@ -721,6 +721,29 @@ class TestOneScoringPath:
                     "--out", out]) == 0
         assert sum(rows) == load_json(out)["n_models_scored"]
 
+    @pytest.mark.parametrize("family", ["gaussian", "logistic", "poisson"])
+    def test_fit_gives_the_library_log_marginals(self, tmp_path, family):
+        # the CLI reads y as a column of the parsed file; the library gets a
+        # y of its own, and the two must score the same bits
+        from nlselect.modelspace import enumerate_strata
+        from nlselect.posterior import score_models
+        from nlselect.priors import spimom
+
+        rng = np.random.default_rng(31)
+        X = rng.normal(size=(400, 10))
+        theta = X[:, :2] @ np.array([0.6, -0.5])
+        y = {"gaussian": theta + rng.normal(size=400),
+             "logistic": (rng.uniform(size=400) < 1.0 / (1.0 + np.exp(-theta))).astype(float),
+             "poisson": rng.poisson(np.exp(theta)).astype(float)}[family]
+        data, out = tmp_path / "d.csv", tmp_path / "fit.json"
+        np.savetxt(data, np.column_stack([X, y]), fmt="%.17g", delimiter=",", comments="",
+                   header=",".join([f"x{j}" for j in range(1, 11)] + ["y"]))
+        assert run(["fit", "--input", data, "--family", family, "--out", out]) == 0
+        got = {tuple(m["indices"]): float(m["log_marginal"]) for m in load_json(out)["models"]}
+        strata = enumerate_strata(10, 3)
+        want = score_models(Dataset(y=y, X=X, family=family), strata, spimom()).log_marginal
+        assert [got[tuple(row)] for block in strata for row in block.tolist()] == want.tolist()
+
 
 def row_loop_reader(path, family="gaussian", dispersion=1.0):
     """The reader as it was before the one-call parse: every cell through

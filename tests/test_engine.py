@@ -423,16 +423,19 @@ class TestDatasetState:
 
     @pytest.mark.parametrize("family", ["gaussian", "logistic", "poisson"])
     def test_memory_layout_does_not_matter(self, family):
-        # an F-ordered copy and a strided view of the design give the scores
-        # of the C-ordered one bit for bit (X'y differs in its last bits when
-        # BLAS reads X in another order)
+        # an F-ordered copy and a strided view of the design, and a strided
+        # view and a copy of the response, give the scores of the C-ordered
+        # arrays bit for bit (X'y differs in its last bits when BLAS reads X
+        # or y in another order)
         d = benchmark_gaussian_input() if family == "gaussian" else benchmark_glm_input(family)
         strata = enumerate_strata(d.p, 2)
         want = score_models(d, strata, spimom())
         wide = np.zeros((d.n, 2 * d.p))
         wide[:, ::2] = d.X
-        for X in (np.asfortranarray(d.X), wide[:, ::2]):
-            other = Dataset(y=d.y, X=X, family=family, dispersion=d.dispersion)
+        table = np.column_stack([d.X, d.y])  # y as the CLI reads it, a column of the file
+        for X, y in ((np.asfortranarray(d.X), d.y), (wide[:, ::2], d.y),
+                     (d.X, table[:, -1]), (d.X, d.y.copy())):
+            other = Dataset(y=y, X=X, family=family, dispersion=d.dispersion)
             assert_same_scores(score_models(other, strata, spimom()), want)
 
     def test_two_threads_score_one_dataset(self):
