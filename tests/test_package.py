@@ -47,7 +47,7 @@ def package_imports():
                 yield from ((target, in_function) for target in targets(child))
             elif not (isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING"):
                 yield from walk(child, in_function or isinstance(
-                    child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef)))
 
     for module in sorted(modules):
         with open(os.path.join(pkg, module + ".py"), encoding="utf-8") as fh:
